@@ -2,16 +2,35 @@
 
 Phase I greedily partitions the targets: each candidate merge is accepted
 when both threshold scalars (a variance-reduction term plus an explained-
-variance penalty, computed from three OLS fits on the full feature matrix)
-fall at or below ``epsilon1``.  Phase II repeats the same greedy loop over
-feature columns for each aggregated target, accepting a merge when the
-in-sample R^2 drop from replacing two columns with their mean is at most
-``epsilon2``.
+variance penalty, from the OLS fits of the cluster mean, the candidate and
+their merged mean on the full feature matrix) fall at or below
+``epsilon1``.  Phase II repeats the same greedy loop over feature columns
+for each aggregated target, accepting a merge when the in-sample R^2 drop
+from replacing two columns with their mean is at most ``epsilon2``.
 
 Inside the loop the candidate aggregate is the flat mean over the current
 members plus the candidate, matching the columns the final output is built
 from; the threshold operations themselves default to the two-column mean,
 which is the same thing for a singleton cluster.
+
+With shared features the loop fits nothing per comparison:
+
+* Phase I projects every target off the column space of X once (one SVD of
+  X).  The fit of a target mean is the mean of the targets' fits, so running
+  sums of the open cluster's targets and residuals give each comparison's
+  three fits in O(n).
+* Phase II keeps the restricted coefficients b and their unscaled
+  covariance K = (X'X)^-1, from one SVD of X per call.  Merging candidate j
+  into the cluster opened by s imposes b_s = b_j, which raises the residual
+  sum of squares by (b_s - b_j)^2 / (K_ss - 2 K_sj + K_jj) and lowers the
+  rank by one; an accept applies it to b and K as a rank-one downdate.  Where X is
+  rank-deficient or too badly conditioned for this to match a refit within
+  the replay tolerance, each comparison refits its working matrix instead.
+
+Either way the loop calls the threshold functions once per comparison, with
+the fits it holds, so the report and its decision are built in one place.
+The homogeneous variant, standalone re-evaluation and the verification
+checks fit with lstsq, which serves as the reference.
 """
 
 from __future__ import annotations
@@ -47,10 +66,23 @@ __all__ = [
 # (exact-duplicate columns); snap to zero so ties accept at epsilon = 0.
 R2_TIE_TOL = 1e-12
 
+# Tolerance within which a replayed trace scalar must match the recorded one.
+REPLAY_RTOL = 1e-9
+REPLAY_ATOL = 1e-12
+
 # Columns count as centered when |mean| <= this times (1 + rms).
 CENTERED_TOL = 1e-7
 
 _SEED_MASK = (1 << 64) - 1
+
+
+class _Fit(NamedTuple):
+    """What the threshold statistics need from one least-squares fit."""
+
+    ss_res: float
+    target_variance: float  # about the sample mean, divisor n-1
+    n: int
+    rank: int
 
 
 class _FitStats(NamedTuple):
@@ -59,7 +91,17 @@ class _FitStats(NamedTuple):
     varf: float  # explained variance: var(y) - var_res, floored at zero
 
 
-def _fit_stats(X: np.ndarray, y: np.ndarray) -> _FitStats:
+def _fit(X: np.ndarray, y: np.ndarray) -> _Fit:
+    core = _core_fit(X, y)
+    return _Fit(core.ss_res, core.target_variance, core.n, core.rank)
+
+
+def _target_variance(y: np.ndarray) -> float:
+    dev = y - y.mean()
+    return float(dev @ dev) / (y.shape[0] - 1)
+
+
+def _fit_stats(fit: _Fit) -> _FitStats:
     """Threshold-test statistics of one fit.
 
     The asymptotic expressions are stated in population quantities, so the
@@ -71,13 +113,12 @@ def _fit_stats(X: np.ndarray, y: np.ndarray) -> _FitStats:
     definitions.  The explained variance is floored at zero (a model that
     explains nothing contributes nothing).
     """
-    core = _core_fit(X, y)
-    if core.target_variance <= 0.0:
+    if fit.target_variance <= 0.0:
         raise ZeroVarianceError("target has zero variance; R^2 is undefined")
-    dof = max(core.n - core.rank, 1)
-    var_res = core.ss_res / dof
-    varf = max(0.0, core.target_variance - var_res)
-    return _FitStats(varf / core.target_variance, var_res, varf)
+    dof = max(fit.n - fit.rank, 1)
+    var_res = fit.ss_res / dof
+    varf = max(0.0, fit.target_variance - var_res)
+    return _FitStats(varf / fit.target_variance, var_res, varf)
 
 
 @dataclass(frozen=True)
@@ -141,7 +182,9 @@ def compute_threshold_targets(
     cluster_id: int = 0,
     candidate: int = -1,
     members: tuple[int, ...] = (),
-    _p_fit: _FitStats | None = None,
+    _p_fit: _Fit | None = None,
+    _j_fit: _Fit | None = None,
+    _ag_fit: _Fit | None = None,
 ) -> ThresholdReport:
     """Decide whether merging candidate target ``y_j`` into the cluster is kept.
 
@@ -149,7 +192,9 @@ def compute_threshold_targets(
     case); the loop passes the flat mean over members plus candidate via
     ``y_ag`` for clusters that have already grown.  By default all three
     fits use the shared matrix ``X``; the homogeneous variant passes each
-    model's own matrix via ``X_p``/``X_j``/``X_ag`` instead.
+    model's own matrix via ``X_p``/``X_j``/``X_ag`` instead.  The greedy
+    loops pass fits they already hold through the private ``_*_fit``
+    keywords; only the fits not passed are computed.
     """
     y_p = np.asarray(y_p, dtype=float)
     y_j = np.asarray(y_j, dtype=float)
@@ -161,7 +206,6 @@ def compute_threshold_targets(
     if not (Mp.shape[1] == Mj.shape[1] == Mag.shape[1]):
         raise ValidationError("the three model matrices must share a column count")
 
-    y_ag = 0.5 * (y_p + y_j) if y_ag is None else np.asarray(y_ag, dtype=float)
     base = dict(
         phase=1,
         cluster_id=cluster_id,
@@ -170,9 +214,12 @@ def compute_threshold_targets(
         epsilon=float(epsilon),
     )
     try:
-        sp = _p_fit if _p_fit is not None else _fit_stats(Mp, y_p)
-        sj = _fit_stats(Mj, y_j)
-        sag = _fit_stats(Mag, y_ag)
+        sp = _fit_stats(_p_fit or _fit(Mp, y_p))
+        sj = _fit_stats(_j_fit or _fit(Mj, y_j))
+        if _ag_fit is None:
+            y_ag = 0.5 * (y_p + y_j) if y_ag is None else np.asarray(y_ag, dtype=float)
+            _ag_fit = _fit(Mag, y_ag)
+        sag = _fit_stats(_ag_fit)
     except ZeroVarianceError as exc:
         return ThresholdReport(accepted=False, note=str(exc), **base)
 
@@ -222,7 +269,8 @@ def compute_threshold_features(
     members: tuple[int, ...] = (),
     task_cluster: int | None = None,
     context: tuple[tuple[int, ...], ...] | None = None,
-    _sep_fit: _FitStats | None = None,
+    _sep_fit: _Fit | None = None,
+    _ag_fit: _Fit | None = None,
 ) -> ThresholdReport:
     """Decide whether working columns ``p_col`` and ``j_col`` merge into their mean.
 
@@ -230,7 +278,9 @@ def compute_threshold_features(
     aggregated cluster means).  The aggregated model replaces the two columns
     with their mean (the two-column mean by default; the loop passes the flat
     mean over the underlying original columns via ``merged``); the merge is
-    kept when the in-sample R^2 drop is at most ``epsilon``.
+    kept when the in-sample R^2 drop is at most ``epsilon``.  The greedy loop
+    passes fits it already holds through the private ``_sep_fit``/``_ag_fit``
+    keywords; only the fits not passed are computed.
     """
     M = np.asarray(X_curr, dtype=float)
     yv = np.asarray(y, dtype=float)
@@ -247,8 +297,8 @@ def compute_threshold_features(
         context=context,
     )
     try:
-        sep = _sep_fit if _sep_fit is not None else _fit_stats(M, yv)
-        agg = _fit_stats(_merge_columns(M, p_col, j_col, merged), yv)
+        sep = _fit_stats(_sep_fit or _fit(M, yv))
+        agg = _fit_stats(_ag_fit or _fit(_merge_columns(M, p_col, j_col, merged), yv))
     except ZeroVarianceError as exc:
         return ThresholdReport(accepted=False, note=str(exc), **base)
 
@@ -281,6 +331,183 @@ def _columns_for(context, features: np.ndarray) -> np.ndarray:
     return np.column_stack([features[:, list(c)].mean(axis=1) for c in context])
 
 
+class _TargetMerges:
+    """Phase I comparisons on the shared feature matrix.
+
+    The least-squares fit of a mean of targets is the mean of their fits, so
+    the residuals of the single targets give the residual of every
+    aggregate: a set S of targets leaves ``mean(E[:, S])``, and every fit
+    has the rank of ``X``.  The projection residual is exact at any rank, so
+    this needs no fallback.  Running sums over the open cluster keep each
+    comparison O(n) however large the cluster grows.
+    """
+
+    def __init__(self, X: np.ndarray, Z: np.ndarray, epsilon: float):
+        U, s, _ = np.linalg.svd(X, full_matrices=False)
+        # lstsq's default cutoff for singular values that count as zero.
+        self.rank = int(np.count_nonzero(s > np.finfo(float).eps * max(X.shape) * s[0]))
+        Q = U[:, : self.rank]
+        self.X, self.Z, self.epsilon = X, Z, epsilon
+        # One target at a time: a blocked multi-column product can round a
+        # column differently from an identical one, which would split the
+        # exact ties between duplicate targets that the per-fit path keeps.
+        self.E = [z - Q @ (Q.T @ z) for z in Z.T]
+        self.singles = [self._fit(z, e) for z, e in zip(Z.T, self.E)]
+
+    def _fit(self, z: np.ndarray, e: np.ndarray) -> _Fit:
+        return _Fit(float(e @ e), _target_variance(z), z.shape[0], self.rank)
+
+    def open(self, i: int) -> None:
+        self.size = 1
+        self.sum_z = self.Z[:, i].copy()
+        self.sum_e = self.E[i].copy()
+        self.p_fit = self.singles[i]
+
+    def compare(self, closed, members, visited, j: int) -> ThresholdReport:
+        z = self.Z[:, j]
+        size = self.size + 1
+        self.ag_fit = self._fit(
+            (self.sum_z + z) / size, (self.sum_e + self.E[j]) / size
+        )
+        return compute_threshold_targets(
+            self.X,
+            self.sum_z / self.size,
+            z,
+            self.epsilon,
+            cluster_id=len(closed),
+            candidate=j,
+            members=tuple(members),
+            _p_fit=self.p_fit,
+            _j_fit=self.singles[j],
+            _ag_fit=self.ag_fit,
+        )
+
+    def accept(self, members, j: int) -> None:
+        self.sum_z += self.Z[:, j]
+        self.sum_e += self.E[j]
+        self.size += 1
+        self.p_fit = self.ag_fit
+
+
+class _FeatureRefits:
+    """Phase II comparisons that refit every working matrix.
+
+    This is the path for a feature matrix without full column rank, where a
+    merge need not lower the rank of the fit, or too badly conditioned for
+    :class:`_FeatureRestrictions` to match a refit (see
+    :func:`_feature_merges`).
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, epsilon: float, task_cluster):
+        self.X, self.y, self.epsilon, self.task_cluster = X, y, epsilon, task_cluster
+
+    def open(self, i: int) -> None:
+        self.sep_fit = None
+
+    def _report(self, M, closed, members, context, j, **fits) -> ThresholdReport:
+        return compute_threshold_features(
+            M,
+            self.y,
+            len(closed),
+            context.index((j,)),
+            self.epsilon,
+            cluster_id=len(closed),
+            candidate=j,
+            members=tuple(members),
+            task_cluster=self.task_cluster,
+            context=context,
+            **fits,
+        )
+
+    def compare(self, closed, members, visited, j: int) -> ThresholdReport:
+        context = _phase2_context(closed, members, visited, self.X.shape[1])
+        M = _columns_for(context, self.X)
+        if self.sep_fit is None:
+            self.sep_fit = _fit(M, self.y)
+        return self._report(
+            M, closed, members, context, j,
+            merged=self.X[:, members + [j]].mean(axis=1),
+            _sep_fit=self.sep_fit,
+        )
+
+    def accept(self, members, j: int) -> None:
+        self.sep_fit = None
+
+
+class _FeatureRestrictions(_FeatureRefits):
+    """Phase II comparisons on a feature matrix of full column rank.
+
+    Every working matrix is ``X`` times a cluster-averaging matrix, so its
+    fit is the fit on ``X`` with equal coefficients within each cluster.
+    Merging candidate j into the open cluster, whose first member is s, adds
+    the restriction beta_s = beta_j.  For the restricted coefficients b and
+    their unscaled covariance K (``(X'X)^-1`` before any merge) that raises
+    the residual sum of squares by ``(b_s - b_j)^2 / (K_ss - 2 K_sj + K_jj)``
+    and lowers the rank by one (the F-test restriction identity, Seber &
+    Lee, *Linear Regression Analysis*, sec. 4.3).  An accept imposes the
+    restriction on b and K as a rank-one downdate; opening a cluster only
+    reorders the working columns and changes neither.  Used only where this
+    matches a refit to the replay tolerance (see :func:`_feature_merges`).
+    """
+
+    def __init__(self, X, y, epsilon, task_cluster, svd):
+        super().__init__(X, y, epsilon, task_cluster)
+        U, s, Vt = svd
+        W = Vt.T / s
+        self.beta = W @ (U.T @ y)
+        self.K = W @ W.T
+        resid = y - X @ self.beta
+        self.sep_fit = _Fit(
+            float(resid @ resid), _target_variance(y), y.shape[0], X.shape[1]
+        )
+
+    def open(self, i: int) -> None:
+        pass
+
+    def compare(self, closed, members, visited, j: int) -> ThresholdReport:
+        s, b, K = members[0], self.beta, self.K
+        diff = b[s] - b[j]
+        delta = diff * diff / (K[s, s] - 2.0 * K[s, j] + K[j, j])
+        sep = self.sep_fit
+        self.ag_fit = sep._replace(ss_res=sep.ss_res + delta, rank=sep.rank - 1)
+        context = _phase2_context(closed, members, visited, self.X.shape[1])
+        # Both fits are given, so the matrix is only used to size the column check.
+        return self._report(
+            self.X, closed, members, context, j, _sep_fit=sep, _ag_fit=self.ag_fit
+        )
+
+    def accept(self, members, j: int) -> None:
+        s = members[0]
+        Kc = self.K[:, s] - self.K[:, j]
+        root = np.sqrt(Kc[s] - Kc[j])
+        self.beta -= Kc * ((self.beta[s] - self.beta[j]) / (root * root))
+        u = Kc / root
+        self.K -= np.outer(u, u)
+        # The residual of the restricted coefficients, rather than the sum of
+        # the increments, keeps rounding from accumulating over a long chain.
+        resid = self.y - self.X @ self.beta
+        self.sep_fit = self.ag_fit._replace(ss_res=float(resid @ resid))
+
+
+def _feature_merges(X: np.ndarray, y: np.ndarray, epsilon: float, task_cluster):
+    """The restriction identity where it matches a refit; otherwise refits.
+
+    The identity works from (X'X)^-1, so its R^2 values carry a relative
+    error of order eps * cond(X)^2.  Their gap can be near zero, where only
+    the replay tolerance's absolute floor applies, so the identity is used
+    only when eps * cond(X)^2 <= REPLAY_ATOL (cond(X) up to about 67).  Such
+    an X has full column rank, and so has every working matrix (X times an
+    averaging matrix, at most sqrt(d) times worse conditioned) under
+    lstsq's cutoff.
+    """
+    svd = np.linalg.svd(X, full_matrices=False)
+    s = svd[1]
+    max_cond = np.sqrt(REPLAY_ATOL / np.finfo(float).eps)
+    if s.shape[0] == X.shape[1] and s[-1] * max_cond > s[0]:
+        return _FeatureRestrictions(X, y, epsilon, task_cluster, svd)
+    return _FeatureRefits(X, y, epsilon, task_cluster)
+
+
 def aggregation_loop(
     items,
     phase: int,
@@ -294,9 +521,9 @@ def aggregation_loop(
     """Greedy single-pass aggregation of ``items``, shared by both phases.
 
     Walks the items in the given order; each unvisited item opens a cluster
-    and every later unvisited item is tested for a merge.  The cluster mean
-    is recomputed from the current members before each test.  Returns the
-    clusters (creation order, members sorted ascending) and the full trace.
+    and every later unvisited item is tested for a merge against the
+    current members.  Returns the clusters (creation order, members sorted
+    ascending) and the full trace.
     """
     order = [int(i) for i in items]
     if not order:
@@ -304,84 +531,51 @@ def aggregation_loop(
     if phase not in (1, 2):
         raise ValidationError(f"phase must be 1 or 2, got {phase}")
     X = np.asarray(features, dtype=float)
+    if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] < 1:
+        raise ValidationError(
+            f"features must be a matrix with at least 2 rows, got shape {X.shape}"
+        )
+    n = X.shape[0]
     if phase == 1:
         if targets is None:
             raise ValidationError("phase 1 requires the target matrix")
         Z = np.asarray(targets, dtype=float)
+        if Z.ndim != 2 or Z.shape[0] != n:
+            raise ValidationError(f"targets of shape {Z.shape} do not match {n} rows")
         size = Z.shape[1]
     else:
         if target is None:
             raise ValidationError("phase 2 requires an aggregated target")
         y = np.asarray(target, dtype=float)
+        if y.shape != (n,):
+            raise ValidationError(f"target of shape {y.shape} does not match {n} rows")
         size = X.shape[1]
     for i in order:
         if i < 0 or i >= size:
             raise ValidationError(f"item index {i} out of range [0, {size})")
 
+    if phase == 1:
+        model = _TargetMerges(X, Z, epsilon)
+    else:
+        model = _feature_merges(X, y, epsilon, task_cluster)
     visited: set[int] = set()
     closed: list[list[int]] = []
     trace: list[ThresholdReport] = []
-    # Cache of the separated-model fit (phase 2) / cluster-mean fit (phase 1);
-    # both only change when a merge is accepted.
-    cached = None
-
     for pos, i in enumerate(order):
         if i in visited:
             continue
         members = [i]
         visited.add(i)
-        cluster_id = len(closed)
-        cached = None
+        model.open(i)
         for j in order[pos + 1 :]:
             if j in visited:
                 continue
-            if phase == 1:
-                y_p = Z[:, members].mean(axis=1)
-                if cached is None:
-                    try:
-                        cached = _fit_stats(X, y_p)
-                    except ZeroVarianceError:
-                        cached = None
-                report = compute_threshold_targets(
-                    X,
-                    y_p,
-                    Z[:, j],
-                    epsilon,
-                    y_ag=Z[:, members + [j]].mean(axis=1),
-                    cluster_id=cluster_id,
-                    candidate=j,
-                    members=tuple(members),
-                    _p_fit=cached,
-                )
-            else:
-                context = _phase2_context(closed, members, visited, size)
-                M = _columns_for(context, X)
-                p_col = len(closed)
-                j_col = context.index((j,))
-                if cached is None:
-                    try:
-                        cached = _fit_stats(M, y)
-                    except ZeroVarianceError:
-                        cached = None
-                report = compute_threshold_features(
-                    M,
-                    y,
-                    p_col,
-                    j_col,
-                    epsilon,
-                    merged=X[:, members + [j]].mean(axis=1),
-                    cluster_id=cluster_id,
-                    candidate=j,
-                    members=tuple(members),
-                    task_cluster=task_cluster,
-                    context=tuple(context),
-                    _sep_fit=cached,
-                )
+            report = model.compare(closed, members, visited, j)
             trace.append(report)
             if report.accepted:
+                model.accept(members, j)
                 members.append(j)
                 visited.add(j)
-                cached = None
         closed.append(members)
 
     clusters = tuple(tuple(sorted(c)) for c in closed)
@@ -512,10 +706,7 @@ def nonlin_ctfa_homogeneous(
                 slab_p = np.mean([slabs[k] for k in members], axis=0)
             slab_ag = np.mean([slabs[k] for k in members + [j]], axis=0)
             if cached is None:
-                try:
-                    cached = _fit_stats(slab_p, y_p)
-                except ZeroVarianceError:
-                    cached = None
+                cached = _fit(slab_p, y_p)
             report = compute_threshold_targets(
                 None,
                 y_p,
@@ -628,7 +819,9 @@ def assert_replay(dataset: Dataset, result: AggregationResult) -> None:
             a, b = getattr(old, f), getattr(new, f)
             if (a is None) != (b is None):
                 raise ValidationError(f"trace record {k}: field {f} presence differs")
-            if a is not None and not np.isclose(a, b, rtol=1e-9, atol=1e-12):
+            if a is not None and not np.isclose(
+                a, b, rtol=REPLAY_RTOL, atol=REPLAY_ATOL
+            ):
                 raise ValidationError(
                     f"trace record {k}: field {f} differs ({a} vs {b})"
                 )
@@ -769,6 +962,7 @@ def result_to_json(result: AggregationResult) -> str:
         "seed": result.seed,
         "epsilon1": result.epsilon1,
         "epsilon2": result.epsilon2,
+        "homogeneous": result.homogeneous,
         "task_clusters": [list(c) for c in result.task_partition.clusters],
         "feature_clusters": [
             [list(c) for c in fp.clusters] for fp in result.feature_partitions
@@ -791,9 +985,18 @@ def result_from_json(text: str, dataset: Dataset) -> AggregationResult:
         FeaturePartition.from_clusters(fc, source) for fc in doc["feature_clusters"]
     )
     trace = tuple(_report_from_dict(d) for d in doc["trace"])
-    homogeneous = dataset.per_task_features is not None and all(
-        len(c) == 1 for fp in feature_partitions for c in fp.clusters
-    )
+    if "homogeneous" in doc:
+        homogeneous = doc["homogeneous"]
+        if not isinstance(homogeneous, bool):
+            raise ValidationError(
+                f"'homogeneous' must be true or false, got {homogeneous!r}"
+            )
+    else:
+        # Documents written before the variant was stored: a homogeneous run
+        # needs slabs and leaves every feature cluster a singleton.
+        homogeneous = dataset.per_task_features is not None and all(
+            len(c) == 1 for fp in feature_partitions for c in fp.clusters
+        )
     return AggregationResult(
         task_partition=task_partition,
         feature_partitions=feature_partitions,

@@ -129,6 +129,17 @@ def _in_sample_r2(pred: np.ndarray, actual: np.ndarray) -> float:
     return 1.0 - err / denom if denom > 0 else 0.0
 
 
+def _single_task_predictions(dataset) -> np.ndarray:
+    """In-sample OLS predictions of each target from its own features, by column."""
+    if dataset.per_task_features is None:
+        coef, *_ = np.linalg.lstsq(dataset.features, dataset.targets, rcond=None)
+        return dataset.features @ coef
+    return np.column_stack([
+        slab @ np.linalg.lstsq(slab, dataset.targets[:, t], rcond=None)[0]
+        for t, slab in enumerate(dataset.per_task_features)
+    ])
+
+
 def cmd_aggregate(args) -> int:
     targets = [t for t in args.targets.split(",") if t]
     ignore = [c for c in (args.ignore or "").split(",") if c]
@@ -175,17 +186,13 @@ def cmd_aggregate(args) -> int:
             f"{d_red} reduced features"
         )
     lines.append("in-sample R^2 per task (single-task -> aggregated):")
+    single = _single_task_predictions(centered)
     for ci, (y, X) in enumerate(reduced):
         coef, *_ = np.linalg.lstsq(X, y, rcond=None)
         pred = X @ coef
         for t in result.task_partition.clusters[ci]:
             actual = centered.targets[:, t]
-            if centered.per_task_features is not None:
-                single_X = centered.per_task_features[t]
-            else:
-                single_X = centered.features
-            single_coef, *_ = np.linalg.lstsq(single_X, actual, rcond=None)
-            before = _in_sample_r2(single_X @ single_coef, actual)
+            before = _in_sample_r2(single[:, t], actual)
             after = _in_sample_r2(pred, actual)
             lines.append(
                 f"  {centered.target_names[t]}: {before:.4f} -> {after:.4f}"

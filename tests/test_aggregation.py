@@ -1,9 +1,15 @@
 """Threshold tests, the greedy loop, the two-phase driver, and trace replay."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtaggr.aggregation import (
+    REPLAY_ATOL,
+    REPLAY_RTOL,
     aggregation_loop,
     apply_partition,
     assert_replay,
@@ -31,6 +37,73 @@ def make_centered(seed=0, n=120, D=6, L=4, sigma=1.0, shared_groups=True):
     )
     train, _, _ = generate(cfg, seed)
     return center(train).dataset
+
+
+def with_columns(ds, features=None, targets=None):
+    """A copy of ``ds`` with some feature or target columns overwritten."""
+    X, Y = ds.features.copy(), ds.targets.copy()
+    for k, col in (features or {}).items():
+        X[:, k] = col(X)
+    for k, col in (targets or {}).items():
+        Y[:, k] = col(Y)
+    return Dataset(X, Y)
+
+
+# name -> (dataset, epsilon1, epsilon2, seed).  The shapes and tolerances
+# reach both phase-II paths: the restriction identity (full-rank, well
+# conditioned features) and the per-comparison refit (everything else).
+REEVALUATION_CASES = {
+    "small": (lambda: make_centered(seed=7), 0.0, 1e-3, 5),
+    "reference": (
+        lambda: center(generate(SynthConfig(), 10)[0]).dataset, 0.0, 1e-4, 10
+    ),
+    "n_below_d": (lambda: make_centered(seed=1, n=20, D=30), 0.0, 1e-3, 1),
+    "duplicate_column": (
+        lambda: with_columns(
+            make_centered(seed=2, D=12), features={5: lambda X: X[:, 2]}
+        ),
+        0.0, 1e-3, 2,
+    ),
+    "zero_column": (
+        lambda: with_columns(make_centered(seed=3, D=12), features={4: lambda X: 0.0}),
+        0.0, 1e-3, 3,
+    ),
+    "constant_target": (
+        lambda: with_columns(make_centered(seed=4, D=12), targets={1: lambda Y: 0.0}),
+        0.0, 1e-3, 4,
+    ),
+    "duplicate_targets": (
+        lambda: with_columns(
+            make_centered(seed=5, L=5),
+            targets={3: lambda Y: Y[:, 0], 4: lambda Y: Y[:, 0]},
+        ),
+        0.0, 1e-3, 5,
+    ),
+    "single_task": (lambda: make_centered(seed=6, L=1), 0.0, 1e-3, 6),
+    "single_feature": (lambda: make_centered(seed=7, D=1), 0.0, 1e-3, 7),
+    "every_feature_merge_accepted": (
+        lambda: make_centered(seed=8, n=200, D=60, L=3), 0.0, 1e6, 8
+    ),
+    "no_merge_accepted": (lambda: make_centered(seed=9, D=20), -1e6, -1e6, 9),
+}
+
+SCALARS = (
+    "r_p", "r_j", "r_ag", "var_p", "var_j", "var_ag",
+    "varf_p", "varf_j", "varf_ag", "threshold1", "threshold2", "r_gap",
+)
+
+
+def assert_reevaluates(ds, result):
+    """Every record re-evaluates standalone to the same decision and scalars."""
+    for k, report in enumerate(result.trace):
+        again = reevaluate_report(ds, result, report)
+        assert again.accepted == report.accepted, k
+        assert again.note == report.note, k
+        for f in SCALARS:
+            a, b = getattr(report, f), getattr(again, f)
+            assert (a is None) == (b is None), (k, f)
+            if a is not None:
+                assert np.isclose(a, b, rtol=REPLAY_RTOL, atol=REPLAY_ATOL), (k, f)
 
 
 def adjusted_r2_oracle(X, y):
@@ -276,16 +349,36 @@ class TestDriver:
                 for v in (r.varf_p, r.varf_ag):
                     assert v >= -1e-10
 
-    def test_standalone_reevaluation_matches(self):
-        ds = make_centered(seed=7)
-        result = nonlin_ctfa(ds, 0.0, 1e-3, seed=5)
-        for report in result.trace[:: max(1, len(result.trace) // 12)]:
-            again = reevaluate_report(ds, result, report)
-            assert again.accepted == report.accepted
-            if report.phase == 1 and report.note is None:
-                assert abs(again.threshold1 - report.threshold1) < 1e-9
-            if report.phase == 2 and report.note is None:
-                assert abs(again.r_gap - report.r_gap) < 1e-9
+    @pytest.mark.parametrize("case", sorted(REEVALUATION_CASES))
+    def test_standalone_reevaluation_matches(self, case):
+        # reevaluate_report refits every record with lstsq, independently of
+        # the statistics the greedy loop decides from.
+        build, eps1, eps2, seed = REEVALUATION_CASES[case]
+        ds = build()
+        assert_reevaluates(ds, nonlin_ctfa(ds, eps1, eps2, seed=seed))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(3, 40),
+        D=st.integers(1, 12),
+        L=st.integers(1, 4),
+        degenerate=st.sampled_from([None, "duplicate", "zero"]),
+        eps1=st.sampled_from([-1.0, 0.0, 0.5]),
+        eps2=st.sampled_from([-1.0, 0.0, 1e-3, 1e6]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_reevaluation_matches_on_random_shapes(
+        self, n, D, L, degenerate, eps1, eps2, seed
+    ):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, D))
+        if degenerate == "duplicate" and D > 1:
+            X[:, -1] = X[:, 0]
+        if degenerate == "zero":
+            X[:, -1] = 0.0
+        Y = X @ rng.standard_normal((D, L)) + rng.standard_normal((n, L))
+        ds = Dataset(centered(X), centered(Y))
+        assert_reevaluates(ds, nonlin_ctfa(ds, eps1, eps2, seed=seed))
 
     def test_first_comparison_monotonicity_in_epsilon(self):
         ds = make_centered(seed=8)
@@ -318,6 +411,23 @@ class TestDriver:
         smaller = Dataset(ds.features[:, :3], ds.targets[:, :2])
         with pytest.raises(ValidationError):
             result_from_json(result_to_json(result), smaller)
+
+    def test_json_keeps_variant_of_singleton_feature_clusters(self):
+        # A shared-feature run whose feature clusters are all singletons, on
+        # a dataset that also carries slabs, must not reload as homogeneous.
+        ds = make_homogeneous(seed=5)
+        result = nonlin_ctfa(ds, 0.0, -1.0, seed=3)
+        assert all(len(c) == 1 for fp in result.feature_partitions for c in fp.clusters)
+        rebuilt = result_from_json(result_to_json(result), ds)
+        assert not rebuilt.homogeneous
+        assert_replay(ds, rebuilt)
+
+    def test_json_without_variant_key_infers_it(self):
+        ds = make_homogeneous(seed=6)
+        result = nonlin_ctfa_homogeneous(ds, 0.0, seed=1)
+        doc = json.loads(result_to_json(result))
+        del doc["homogeneous"]
+        assert result_from_json(json.dumps(doc), ds).homogeneous
 
 
 class TestApplyPartition:

@@ -82,8 +82,9 @@ class TestAggregateCommand:
                    "--targets", "y0,y1,y2", "--seed", "1", "--out-dir", str(out))
         assert code == 0
         doc = json.loads((out / "result.json").read_text())
-        assert set(doc) == {"seed", "epsilon1", "epsilon2", "task_clusters",
-                            "feature_clusters", "trace"}
+        assert set(doc) == {"seed", "epsilon1", "epsilon2", "homogeneous",
+                            "task_clusters", "feature_clusters", "trace"}
+        assert doc["homogeneous"] is False
         assert (out / "summary.txt").exists()
         assert (out / "reduced_cluster0.csv").exists()
         assert "clusters" in capsys.readouterr().out
