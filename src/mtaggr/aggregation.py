@@ -1,19 +1,23 @@
-"""Threshold tests and the two-phase driver that aggregates targets, then features.
+"""Threshold tests and one greedy walk that aggregates targets, then features.
 
 Phase I greedily partitions the targets: each candidate merge is accepted
 when both threshold scalars (a variance-reduction term plus an explained-
 variance penalty, from the OLS fits of the cluster mean, the candidate and
 their merged mean on the full feature matrix) fall at or below
-``epsilon1``.  Phase II repeats the same greedy loop over feature columns
+``epsilon1``.  Phase II repeats the same greedy walk over feature columns
 for each aggregated target, accepting a merge when the in-sample R^2 drop
-from replacing two columns with their mean is at most ``epsilon2``.
+from replacing two columns with their mean is at most ``epsilon2``.  The
+homogeneous variant walks the targets once more, merging each task's own
+feature slab along with its target.
 
-Inside the loop the candidate aggregate is the flat mean over the current
+Inside the walk the candidate aggregate is the flat mean over the current
 members plus the candidate, matching the columns the final output is built
 from; the threshold operations themselves default to the two-column mean,
 which is the same thing for a singleton cluster.
 
-With shared features the loop fits nothing per comparison:
+The walk (:func:`_greedy`) knows nothing of the data: a comparison model
+opens a cluster, compares a candidate and accepts it.  With shared features
+the models fit nothing per comparison:
 
 * Phase I projects every target off the column space of X once (one SVD of
   X).  The fit of a target mean is the mean of the targets' fits, so running
@@ -27,27 +31,29 @@ With shared features the loop fits nothing per comparison:
   rank-deficient or too badly conditioned for this to match a refit within
   the replay tolerance, each comparison refits its working matrix instead.
 
-Either way the loop calls the threshold functions once per comparison, with
-the fits it holds, so the report and its decision are built in one place.
-The homogeneous variant, standalone re-evaluation and the verification
-checks fit with lstsq, which serves as the reference.
+The homogeneous model fits each task's slab once and each merged mean slab
+once per comparison.  Every model calls the threshold functions once per
+comparison, with the fits it holds, so the report and its decision are
+built in one place.  Standalone re-evaluation and the verification checks
+fit with lstsq, which serves as the reference.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, FeaturePartition, TaskPartition
+from .data import Dataset, FeaturePartition, TaskPartition, _cluster_means
 from .errors import ValidationError, ZeroVarianceError
 from .linstats import _core_fit
 
 __all__ = [
     "ThresholdReport",
+    "TRACE_SCALARS",
     "AggregationResult",
     "compute_threshold_targets",
     "compute_threshold_features",
@@ -127,10 +133,12 @@ class ThresholdReport:
 
     Phase 1 populates the three-fit scalars and both thresholds; phase 2
     populates the separated/aggregated pair (as ``r_p``/``r_ag``) and the
-    R^2 gap.  ``members`` is the open cluster's membership at test time (in
-    merge order); ``context`` lists the index sets behind each working
-    column of a phase-2 comparison, so any record can be re-evaluated
-    standalone.
+    R^2 gap.  ``cluster_id`` is the open cluster's index in creation order
+    and ``members`` its membership at test time (in merge order).  A
+    phase-2 record's working columns follow from the result's feature
+    partition of ``task_cluster``: the clusters before ``cluster_id``, the
+    members, and every feature not yet in either as a singleton, so any
+    record can be re-evaluated standalone.
     """
 
     phase: int
@@ -152,21 +160,19 @@ class ThresholdReport:
     threshold2: float | None = None
     r_gap: float | None = None
     task_cluster: int | None = None
-    context: tuple[tuple[int, ...], ...] | None = None
     note: str | None = None
 
     def __post_init__(self):
         if self.phase not in (1, 2):
             raise ValidationError(f"phase must be 1 or 2, got {self.phase}")
         object.__setattr__(self, "members", tuple(int(i) for i in self.members))
-        if self.context is not None:
-            object.__setattr__(
-                self, "context", tuple(tuple(int(i) for i in c) for c in self.context)
-            )
 
-    @property
-    def candidate_pair(self) -> tuple[int, int]:
-        return (self.cluster_id, self.candidate)
+
+# The recorded statistics a replay must reproduce.
+TRACE_SCALARS = (
+    "r_p", "r_j", "r_ag", "var_p", "var_j", "var_ag",
+    "varf_p", "varf_j", "varf_ag", "threshold1", "threshold2", "r_gap",
+)
 
 
 def compute_threshold_targets(
@@ -268,7 +274,6 @@ def compute_threshold_features(
     candidate: int = -1,
     members: tuple[int, ...] = (),
     task_cluster: int | None = None,
-    context: tuple[tuple[int, ...], ...] | None = None,
     _sep_fit: _Fit | None = None,
     _ag_fit: _Fit | None = None,
 ) -> ThresholdReport:
@@ -294,7 +299,6 @@ def compute_threshold_features(
         members=tuple(members),
         epsilon=float(epsilon),
         task_cluster=task_cluster,
-        context=context,
     )
     try:
         sep = _fit_stats(_sep_fit or _fit(M, yv))
@@ -325,10 +329,6 @@ def _phase2_context(
     context.append(tuple(sorted(members)))
     context.extend((k,) for k in range(size) if k not in visited)
     return context
-
-
-def _columns_for(context, features: np.ndarray) -> np.ndarray:
-    return np.column_stack([features[:, list(c)].mean(axis=1) for c in context])
 
 
 class _TargetMerges:
@@ -404,28 +404,27 @@ class _FeatureRefits:
     def open(self, i: int) -> None:
         self.sep_fit = None
 
-    def _report(self, M, closed, members, context, j, **fits) -> ThresholdReport:
+    def _report(self, M, p_col, j_col, closed, members, j, **fits) -> ThresholdReport:
         return compute_threshold_features(
             M,
             self.y,
-            len(closed),
-            context.index((j,)),
+            p_col,
+            j_col,
             self.epsilon,
             cluster_id=len(closed),
             candidate=j,
             members=tuple(members),
             task_cluster=self.task_cluster,
-            context=context,
             **fits,
         )
 
     def compare(self, closed, members, visited, j: int) -> ThresholdReport:
         context = _phase2_context(closed, members, visited, self.X.shape[1])
-        M = _columns_for(context, self.X)
+        M = _cluster_means(self.X, context)
         if self.sep_fit is None:
             self.sep_fit = _fit(M, self.y)
         return self._report(
-            M, closed, members, context, j,
+            M, len(closed), context.index((j,)), closed, members, j,
             merged=self.X[:, members + [j]].mean(axis=1),
             _sep_fit=self.sep_fit,
         )
@@ -470,10 +469,10 @@ class _FeatureRestrictions(_FeatureRefits):
         delta = diff * diff / (K[s, s] - 2.0 * K[s, j] + K[j, j])
         sep = self.sep_fit
         self.ag_fit = sep._replace(ss_res=sep.ss_res + delta, rank=sep.rank - 1)
-        context = _phase2_context(closed, members, visited, self.X.shape[1])
-        # Both fits are given, so the matrix is only used to size the column check.
+        # Both fits are given, so the matrix and the original columns (s, j)
+        # only size the column check.
         return self._report(
-            self.X, closed, members, context, j, _sep_fit=sep, _ag_fit=self.ag_fit
+            self.X, s, j, closed, members, j, _sep_fit=sep, _ag_fit=self.ag_fit
         )
 
     def accept(self, members, j: int) -> None:
@@ -508,6 +507,79 @@ def _feature_merges(X: np.ndarray, y: np.ndarray, epsilon: float, task_cluster):
     return _FeatureRefits(X, y, epsilon, task_cluster)
 
 
+class _SlabMerges:
+    """Comparisons of the homogeneous variant: each task has its own slab.
+
+    A merged cluster's matrix is the mean of its members' slabs, so every
+    fit has its own matrix.  Each task's own fit is made once; the fit of
+    the merged mean is made once per comparison and, on an accept, becomes
+    the open cluster's fit.
+    """
+
+    def __init__(self, slabs, Y: np.ndarray, epsilon: float):
+        self.slabs, self.Y, self.epsilon = slabs, Y, epsilon
+        self.singles = [_fit(slab, Y[:, t]) for t, slab in enumerate(slabs)]
+
+    def open(self, i: int) -> None:
+        self.y_p = self.Y[:, i]
+        self.p_fit = self.singles[i]
+
+    def compare(self, closed, members, visited, j: int) -> ThresholdReport:
+        extended = members + [j]
+        slab_ag = np.mean([self.slabs[k] for k in extended], axis=0)
+        self.y_ag = self.Y[:, extended].mean(axis=1)
+        self.ag_fit = _fit(slab_ag, self.y_ag)
+        # All three fits are given, so the matrix only sizes the thresholds.
+        return compute_threshold_targets(
+            slab_ag,
+            self.y_p,
+            self.Y[:, j],
+            self.epsilon,
+            cluster_id=len(closed),
+            candidate=j,
+            members=tuple(members),
+            _p_fit=self.p_fit,
+            _j_fit=self.singles[j],
+            _ag_fit=self.ag_fit,
+        )
+
+    def accept(self, members, j: int) -> None:
+        self.y_p = self.y_ag
+        self.p_fit = self.ag_fit
+
+
+def _greedy(
+    order: list[int], model
+) -> tuple[tuple[tuple[int, ...], ...], list[ThresholdReport]]:
+    """The single-pass greedy walk that every variant runs.
+
+    Each unvisited item opens a cluster and every later unvisited item is
+    compared with it; ``model`` makes the comparisons and tracks the open
+    cluster.  Returns the clusters (creation order, members sorted
+    ascending) and the trace.
+    """
+    visited: set[int] = set()
+    closed: list[list[int]] = []
+    trace: list[ThresholdReport] = []
+    for pos, i in enumerate(order):
+        if i in visited:
+            continue
+        members = [i]
+        visited.add(i)
+        model.open(i)
+        for j in order[pos + 1 :]:
+            if j in visited:
+                continue
+            report = model.compare(closed, members, visited, j)
+            trace.append(report)
+            if report.accepted:
+                model.accept(members, j)
+                members.append(j)
+                visited.add(j)
+        closed.append(members)
+    return tuple(tuple(sorted(c)) for c in closed), trace
+
+
 def aggregation_loop(
     items,
     phase: int,
@@ -518,12 +590,11 @@ def aggregation_loop(
     target=None,
     task_cluster: int | None = None,
 ) -> tuple[tuple[tuple[int, ...], ...], list[ThresholdReport]]:
-    """Greedy single-pass aggregation of ``items``, shared by both phases.
+    """Greedy single-pass aggregation of ``items`` on shared features.
 
-    Walks the items in the given order; each unvisited item opens a cluster
-    and every later unvisited item is tested for a merge against the
-    current members.  Returns the clusters (creation order, members sorted
-    ascending) and the full trace.
+    Phase 1 merges target columns of ``targets``; phase 2 merges feature
+    columns against the single ``target``.  Items are walked in the given
+    order (see :func:`_greedy`).
     """
     order = [int(i) for i in items]
     if not order:
@@ -555,31 +626,8 @@ def aggregation_loop(
             raise ValidationError(f"item index {i} out of range [0, {size})")
 
     if phase == 1:
-        model = _TargetMerges(X, Z, epsilon)
-    else:
-        model = _feature_merges(X, y, epsilon, task_cluster)
-    visited: set[int] = set()
-    closed: list[list[int]] = []
-    trace: list[ThresholdReport] = []
-    for pos, i in enumerate(order):
-        if i in visited:
-            continue
-        members = [i]
-        visited.add(i)
-        model.open(i)
-        for j in order[pos + 1 :]:
-            if j in visited:
-                continue
-            report = model.compare(closed, members, visited, j)
-            trace.append(report)
-            if report.accepted:
-                model.accept(members, j)
-                members.append(j)
-                visited.add(j)
-        closed.append(members)
-
-    clusters = tuple(tuple(sorted(c)) for c in closed)
-    return clusters, trace
+        return _greedy(order, _TargetMerges(X, Z, epsilon))
+    return _greedy(order, _feature_merges(X, y, epsilon, task_cluster))
 
 
 @dataclass(frozen=True)
@@ -684,52 +732,8 @@ def nonlin_ctfa_homogeneous(
     for t, slab in enumerate(slabs):
         _check_centered(slab, f"task {t} feature")
 
-    order = _task_order(dataset.n_tasks, seed)
-    visited: set[int] = set()
-    closed: list[list[int]] = []
-    trace: list[ThresholdReport] = []
-
-    order_list = [int(i) for i in order]
-    for pos, i in enumerate(order_list):
-        if i in visited:
-            continue
-        members = [i]
-        visited.add(i)
-        cluster_id = len(closed)
-        cached = None
-        slab_p = None
-        for j in order_list[pos + 1 :]:
-            if j in visited:
-                continue
-            y_p = Y[:, members].mean(axis=1)
-            if slab_p is None:
-                slab_p = np.mean([slabs[k] for k in members], axis=0)
-            slab_ag = np.mean([slabs[k] for k in members + [j]], axis=0)
-            if cached is None:
-                cached = _fit(slab_p, y_p)
-            report = compute_threshold_targets(
-                None,
-                y_p,
-                Y[:, j],
-                epsilon,
-                X_p=slab_p,
-                X_j=slabs[j],
-                X_ag=slab_ag,
-                y_ag=Y[:, members + [j]].mean(axis=1),
-                cluster_id=cluster_id,
-                candidate=j,
-                members=tuple(members),
-                _p_fit=cached,
-            )
-            trace.append(report)
-            if report.accepted:
-                members.append(j)
-                visited.add(j)
-                cached = None
-                slab_p = None
-        closed.append(members)
-
-    clusters = tuple(tuple(sorted(c)) for c in closed)
+    order = [int(i) for i in _task_order(dataset.n_tasks, seed)]
+    clusters, trace = _greedy(order, _SlabMerges(slabs, Y, epsilon))
     task_partition = TaskPartition.from_clusters(clusters, Y)
     identity = tuple((k,) for k in range(dataset.n_features))
     feature_partitions = tuple(
@@ -772,10 +776,7 @@ def apply_partition(
             source = np.mean([dataset.per_task_features[k] for k in cluster], axis=0)
         else:
             source = dataset.features
-        X = np.column_stack(
-            [source[:, list(fc)].mean(axis=1) for fc in fpart.clusters]
-        )
-        out.append((y, X))
+        out.append((y, _cluster_means(source, fpart.clusters)))
     return out
 
 
@@ -803,10 +804,6 @@ def assert_replay(dataset: Dataset, result: AggregationResult) -> None:
             f"replay produced {len(fresh.trace)} comparisons, "
             f"recorded {len(result.trace)}"
         )
-    scalar_fields = (
-        "r_p", "r_j", "r_ag", "var_p", "var_j", "var_ag",
-        "varf_p", "varf_j", "varf_ag", "threshold1", "threshold2", "r_gap",
-    )
     for k, (old, new) in enumerate(zip(result.trace, fresh.trace)):
         if (
             old.phase != new.phase
@@ -815,7 +812,7 @@ def assert_replay(dataset: Dataset, result: AggregationResult) -> None:
             or old.accepted != new.accepted
         ):
             raise ValidationError(f"trace record {k} does not replay: {old} vs {new}")
-        for f in scalar_fields:
+        for f in TRACE_SCALARS:
             a, b = getattr(old, f), getattr(new, f)
             if (a is None) != (b is None):
                 raise ValidationError(f"trace record {k}: field {f} presence differs")
@@ -868,24 +865,35 @@ def reevaluate_report(
             members=report.members,
         )
 
-    if report.context is None or report.task_cluster is None:
-        raise ValidationError("phase-2 record lacks its working-column context")
-    psi = result.task_partition.aggregated_targets[:, report.task_cluster]
-    M = _columns_for(report.context, dataset.features)
-    p_col = report.context.index(tuple(sorted(report.members)))
-    j_col = report.context.index((report.candidate,))
+    t = report.task_cluster
+    if t is None or not 0 <= t < len(result.feature_partitions):
+        raise ValidationError(
+            f"phase-2 record names task cluster {t} of {len(result.feature_partitions)}"
+        )
+    clusters = result.feature_partitions[t].clusters
+    if not 0 <= report.cluster_id < len(clusters):
+        raise ValidationError(
+            f"phase-2 record names feature cluster {report.cluster_id} "
+            f"of {len(clusters)}"
+        )
+    closed = clusters[: report.cluster_id]
+    visited = set(members).union(*closed)
+    if report.candidate in visited or not 0 <= report.candidate < dataset.n_features:
+        raise ValidationError(
+            f"phase-2 candidate {report.candidate} is not a free feature at that point"
+        )
+    context = _phase2_context(closed, members, visited, dataset.n_features)
     return compute_threshold_features(
-        M,
-        psi,
-        p_col,
-        j_col,
+        _cluster_means(dataset.features, context),
+        result.task_partition.aggregated_targets[:, t],
+        len(closed),
+        context.index((report.candidate,)),
         report.epsilon,
         merged=dataset.features[:, extended].mean(axis=1),
         cluster_id=report.cluster_id,
         candidate=report.candidate,
         members=report.members,
-        task_cluster=report.task_cluster,
-        context=report.context,
+        task_cluster=t,
     )
 
 
@@ -893,68 +901,22 @@ def reevaluate_report(
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-_TRACE_KEYS = (
-    "phase", "cluster", "candidate", "members", "task_cluster",
-    "r_p", "r_j", "r_ag", "var_p", "var_j", "var_ag",
-    "varf_p", "varf_j", "varf_ag",
-    "threshold1", "threshold2", "r_gap", "epsilon", "accepted", "note", "context",
+# (field name, document key) for every field of a trace record.
+_DOC_KEYS = tuple(
+    (f.name, "cluster" if f.name == "cluster_id" else f.name)
+    for f in fields(ThresholdReport)
 )
 
 
 def _report_to_dict(r: ThresholdReport) -> dict:
-    return {
-        "phase": r.phase,
-        "cluster": r.cluster_id,
-        "candidate": r.candidate,
-        "members": list(r.members),
-        "task_cluster": r.task_cluster,
-        "r_p": r.r_p,
-        "r_j": r.r_j,
-        "r_ag": r.r_ag,
-        "var_p": r.var_p,
-        "var_j": r.var_j,
-        "var_ag": r.var_ag,
-        "varf_p": r.varf_p,
-        "varf_j": r.varf_j,
-        "varf_ag": r.varf_ag,
-        "threshold1": r.threshold1,
-        "threshold2": r.threshold2,
-        "r_gap": r.r_gap,
-        "epsilon": r.epsilon,
-        "accepted": r.accepted,
-        "note": r.note,
-        "context": None if r.context is None else [list(c) for c in r.context],
-    }
+    return {key: getattr(r, name) for name, key in _DOC_KEYS}
 
 
 def _report_from_dict(d: dict) -> ThresholdReport:
-    missing = [k for k in _TRACE_KEYS if k not in d]
+    missing = [key for _, key in _DOC_KEYS if key not in d]
     if missing:
         raise ValidationError(f"trace record is missing keys {missing}")
-    context = d["context"]
-    return ThresholdReport(
-        phase=int(d["phase"]),
-        cluster_id=int(d["cluster"]),
-        candidate=int(d["candidate"]),
-        members=tuple(d["members"]),
-        epsilon=float(d["epsilon"]),
-        accepted=bool(d["accepted"]),
-        r_p=d["r_p"],
-        r_j=d["r_j"],
-        r_ag=d["r_ag"],
-        var_p=d["var_p"],
-        var_j=d["var_j"],
-        var_ag=d["var_ag"],
-        varf_p=d["varf_p"],
-        varf_j=d["varf_j"],
-        varf_ag=d["varf_ag"],
-        threshold1=d["threshold1"],
-        threshold2=d["threshold2"],
-        r_gap=d["r_gap"],
-        task_cluster=d["task_cluster"],
-        context=None if context is None else tuple(tuple(c) for c in context),
-        note=d["note"],
-    )
+    return ThresholdReport(**{name: d[key] for name, key in _DOC_KEYS})
 
 
 def result_to_json(result: AggregationResult) -> str:

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .data import _cluster_means
 from .errors import ValidationError
 
 if TYPE_CHECKING:
@@ -168,19 +169,14 @@ class BiasDecomposition:
 
 def theoretical_bias_multi(decomp: BiasDecomposition) -> float:
     """Aggregated-target asymptotic bias assembled from its decomposition."""
-    return (
-        decomp.var_f_i
-        - decomp.var_psi * decomp.r2_d_iota
-        + 2.0 * (decomp.partial_cov - decomp.plain_cov)
-    )
+    return BiasDecomposition.assemble(
+        decomp.var_f_i, decomp.var_psi, decomp.r2_d_iota,
+        decomp.partial_cov, decomp.plain_cov,
+    ).bias_value
 
 
 def _centered(a: np.ndarray) -> np.ndarray:
     return a - a.mean(axis=0)
-
-
-def _aggregate_columns(X: np.ndarray, clusters) -> np.ndarray:
-    return np.column_stack([X[:, list(c)].mean(axis=1) for c in clusters])
 
 
 def _signal(task: "SyntheticTask", X: np.ndarray, index: int) -> np.ndarray:
@@ -238,7 +234,7 @@ def population_bias_decomposition(
     f_i = _signal(task, X, task_index)
     cluster = [int(c) for c in cluster]
     psi = np.mean([_signal(task, X, k) for k in cluster], axis=0)
-    phi = _aggregate_columns(X, feature_clusters)
+    phi = _cluster_means(X, feature_clusters)
 
     def decompose(sl: slice) -> BiasDecomposition:
         Xs, fs, ps, phis = X[sl], f_i[sl], psi[sl], phi[sl]
@@ -341,7 +337,7 @@ def monte_carlo_bias_variance(
     rng_eval = np.random.default_rng(eval_seed)
     X_eval = _draw_features(task, n_eval, rng_eval)
     f_eval = _signal(task, X_eval, task_index)
-    phi_eval = _aggregate_columns(X_eval, feature_clusters)
+    phi_eval = _cluster_means(X_eval, feature_clusters)
 
     preds = np.empty((replicates, n_eval))
     for r in range(replicates):
@@ -349,7 +345,7 @@ def monte_carlo_bias_variance(
         X_tr = _draw_features(task, n_train, rng)
         eps = sub_noise.sample(n_train, rng)
         psi_tr = X_tr @ weights + eps.mean(axis=1)
-        phi_tr = _aggregate_columns(X_tr, feature_clusters)
+        phi_tr = _cluster_means(X_tr, feature_clusters)
         coef, *_ = np.linalg.lstsq(phi_tr, psi_tr, rcond=None)
         preds[r] = phi_eval @ coef
 

@@ -1,5 +1,6 @@
 """Threshold tests, the greedy loop, the two-phase driver, and trace replay."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from mtaggr.aggregation import (
     REPLAY_ATOL,
     REPLAY_RTOL,
+    TRACE_SCALARS,
     aggregation_loop,
     apply_partition,
     assert_replay,
@@ -87,11 +89,6 @@ REEVALUATION_CASES = {
     "no_merge_accepted": (lambda: make_centered(seed=9, D=20), -1e6, -1e6, 9),
 }
 
-SCALARS = (
-    "r_p", "r_j", "r_ag", "var_p", "var_j", "var_ag",
-    "varf_p", "varf_j", "varf_ag", "threshold1", "threshold2", "r_gap",
-)
-
 
 def assert_reevaluates(ds, result):
     """Every record re-evaluates standalone to the same decision and scalars."""
@@ -99,7 +96,7 @@ def assert_reevaluates(ds, result):
         again = reevaluate_report(ds, result, report)
         assert again.accepted == report.accepted, k
         assert again.note == report.note, k
-        for f in SCALARS:
+        for f in TRACE_SCALARS:
             a, b = getattr(report, f), getattr(again, f)
             assert (a is None) == (b is None), (k, f)
             if a is not None:
@@ -412,6 +409,43 @@ class TestDriver:
         with pytest.raises(ValidationError):
             result_from_json(result_to_json(result), smaller)
 
+    def test_json_with_stored_working_columns_loads(self):
+        # Documents written before the working columns were derived store
+        # them as "context" on every phase-2 record; the key is ignored.
+        build, eps1, eps2, seed = REEVALUATION_CASES["duplicate_column"]
+        ds = build()
+        doc = json.loads(result_to_json(nonlin_ctfa(ds, eps1, eps2, seed=seed)))
+        phase2 = [r for r in doc["trace"] if r["phase"] == 2]
+        assert phase2 and any(len(r["members"]) > 1 for r in phase2)
+        for r in phase2:
+            closed = doc["feature_clusters"][r["task_cluster"]][: r["cluster"]]
+            visited = set(r["members"]).union(*closed)
+            r["context"] = (
+                [sorted(c) for c in closed]
+                + [sorted(r["members"])]
+                + [[k] for k in range(ds.n_features) if k not in visited]
+            )
+        rebuilt = result_from_json(json.dumps(doc), ds)
+        assert_replay(ds, rebuilt)
+        assert_reevaluates(ds, rebuilt)
+
+    def test_reevaluation_rejects_records_outside_the_partitions(self):
+        ds = make_centered(seed=9)
+        result = nonlin_ctfa(ds, 0.0, 1e-4, seed=1)
+        report = next(r for r in result.trace if r.phase == 2 and r.cluster_id > 0)
+        clusters = result.feature_partitions[report.task_cluster].clusters
+        for change in (
+            {"task_cluster": result.task_partition.n_clusters},
+            {"task_cluster": -1},
+            {"task_cluster": None},
+            {"cluster_id": len(clusters)},
+            {"cluster_id": -1},
+            {"candidate": clusters[0][0]},
+            {"candidate": ds.n_features},
+        ):
+            with pytest.raises(ValidationError):
+                reevaluate_report(ds, result, dataclasses.replace(report, **change))
+
     def test_json_keeps_variant_of_singleton_feature_clusters(self):
         # A shared-feature run whose feature clusters are all singletons, on
         # a dataset that also carries slabs, must not reload as homogeneous.
@@ -515,13 +549,12 @@ class TestHomogeneousVariant:
         slab_mean = np.mean(ds.per_task_features, axis=0)
         assert np.max(np.abs(reduced[0][1] - slab_mean)) < 1e-10
 
-    def test_replayable(self):
+    @pytest.mark.parametrize("epsilon", [0.0, 1e6, -1e6])
+    def test_replayable(self, epsilon):
         ds = make_homogeneous(seed=4)
-        result = nonlin_ctfa_homogeneous(ds, 0.0, seed=2)
+        result = nonlin_ctfa_homogeneous(ds, epsilon, seed=2)
         assert_replay(ds, result)
-        for report in result.trace:
-            again = reevaluate_report(ds, result, report)
-            assert again.accepted == report.accepted
+        assert_reevaluates(ds, result)
 
 
 class TestComparisonBudget:
