@@ -621,6 +621,8 @@ def run_checks(
         raise ValidationError(
             f"unknown check name(s) {unknown}; expected one of {sorted(CHECKS)}"
         )
+    if jobs < 1:
+        raise ValidationError(f"need jobs >= 1, got {jobs}")
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
 

@@ -146,7 +146,12 @@ def _validate_partition(clusters: Sequence[Sequence[int]], size: int, what: str)
 
 
 def _cluster_means(matrix: np.ndarray, clusters) -> np.ndarray:
-    cols = [matrix[:, list(c)].mean(axis=1) for c in clusters]
+    # A one-member mean is 0.0 + member / 1 (the sum starts from +0.0, which
+    # turns -0.0 into 0.0); adding 0.0 gives the same bits without a reduction.
+    cols = [
+        matrix[:, c[0]] + 0.0 if len(c) == 1 else matrix[:, list(c)].mean(axis=1)
+        for c in map(tuple, clusters)
+    ]
     return np.column_stack(cols)
 
 

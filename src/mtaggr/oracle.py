@@ -13,12 +13,12 @@ noise-free signal, which real data never exposes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .data import _cluster_means
+from .data import _cluster_means, _validate_partition
 from .errors import ValidationError
 
 if TYPE_CHECKING:
@@ -58,6 +58,7 @@ class NoiseModel:
 
     sigmas: np.ndarray
     correlation: np.ndarray
+    _factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = np.atleast_1d(np.asarray(self.sigmas, dtype=float))
@@ -73,6 +74,8 @@ class NoiseModel:
         C.setflags(write=False)
         object.__setattr__(self, "sigmas", s)
         object.__setattr__(self, "correlation", C)
+        vals, vecs = np.linalg.eigh(self.covariance())
+        object.__setattr__(self, "_factor", vecs * np.sqrt(np.clip(vals, 0.0, None)))
 
     @classmethod
     def independent(cls, sigma: float, k: int) -> "NoiseModel":
@@ -98,11 +101,13 @@ class NoiseModel:
         )
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n rows of correlated Gaussian noise, one column per task."""
-        vals, vecs = np.linalg.eigh(self.covariance())
-        factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
+        """Draw n rows of correlated Gaussian noise, one column per task.
+
+        The covariance factor comes from one ``eigh`` in ``__post_init__``,
+        so repeated draws do not refactor it.
+        """
         z = rng.standard_normal((n, self.n_tasks))
-        return z @ factor.T
+        return z @ self._factor.T
 
 
 def aggregated_noise_variance(model: NoiseModel, cluster: Sequence[int]) -> float:
@@ -210,6 +215,18 @@ def _partial_cov_terms(
     return plain, partial, used_pinv
 
 
+def _checked_indices(task: "SyntheticTask", cluster, feature_clusters, task_index):
+    """Task cluster and feature partition, checked against the generator's shape."""
+    T, D = task.coefficients.shape
+    members = [int(c) for c in cluster]
+    if not members:
+        raise ValidationError("cluster must be nonempty")
+    for i in (*members, int(task_index)):
+        if not 0 <= i < T:
+            raise ValidationError(f"task index {i} out of range [0, {T})")
+    return members, _validate_partition(feature_clusters, D, "feature_clusters")
+
+
 def population_bias_decomposition(
     task: "SyntheticTask",
     cluster: Sequence[int],
@@ -229,10 +246,12 @@ def population_bias_decomposition(
     """
     if n_pop < 10_000:
         raise ValidationError(f"need n_pop >= 10000, got {n_pop}")
+    cluster, feature_clusters = _checked_indices(
+        task, cluster, feature_clusters, task_index
+    )
     rng = np.random.default_rng(seed)
     X = _draw_features(task, n_pop, rng)
     f_i = _signal(task, X, task_index)
-    cluster = [int(c) for c in cluster]
     psi = np.mean([_signal(task, X, k) for k in cluster], axis=0)
     phi = _cluster_means(X, feature_clusters)
 
@@ -320,13 +339,32 @@ def monte_carlo_bias_variance(
     prediction against the true signal; the noise term is the task's own
     noise variance.  ``total_mse`` is estimated independently with fresh
     evaluation noise so the three-way closure is a real check.
+
+    Each replicate reduces its training set to the normal equations
+    (phi'phi, phi'psi); one stacked ``solve`` gives every replicate's
+    coefficients and one product gives every evaluation prediction.  That
+    needs ``n_train`` above the number of feature clusters and nonsingular
+    phi'phi in every replicate; otherwise ``ValidationError`` is raised, as
+    it is for an empty ``cluster``, an index out of range, or
+    ``feature_clusters`` that is not a partition of the features.
     """
     if replicates < 100:
         raise ValidationError(f"need replicates >= 100, got {replicates}")
     if n_eval < 10_000:
         raise ValidationError(f"need n_eval >= 10000, got {n_eval}")
+    cluster, feature_clusters = _checked_indices(
+        task, cluster, feature_clusters, task_index
+    )
+    if n_train <= len(feature_clusters):
+        raise ValidationError(
+            f"need n_train > {len(feature_clusters)} feature clusters, got {n_train}"
+        )
     noise_model = noise if noise is not None else task.noise
-    cluster = [int(c) for c in cluster]
+    if noise_model.n_tasks != task.coefficients.shape[0]:
+        raise ValidationError(
+            f"noise model has {noise_model.n_tasks} tasks, "
+            f"generator has {task.coefficients.shape[0]}"
+        )
     sub_noise = noise_model.restrict(cluster)
     sigma_i = float(noise_model.sigmas[task_index])
     weights = np.mean([task.coefficients[k] for k in cluster], axis=0)
@@ -339,15 +377,27 @@ def monte_carlo_bias_variance(
     f_eval = _signal(task, X_eval, task_index)
     phi_eval = _cluster_means(X_eval, feature_clusters)
 
-    preds = np.empty((replicates, n_eval))
-    for r in range(replicates):
-        rng = np.random.default_rng(rep_seeds[r])
+    # Each replicate keeps its own stream (features, then noise) and is
+    # reduced to its normal equations; one stacked solve fits them all.
+    L = len(feature_clusters)
+    grams = np.empty((replicates, L, L))
+    moments = np.empty((replicates, L))
+    for r, rep_seed in enumerate(rep_seeds):
+        rng = np.random.default_rng(rep_seed)
         X_tr = _draw_features(task, n_train, rng)
         eps = sub_noise.sample(n_train, rng)
         psi_tr = X_tr @ weights + eps.mean(axis=1)
         phi_tr = _cluster_means(X_tr, feature_clusters)
-        coef, *_ = np.linalg.lstsq(phi_tr, psi_tr, rcond=None)
-        preds[r] = phi_eval @ coef
+        grams[r] = phi_tr.T @ phi_tr
+        moments[r] = phi_tr.T @ psi_tr
+    try:
+        coefs = np.linalg.solve(grams, moments[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        raise ValidationError(
+            "a replicate's cluster-mean features are collinear, so its "
+            "least-squares fit is not unique"
+        ) from None
+    preds = coefs @ phi_eval.T
 
     mean_pred = preds.mean(axis=0)
     point_var = preds.var(axis=0, ddof=1)
@@ -398,16 +448,22 @@ def monte_carlo_bias_variance(
 
 
 def _bootstrap_ses(preds, f_eval, per_rep_total, n_boot, rep_seed):
-    """Bootstrap over replicates, vectorized through multinomial count matrices."""
+    """Bootstrap over replicates, vectorized through multinomial count matrices.
+
+    Row b of ``counts`` holds resampling weights over the R replicates.  The
+    variance term only enters through its mean over x, so the resampled
+    prediction variance is taken in moment form,
+    (mean_x of weighted E[pred^2] - mean_x of (weighted E[pred])^2) * R/(R-1),
+    and the second moment needs only the matvec ``counts @ mean_x(preds^2)``.
+    """
     if n_boot < 2:
         return 0.0, 0.0, 0.0
     R = preds.shape[0]
     rng = np.random.default_rng(rep_seed)
     counts = rng.multinomial(R, np.full(R, 1.0 / R), size=n_boot) / R  # (B, R)
     m1 = counts @ preds  # bootstrap means, (B, n_eval)
-    m2 = counts @ preds**2
-    var_b = (m2 - m1**2) * (R / (R - 1))
-    var_terms = var_b.mean(axis=1)
+    m2 = counts @ (preds**2).mean(axis=1)  # bootstrap second moments, mean over x
+    var_terms = (m2 - (m1**2).mean(axis=1)) * (R / (R - 1))
     bias_terms = ((m1 - f_eval[None, :]) ** 2).mean(axis=1) - var_terms / R
     total_terms = counts @ per_rep_total
     return (

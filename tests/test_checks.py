@@ -24,6 +24,12 @@ def test_run_checks_rejects_unknown_names():
         run_checks(["nope"])
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_checks_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValidationError, match="jobs"):
+        run_checks(["noise_variance"], VerifyBudget.quick(), jobs=jobs)
+
+
 def test_registry_names_are_stable():
     assert set(CHECKS) == {
         "noise_variance",

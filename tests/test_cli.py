@@ -186,6 +186,13 @@ class TestVerifyCommand:
         assert run("verify", "--checks", "bogus",
                    "--out", str(tmp_path / "r.json")) == 1
 
+    def test_jobs_below_one_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run("verify", "--quick", "--checks", "noise_variance",
+                   "--jobs", "0", "--out", str(out)) == 1
+        assert "jobs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_check_exits_3(self, tmp_path, monkeypatch):
         def failing(budget, seed=0):
             return CheckResult("noise_variance", False, 1.0, 2.0, 0.0, 1)

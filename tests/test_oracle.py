@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mtaggr.aggregation import REPLAY_ATOL, REPLAY_RTOL
+from mtaggr.data import _cluster_means
 from mtaggr.errors import ValidationError
 from mtaggr.oracle import (
     BiasDecomposition,
+    BiasVarianceEstimate,
     NoiseModel,
     aggregated_noise_variance,
     coefficient_covariance_check,
@@ -45,6 +50,79 @@ def analytic_r2_for_partition(w, clusters):
     return explained / float(w @ w)
 
 
+def reference_noise_sample(model, n, rng):
+    """Correlated noise with the covariance factor computed inline, per draw."""
+    vals, vecs = np.linalg.eigh(model.covariance())
+    factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    z = rng.standard_normal((n, model.n_tasks))
+    return z @ factor.T
+
+
+def reference_cluster_means(matrix, clusters):
+    return np.column_stack([matrix[:, list(c)].mean(axis=1) for c in clusters])
+
+
+def reference_monte_carlo(task, cluster, feature_clusters, task_index, n_train,
+                          replicates, n_eval, seed, bootstrap):
+    """The estimator with one lstsq per replicate and a per-point bootstrap variance.
+
+    Same streams as ``monte_carlo_bias_variance`` (evaluation set, evaluation
+    noise, then features and noise per replicate); kept as the reference the
+    stacked normal-equation solve is checked against.
+    """
+    D = task.coefficients.shape[1]
+    sub_noise = task.noise.restrict(cluster)
+    sigma_i = float(task.noise.sigmas[task_index])
+    weights = np.mean([task.coefficients[k] for k in cluster], axis=0)
+    ss = np.random.SeedSequence(seed)
+    eval_seed, noise_seed, *rep_seeds = ss.spawn(replicates + 2)
+    X_eval = np.random.default_rng(eval_seed).standard_normal((n_eval, D))
+    X_eval = X_eval * task.feature_std
+    f_eval = X_eval @ task.coefficients[task_index]
+    phi_eval = reference_cluster_means(X_eval, feature_clusters)
+    preds = np.empty((replicates, n_eval))
+    for r in range(replicates):
+        rng = np.random.default_rng(rep_seeds[r])
+        X_tr = rng.standard_normal((n_train, D)) * task.feature_std
+        eps = reference_noise_sample(sub_noise, n_train, rng)
+        psi_tr = X_tr @ weights + eps.mean(axis=1)
+        phi_tr = reference_cluster_means(X_tr, feature_clusters)
+        coef, *_ = np.linalg.lstsq(phi_tr, psi_tr, rcond=None)
+        preds[r] = phi_eval @ coef
+
+    point_var = preds.var(axis=0, ddof=1)
+    point_bias = (preds.mean(axis=0) - f_eval) ** 2 - point_var / replicates
+    rng_noise = np.random.default_rng(noise_seed)
+    eps_eval = rng_noise.standard_normal((replicates, n_eval)) * sigma_i
+    sq_err = (preds - f_eval[None, :] - eps_eval) ** 2
+    per_rep_total = sq_err.mean(axis=1)
+
+    R = replicates
+    rng = np.random.default_rng(ss.spawn(1)[0])
+    counts = rng.multinomial(R, np.full(R, 1.0 / R), size=bootstrap) / R
+    m1 = counts @ preds
+    m2 = counts @ preds**2
+    var_terms = ((m2 - m1**2) * (R / (R - 1))).mean(axis=1)
+    bias_terms = ((m1 - f_eval[None, :]) ** 2).mean(axis=1) - var_terms / R
+    total_terms = counts @ per_rep_total
+
+    root_n = np.sqrt(n_eval)
+    return BiasVarianceEstimate(
+        variance_term=float(point_var.mean()),
+        bias_term=max(0.0, float(point_bias.mean())),
+        noise_term=sigma_i**2,
+        total_mse=float(per_rep_total.mean()),
+        variance_se=float(np.hypot(np.std(var_terms, ddof=1),
+                                   point_var.std(ddof=1) / root_n)),
+        bias_se=float(np.hypot(np.std(bias_terms, ddof=1),
+                               point_bias.std(ddof=1) / root_n)),
+        noise_se=0.0,
+        total_se=float(np.hypot(np.std(total_terms, ddof=1),
+                                sq_err.mean(axis=0).std(ddof=1) / root_n)),
+        replicates=replicates,
+    )
+
+
 class TestNoiseModel:
     def test_pair_cases(self):
         assert abs(aggregated_noise_variance(
@@ -80,6 +158,23 @@ class TestNoiseModel:
             NoiseModel(np.array([-1.0]), np.eye(1))
         with pytest.raises(ValidationError):
             NoiseModel(np.ones(2), np.array([[1.0, 0.2], [0.3, 1.0]]))
+
+    @pytest.mark.parametrize("model", [
+        NoiseModel.independent(1.0, 1),
+        NoiseModel.equicorrelated(1.5, 3, 0.4),
+        NoiseModel.equicorrelated(2.0, 4, 1.0),  # singular covariance
+        NoiseModel(np.array([0.5, 0.0, 2.0]),
+                   np.array([[1.0, 0.2, -0.1], [0.2, 1.0, 0.4], [-0.1, 0.4, 1.0]])),
+    ])
+    def test_sample_is_bit_identical_to_inline_factor(self, model):
+        for seed in range(3):
+            got = model.sample(57, np.random.default_rng(seed))
+            want = reference_noise_sample(model, 57, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()
+        restricted = model.restrict([model.n_tasks - 1])
+        got = restricted.sample(9, np.random.default_rng(7))
+        want = reference_noise_sample(restricted, 9, np.random.default_rng(7))
+        assert got.tobytes() == want.tobytes()
 
     def test_sampling_matches_covariance(self):
         model = NoiseModel.equicorrelated(1.5, 3, 0.4)
@@ -229,6 +324,106 @@ class TestMonteCarloBiasVariance:
             seed=0, se_target=1e-9,
         )
         assert est.warning is not None
+
+
+def partition_from_labels(labels):
+    """Clusters of equal labels, in order of first appearance."""
+    groups = {}
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
+    return tuple(tuple(g) for g in groups.values())
+
+
+class TestStackedSolve:
+    """The stacked normal-equation path against the per-replicate lstsq reference."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(1, 3),
+        extra_tasks=st.integers(0, 1),
+        rho=st.sampled_from([0.0, 0.5, 1.0]),
+        sigma=st.sampled_from([0.0, 0.5, 2.0]),
+        feature_std=st.sampled_from([1.0, 3.0]),
+        labels=st.lists(st.integers(0, 3), min_size=1, max_size=7),
+        data=st.data(),
+    )
+    def test_matches_lstsq_reference(
+        self, k, extra_tasks, rho, sigma, feature_std, labels, data
+    ):
+        partition = partition_from_labels(labels)
+        n_train = data.draw(st.integers(len(partition) + 2, 500), label="n_train")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        T = k + extra_tasks
+        rng = np.random.default_rng(seed)
+        coefficients = rng.uniform(-1.0, 1.0, (T, len(labels)))
+        task = make_task(coefficients, NoiseModel.equicorrelated(sigma, T, rho),
+                         feature_std)
+        cluster = list(range(extra_tasks, T))
+        task_index = int(rng.integers(T))
+        args = (task, cluster, partition, task_index, n_train, 100, 10_000)
+        got = monte_carlo_bias_variance(*args, seed=seed, bootstrap=20)
+        want = reference_monte_carlo(*args, seed=seed, bootstrap=20)
+        assert got.replicates == want.replicates
+        assert got.warning is None
+        for name in ("variance_term", "bias_term", "noise_term", "total_mse",
+                     "variance_se", "bias_se", "noise_se", "total_se"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.isclose(a, b, rtol=REPLAY_RTOL, atol=REPLAY_ATOL), (name, a, b)
+
+    @pytest.mark.parametrize("clusters", [
+        ((0,), (1,), (2,), (3,), (4,)),
+        ((3,), (0, 2), (4,), (1,)),
+        ((1, 4), (0, 2, 3)),
+    ])
+    def test_cluster_means_bit_identical_to_row_means(self, clusters):
+        rng = np.random.default_rng(0)
+        matrix = rng.standard_normal((40, 5))
+        matrix[::3] = -0.0
+        matrix[1::7, 3] = 0.0
+        matrix[2, 1] = np.inf
+        got = _cluster_means(matrix, clusters)
+        want = reference_cluster_means(matrix, clusters)
+        assert np.signbit(matrix[0]).all()
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestOracleInputValidation:
+    @pytest.mark.parametrize("cluster, feature_clusters, task_index", [
+        ([], ((0,), (1, 2)), 0),
+        ([0, 2], ((0,), (1, 2)), 0),
+        ([0, 1], ((0,), (1, 2)), 2),
+        ([0, 1], ((0,), (1, 3)), 0),
+        ([0, 1], ((0, 1), (1, 2)), 0),
+        ([0, 1], ((0,), (1,)), 0),
+    ], ids=["empty_cluster", "task_out_of_range", "task_index_out_of_range",
+            "feature_out_of_range", "overlapping_features", "uncovered_feature"])
+    def test_bad_indices_rejected(self, cluster, feature_clusters, task_index):
+        task = make_task(np.ones((2, 3)), NoiseModel.independent(1.0, 2))
+        with pytest.raises(ValidationError):
+            monte_carlo_bias_variance(task, cluster, feature_clusters, task_index,
+                                      50, 100, 10_000)
+        with pytest.raises(ValidationError):
+            population_bias_decomposition(task, cluster, feature_clusters,
+                                          task_index, n_pop=10_000)
+
+    @pytest.mark.parametrize("n_train", [1, 2, 3])
+    def test_n_train_must_exceed_feature_clusters(self, n_train):
+        task = make_task(np.ones(4), NoiseModel.independent(1.0, 1))
+        with pytest.raises(ValidationError, match="n_train"):
+            monte_carlo_bias_variance(task, [0], ((0,), (1,), (2, 3)), 0, n_train,
+                                      100, 10_000)
+
+    def test_singular_replicate_fit_rejected(self):
+        task = make_task(np.ones(3), NoiseModel.independent(1.0, 1), feature_std=0.0)
+        with pytest.raises(ValidationError, match="collinear"):
+            monte_carlo_bias_variance(task, [0], identity(3), 0, 20, 100, 10_000)
+
+    def test_noise_model_size_must_match_generator(self):
+        task = make_task(np.ones((2, 3)), NoiseModel.independent(1.0, 2))
+        with pytest.raises(ValidationError, match="noise model"):
+            monte_carlo_bias_variance(task, [0, 1], identity(3), 0, 20, 100, 10_000,
+                                      noise=NoiseModel.independent(1.0, 1))
 
 
 class TestCoefficientCovariance:
