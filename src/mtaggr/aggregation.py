@@ -165,7 +165,7 @@ class ThresholdReport:
     def __post_init__(self):
         if self.phase not in (1, 2):
             raise ValidationError(f"phase must be 1 or 2, got {self.phase}")
-        object.__setattr__(self, "members", tuple(int(i) for i in self.members))
+        object.__setattr__(self, "members", tuple(map(int, self.members)))
 
 
 # The recorded statistics a replay must reproduce.
@@ -920,18 +920,21 @@ def _report_from_dict(d: dict) -> ThresholdReport:
 
 
 def result_to_json(result: AggregationResult) -> str:
-    doc = {
+    """The result document: one line of partitions, then one line per trace record.
+
+    ``json.dumps`` without ``indent`` runs CPython's C encoder; the record
+    lines keep the file readable with line tools.
+    """
+    head = json.dumps({
         "seed": result.seed,
         "epsilon1": result.epsilon1,
         "epsilon2": result.epsilon2,
         "homogeneous": result.homogeneous,
-        "task_clusters": [list(c) for c in result.task_partition.clusters],
-        "feature_clusters": [
-            [list(c) for c in fp.clusters] for fp in result.feature_partitions
-        ],
-        "trace": [_report_to_dict(r) for r in result.trace],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        "task_clusters": result.task_partition.clusters,
+        "feature_clusters": [fp.clusters for fp in result.feature_partitions],
+    })
+    records = ",\n".join(json.dumps(_report_to_dict(r)) for r in result.trace)
+    return f'{head[:-1]}, "trace": [\n{records}\n]}}\n'
 
 
 def result_from_json(text: str, dataset: Dataset) -> AggregationResult:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -148,9 +149,12 @@ def _validate_partition(clusters: Sequence[Sequence[int]], size: int, what: str)
 def _cluster_means(matrix: np.ndarray, clusters) -> np.ndarray:
     # A one-member mean is 0.0 + member / 1 (the sum starts from +0.0, which
     # turns -0.0 into 0.0); adding 0.0 gives the same bits without a reduction.
+    clusters = [tuple(c) for c in clusters]
+    if clusters and all(len(c) == 1 for c in clusters):
+        return matrix[:, [c[0] for c in clusters]] + 0.0
     cols = [
         matrix[:, c[0]] + 0.0 if len(c) == 1 else matrix[:, list(c)].mean(axis=1)
-        for c in map(tuple, clusters)
+        for c in clusters
     ]
     return np.column_stack(cols)
 
@@ -298,6 +302,11 @@ class CenterResult:
         )
 
 
+def _constant(a: np.ndarray, names: Sequence[str]) -> list[str]:
+    """The names of the columns of ``a`` whose entries all equal the first row's."""
+    return [name for name, flat in zip(names, np.all(a == a[0], axis=0)) if flat]
+
+
 def center(dataset: Dataset) -> CenterResult:
     """Remove column means from every feature and target column.
 
@@ -308,13 +317,8 @@ def center(dataset: Dataset) -> CenterResult:
     X, fmeans = _center_columns(dataset.features)
     Y, tmeans = _center_columns(dataset.targets)
 
-    constant: list[str] = []
-    for k in range(X.shape[1]):
-        if np.all(X[:, k] == X[0, k]):
-            constant.append(f"feature:{dataset.feature_names[k]}")
-    for k in range(Y.shape[1]):
-        if np.all(Y[:, k] == Y[0, k]):
-            constant.append(f"target:{dataset.target_names[k]}")
+    constant = [f"feature:{name}" for name in _constant(X, dataset.feature_names)]
+    constant += [f"target:{name}" for name in _constant(Y, dataset.target_names)]
 
     slab_means = None
     slabs = None
@@ -325,11 +329,10 @@ def center(dataset: Dataset) -> CenterResult:
             S, m = _center_columns(slab)
             centered_slabs.append(S)
             means.append(m)
-            for k in range(S.shape[1]):
-                if np.all(S[:, k] == S[0, k]):
-                    constant.append(
-                        f"task{t}_feature:{dataset.feature_names[k]}"
-                    )
+            constant += [
+                f"task{t}_feature:{name}"
+                for name in _constant(S, dataset.feature_names)
+            ]
         slabs = tuple(centered_slabs)
         slab_means = tuple(means)
 
@@ -440,20 +443,29 @@ def load_dataset(path, schema: Mapping[str, str]) -> Dataset:
             raise ValidationError("schema selects zero target columns")
 
         index = {name: k for k, name in enumerate(header)}
-        rows: list[list[float]] = []
+        rows: list[array] = []
         for raw in reader:
             line = reader.line_num
             if len(raw) != len(header):
                 raise ValidationError(
                     f"line {line}: expected {len(header)} fields, got {len(raw)}"
                 )
-            rows.append(
-                [_parse_cell(cell, line, header[k]) for k, cell in enumerate(raw)]
-            )
+            # The whole row goes through float and isfinite in C, into an
+            # array of doubles, so no float object outlives its row.  Only a
+            # row that fails is scanned cell by cell, which raises at its
+            # first bad cell.
+            try:
+                row = array("d", map(float, raw))
+            except ValueError:
+                row = None
+            if row is None or not all(map(math.isfinite, row)):
+                cells = [_parse_cell(c, line, header[k]) for k, c in enumerate(raw)]
+                row = array("d", cells)
+            rows.append(row)
 
     if len(rows) < 2:
         raise ValidationError(f"{p}: need at least 2 data rows, got {len(rows)}")
-    table = np.asarray(rows, dtype=float)
+    table = np.frombuffer(b"".join(rows)).reshape(len(rows), len(header))
 
     targets = table[:, [index[c] for c in target_cols]]
     if slab_cols:

@@ -324,6 +324,8 @@ def sweep(
         raise ValidationError(
             f"unknown sweep axis {axis!r}; expected one of {sorted(SWEEP_AXES)}"
         )
+    if jobs < 1:
+        raise ValidationError(f"need jobs >= 1, got {jobs}")
     field_name = SWEEP_AXES[axis]
     rows: list[dict] = []
     for value in values:

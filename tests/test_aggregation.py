@@ -402,6 +402,43 @@ class TestDriver:
         rebuilt = result_from_json(text, ds)
         assert result_to_json(rebuilt) == text
 
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_json_has_one_line_per_trace_record(self, homogeneous):
+        if homogeneous:
+            ds = make_homogeneous(seed=6)
+            result = nonlin_ctfa_homogeneous(ds, 0.0, seed=1)
+        else:
+            ds = make_centered(seed=9)
+            result = nonlin_ctfa(ds, 0.0, 1e-4, seed=1)
+        text = result_to_json(result)
+        # The layout written with json.dumps(doc, indent=2) before records
+        # moved onto single lines, built here from the result's fields.
+        indented = json.dumps({
+            "seed": result.seed,
+            "epsilon1": result.epsilon1,
+            "epsilon2": result.epsilon2,
+            "homogeneous": result.homogeneous,
+            "task_clusters": [list(c) for c in result.task_partition.clusters],
+            "feature_clusters": [
+                [list(c) for c in fp.clusters] for fp in result.feature_partitions
+            ],
+            "trace": [
+                {("cluster" if f.name == "cluster_id" else f.name): getattr(r, f.name)
+                 for f in dataclasses.fields(r)}
+                for r in result.trace
+            ],
+        }, indent=2)
+        doc, want = json.loads(text), json.loads(indented)
+        assert doc == want
+        assert list(doc) == list(want)
+        assert [list(r) for r in doc["trace"]] == [list(r) for r in want["trace"]]
+        lines = text.splitlines()
+        assert text.endswith("]}\n") and lines[-1] == "]}"
+        assert lines[0].endswith('"trace": [')
+        assert len(lines) == len(result.trace) + 2
+        for line, record in zip(lines[1:-1], want["trace"]):
+            assert json.loads(line.removesuffix(",")) == record
+
     def test_json_rejects_out_of_range(self):
         ds = make_centered(seed=9)
         result = nonlin_ctfa(ds, 0.0, 1e-4, seed=1)

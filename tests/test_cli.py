@@ -166,6 +166,13 @@ class TestSweepCommand:
         assert run("sweep", "--axis", "bogus", "--values", "1",
                    "--out", str(tmp_path / "s.csv")) == 1
 
+    def test_jobs_below_one_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--axis", "n_train", "--values", "60",
+                   "--repeats", "1", "--jobs", "0", "--out", str(out)) == 1
+        assert "jobs" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_quick_named_checks_pass(self, tmp_path):

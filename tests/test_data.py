@@ -1,5 +1,7 @@
 """Dataset construction, CSV ingestion, centering, and partition invariants."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from mtaggr.data import (
     Dataset,
     FeaturePartition,
     TaskPartition,
+    _parse_cell,
     center,
     load_dataset,
     save_dataset,
@@ -127,6 +130,101 @@ class TestLoadDataset:
             load_dataset(write(tmp_path, text), schema)
 
 
+def reference_table(path):
+    """The rows of a CSV file parsed one cell at a time through ``_parse_cell``.
+
+    Raises the first bad row or cell in file order; the reference the
+    row-at-a-time loader is checked against.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        rows = []
+        for raw in reader:
+            line = reader.line_num
+            if len(raw) != len(header):
+                raise ValidationError(
+                    f"line {line}: expected {len(header)} fields, got {len(raw)}"
+                )
+            rows.append([_parse_cell(c, line, header[k]) for k, c in enumerate(raw)])
+    return np.asarray(rows, dtype=float)
+
+
+# Cells as they appear in the file: padded, signed, exponents, underscores,
+# quoted (one with an embedded newline, which moves later line numbers on).
+GOOD_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from([
+        " 1.5", "2.5 ", " -0.0 ", "-0", "1e5", "1E-3", "+3", ".5", "5.", "1_0",
+        "-1_000.2_5", "00012", "1e308", "4.9e-324", "2e-400", '"7.25"', '" 8 "',
+        '"1\n"', "\t3",
+    ]),
+)
+NON_NUMERIC_CELLS = st.sampled_from(
+    ["x", "", " ", "1..2", "_1", "1__0", "0x10", "1e", "--1", '"1,5"', "1 2"]
+)
+NON_FINITE_CELLS = st.sampled_from(
+    ["nan", " NaN ", "-nan", "inf", "-Infinity", "+inf", "1e999", '"-1e400"']
+)
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text with three features and two targets, possibly with bad rows."""
+    n_rows = draw(st.integers(2, 8))
+    rows = [[draw(GOOD_CELLS) for _ in range(5)] for _ in range(n_rows)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        i, k = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, 4))
+        rows[i][k] = draw(st.one_of(NON_NUMERIC_CELLS, NON_FINITE_CELLS))
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, n_rows - 1))
+        width = draw(st.sampled_from([1, 4, 6]))
+        rows[i] = (rows[i] * 2)[:width]
+    return "a,b,c,y0,y1\n" + "".join(",".join(r) + "\n" for r in rows)
+
+
+LOADER_SCHEMA = {"a": "feature", "b": "feature", "c": "feature",
+                 "y0": "target", "y1": "target"}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(csv_files())
+def test_loader_matches_per_cell_parse(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        table = reference_table(path)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            load_dataset(path, LOADER_SCHEMA)
+        assert str(got.value) == str(exc)
+        return
+    ds = load_dataset(path, LOADER_SCHEMA)
+    assert ds.features.tobytes() == np.ascontiguousarray(table[:, :3]).tobytes()
+    assert ds.targets.tobytes() == np.ascontiguousarray(table[:, 3:]).tobytes()
+
+
+@pytest.mark.parametrize("rows, message", [
+    # Within one row the first bad cell wins, whichever kind it is.
+    (["1,inf,x,4,5"], "line 3, column 'b': non-finite value 'inf'"),
+    (["1,x,inf,4,5"], "line 3, column 'b': non-numeric value 'x'"),
+    # Across rows the first bad row wins.
+    (["1,2,nan,4,5", "x,2,3,4,5"], "line 3, column 'c': non-finite value 'nan'"),
+    (["1,2,3,4,x", "nan,2,3,4,5"], "line 3, column 'y1': non-numeric value 'x'"),
+    (["1,2,3,4,5", "1,2,3", "x,2,3,4,5"], "line 4: expected 5 fields, got 3"),
+    (["1,2,3,4, 1e999 ", "1,2,3"], "line 3, column 'y1': non-finite value '1e999'"),
+])
+def test_loader_reports_first_bad_cell(tmp_path, rows, message):
+    path = write(tmp_path, "a,b,c,y0,y1\n1,2,3,4,5\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValidationError) as got:
+        load_dataset(path, LOADER_SCHEMA)
+    assert str(got.value) == message
+    with pytest.raises(ValidationError) as want:
+        reference_table(path)
+    assert str(want.value) == message
+
+
 class TestDatasetValidation:
     def test_non_finite_rejected(self):
         X = np.ones((3, 2))
@@ -182,6 +280,22 @@ class TestCenter:
         assert "feature:c" in out.constant_columns
         assert "target:y" in out.constant_columns
         assert np.all(out.dataset.features[:, 0] == 0.0)
+
+    def test_constant_columns_listed_in_column_order(self):
+        rng = np.random.default_rng(15)
+        X = rng.standard_normal((6, 4))
+        X[:, [1, 3]] = [2.5, -0.0]
+        Y = rng.standard_normal((6, 3))
+        Y[:, 2] = 4.0
+        slabs = [rng.standard_normal((6, 4)) for _ in range(3)]
+        slabs[0][:, 2] = 1.0
+        slabs[2][:, [0, 3]] = 0.0
+        ds = Dataset(X, Y, feature_names=("f0", "f1", "f2", "f3"),
+                     target_names=("y0", "y1", "y2"), per_task_features=slabs)
+        assert center(ds).constant_columns == (
+            "feature:f1", "feature:f3", "target:y2",
+            "task0_feature:f2", "task2_feature:f0", "task2_feature:f3",
+        )
 
     def test_transform_uses_train_means(self):
         rng = np.random.default_rng(13)

@@ -374,6 +374,7 @@ class TestStackedSolve:
         ((0,), (1,), (2,), (3,), (4,)),
         ((3,), (0, 2), (4,), (1,)),
         ((1, 4), (0, 2, 3)),
+        ((3,), (0,), (4,), (1,), (2,)),
     ])
     def test_cluster_means_bit_identical_to_row_means(self, clusters):
         rng = np.random.default_rng(0)

@@ -116,6 +116,11 @@ class TestSweep:
         with pytest.raises(ValidationError, match="unknown sweep axis"):
             sweep(SMALL, "samples", [10])
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValidationError, match="jobs"):
+            sweep(SMALL, "sigma", [1.0], jobs=jobs)
+
     def test_epsilon1_degenerate_endpoint(self):
         table = sweep(SMALL, "epsilon1", [-1e6])
         rows = {r["metric"]: r for r in table.rows}
