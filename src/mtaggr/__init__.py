@@ -8,6 +8,7 @@ linear models.  A Monte-Carlo oracle suite verifies those expressions.
 
 from .aggregation import (
     AggregationResult,
+    ThresholdFit,
     ThresholdReport,
     aggregation_loop,
     apply_partition,
@@ -16,9 +17,11 @@ from .aggregation import (
     compute_threshold_targets,
     nonlin_ctfa,
     nonlin_ctfa_homogeneous,
+    reevaluate_report,
     replay,
     result_from_json,
     result_to_json,
+    threshold_fit,
 )
 from .data import (
     CenterResult,
@@ -62,6 +65,7 @@ __all__ = [
     "SynthConfig",
     "SyntheticTask",
     "TaskPartition",
+    "ThresholdFit",
     "ThresholdReport",
     "TrialMetrics",
     "ValidationError",
@@ -86,6 +90,7 @@ __all__ = [
     "ols_fit",
     "population_bias_decomposition",
     "r2_score",
+    "reevaluate_report",
     "replay",
     "result_from_json",
     "result_to_json",
@@ -95,5 +100,6 @@ __all__ = [
     "theoretical_bias_multi",
     "theoretical_bias_single",
     "theoretical_variance",
+    "threshold_fit",
     "var_res",
 ]

@@ -12,8 +12,7 @@ feature slab along with its target.
 
 Inside the walk the candidate aggregate is the flat mean over the current
 members plus the candidate, matching the columns the final output is built
-from; the threshold operations themselves default to the two-column mean,
-which is the same thing for a singleton cluster.
+from.
 
 The walk (:func:`_greedy`) knows nothing of the data: a comparison model
 opens a cluster, compares a candidate and accepts it.  With shared features
@@ -32,10 +31,11 @@ the models fit nothing per comparison:
   the replay tolerance, each comparison refits its working matrix instead.
 
 The homogeneous model fits each task's slab once and each merged mean slab
-once per comparison.  Every model calls the threshold functions once per
-comparison, with the fits it holds, so the report and its decision are
-built in one place.  Standalone re-evaluation and the verification checks
-fit with lstsq, which serves as the reference.
+once per comparison.  The threshold tests take fits, not arrays: every model
+calls one of them once per comparison with the fits it holds, so the report
+and its decision are built in one place.  Callers that hold arrays, such as
+standalone re-evaluation and the verification checks, fit first with lstsq
+(:func:`threshold_fit`), which serves as the reference.
 """
 
 from __future__ import annotations
@@ -52,9 +52,11 @@ from .errors import ValidationError, ZeroVarianceError
 from .linstats import _core_fit
 
 __all__ = [
+    "ThresholdFit",
     "ThresholdReport",
     "TRACE_SCALARS",
     "AggregationResult",
+    "threshold_fit",
     "compute_threshold_targets",
     "compute_threshold_features",
     "aggregation_loop",
@@ -82,12 +84,17 @@ CENTERED_TOL = 1e-7
 _SEED_MASK = (1 << 64) - 1
 
 
-class _Fit(NamedTuple):
-    """What the threshold statistics need from one least-squares fit."""
+class ThresholdFit(NamedTuple):
+    """What the threshold statistics need from one least-squares fit.
+
+    ``d`` is the model matrix's column count and ``rank`` its rank; phase I
+    scales its thresholds by d / (n - 1).
+    """
 
     ss_res: float
     target_variance: float  # about the sample mean, divisor n-1
     n: int
+    d: int
     rank: int
 
 
@@ -97,9 +104,10 @@ class _FitStats(NamedTuple):
     varf: float  # explained variance: var(y) - var_res, floored at zero
 
 
-def _fit(X: np.ndarray, y: np.ndarray) -> _Fit:
+def threshold_fit(X, y) -> ThresholdFit:
+    """Fit ``y`` on the columns of ``X`` with lstsq, for the threshold tests."""
     core = _core_fit(X, y)
-    return _Fit(core.ss_res, core.target_variance, core.n, core.rank)
+    return ThresholdFit(core.ss_res, core.target_variance, core.n, core.d, core.rank)
 
 
 def _target_variance(y: np.ndarray) -> float:
@@ -107,7 +115,7 @@ def _target_variance(y: np.ndarray) -> float:
     return float(dev @ dev) / (y.shape[0] - 1)
 
 
-def _fit_stats(fit: _Fit) -> _FitStats:
+def _fit_stats(fit: ThresholdFit) -> _FitStats:
     """Threshold-test statistics of one fit.
 
     The asymptotic expressions are stated in population quantities, so the
@@ -176,61 +184,37 @@ TRACE_SCALARS = (
 
 
 def compute_threshold_targets(
-    X,
-    y_p,
-    y_j,
+    p: ThresholdFit,
+    j: ThresholdFit,
+    ag: ThresholdFit,
     epsilon: float,
     *,
-    X_p=None,
-    X_j=None,
-    X_ag=None,
-    y_ag=None,
     cluster_id: int = 0,
     candidate: int = -1,
     members: tuple[int, ...] = (),
-    _p_fit: _Fit | None = None,
-    _j_fit: _Fit | None = None,
-    _ag_fit: _Fit | None = None,
 ) -> ThresholdReport:
-    """Decide whether merging candidate target ``y_j`` into the cluster is kept.
+    """Decide whether merging a candidate target into the open cluster is kept.
 
-    The aggregate under test defaults to ``(y_p + y_j) / 2`` (the two-task
-    case); the loop passes the flat mean over members plus candidate via
-    ``y_ag`` for clusters that have already grown.  By default all three
-    fits use the shared matrix ``X``; the homogeneous variant passes each
-    model's own matrix via ``X_p``/``X_j``/``X_ag`` instead.  The greedy
-    loops pass fits they already hold through the private ``_*_fit``
-    keywords; only the fits not passed are computed.
+    ``p``, ``j`` and ``ag`` are the fits of the cluster's mean target, the
+    candidate and their merged mean (over members plus candidate), each on
+    its own model matrix; the merge is kept when both thresholds are at or
+    below ``epsilon``.
     """
-    y_p = np.asarray(y_p, dtype=float)
-    y_j = np.asarray(y_j, dtype=float)
-    if X is None and (X_p is None or X_j is None or X_ag is None):
-        raise ValidationError("X is required unless X_p, X_j and X_ag are all given")
-    Mp = np.asarray(X_p if X_p is not None else X, dtype=float)
-    Mj = np.asarray(X_j if X_j is not None else X, dtype=float)
-    Mag = np.asarray(X_ag if X_ag is not None else X, dtype=float)
-    if not (Mp.shape[1] == Mj.shape[1] == Mag.shape[1]):
-        raise ValidationError("the three model matrices must share a column count")
-
+    if not p.d == j.d == ag.d:
+        raise ValidationError("the three fits must share a column count")
     base = dict(
         phase=1,
         cluster_id=cluster_id,
         candidate=candidate,
-        members=tuple(members),
+        members=members,
         epsilon=float(epsilon),
     )
     try:
-        sp = _fit_stats(_p_fit or _fit(Mp, y_p))
-        sj = _fit_stats(_j_fit or _fit(Mj, y_j))
-        if _ag_fit is None:
-            y_ag = 0.5 * (y_p + y_j) if y_ag is None else np.asarray(y_ag, dtype=float)
-            _ag_fit = _fit(Mag, y_ag)
-        sag = _fit_stats(_ag_fit)
+        sp, sj, sag = _fit_stats(p), _fit_stats(j), _fit_stats(ag)
     except ZeroVarianceError as exc:
         return ThresholdReport(accepted=False, note=str(exc), **base)
 
-    n = y_p.shape[0]
-    scale = Mag.shape[1] / (n - 1)
+    scale = ag.d / (ag.n - 1)
     penalty = 0.5 * (sp.r2 * sp.varf + sj.r2 * sj.varf) - sag.r2 * sag.varf
     t1 = scale * (sag.var_res - sp.var_res) + penalty
     t2 = scale * (sag.var_res - sj.var_res) + penalty
@@ -251,84 +235,69 @@ def compute_threshold_targets(
     )
 
 
-def _merge_columns(
-    X: np.ndarray, p_col: int, j_col: int, merged: np.ndarray | None = None
-) -> np.ndarray:
-    if merged is None:
-        merged = 0.5 * (X[:, p_col] + X[:, j_col])
-    keep = [k for k in range(X.shape[1]) if k != j_col]
-    out = X[:, keep].copy()
-    out[:, keep.index(p_col)] = merged
-    return out
-
-
 def compute_threshold_features(
-    X_curr,
-    y,
-    p_col: int,
-    j_col: int,
+    sep: ThresholdFit,
+    agg: ThresholdFit,
     epsilon: float,
     *,
-    merged=None,
     cluster_id: int = 0,
     candidate: int = -1,
     members: tuple[int, ...] = (),
     task_cluster: int | None = None,
-    _sep_fit: _Fit | None = None,
-    _ag_fit: _Fit | None = None,
 ) -> ThresholdReport:
-    """Decide whether working columns ``p_col`` and ``j_col`` merge into their mean.
+    """Decide whether merging a candidate feature into the open cluster is kept.
 
-    ``X_curr`` is the current working matrix (unvisited original columns plus
-    aggregated cluster means).  The aggregated model replaces the two columns
-    with their mean (the two-column mean by default; the loop passes the flat
-    mean over the underlying original columns via ``merged``); the merge is
-    kept when the in-sample R^2 drop is at most ``epsilon``.  The greedy loop
-    passes fits it already holds through the private ``_sep_fit``/``_ag_fit``
-    keywords; only the fits not passed are computed.
+    ``sep`` and ``agg`` are the fits of the target on the working matrix
+    before and after the candidate's column is replaced, together with the
+    open cluster's, by their mean; the merge is kept when the in-sample R^2
+    drop is at most ``epsilon``.
     """
-    M = np.asarray(X_curr, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    d = M.shape[1]
-    if not (0 <= p_col < d and 0 <= j_col < d) or p_col == j_col:
-        raise ValidationError(f"invalid column pair ({p_col}, {j_col}) for d={d}")
+    if agg.d != sep.d - 1:
+        raise ValidationError(f"a merge of {sep.d} columns cannot leave {agg.d}")
     base = dict(
         phase=2,
         cluster_id=cluster_id,
         candidate=candidate,
-        members=tuple(members),
+        members=members,
         epsilon=float(epsilon),
         task_cluster=task_cluster,
     )
     try:
-        sep = _fit_stats(_sep_fit or _fit(M, yv))
-        agg = _fit_stats(_ag_fit or _fit(_merge_columns(M, p_col, j_col, merged), yv))
+        s_sep, s_agg = _fit_stats(sep), _fit_stats(agg)
     except ZeroVarianceError as exc:
         return ThresholdReport(accepted=False, note=str(exc), **base)
 
-    gap = sep.r2 - agg.r2
+    gap = s_sep.r2 - s_agg.r2
     if abs(gap) < R2_TIE_TOL:
         gap = 0.0
     return ThresholdReport(
         accepted=bool(gap <= epsilon),
-        r_p=sep.r2,
-        r_ag=agg.r2,
-        var_p=sep.var_res,
-        var_ag=agg.var_res,
-        varf_p=sep.varf,
-        varf_ag=agg.varf,
+        r_p=s_sep.r2,
+        r_ag=s_agg.r2,
+        var_p=s_sep.var_res,
+        var_ag=s_agg.var_res,
+        varf_p=s_sep.varf,
+        varf_ag=s_agg.varf,
         r_gap=gap,
         **base,
     )
 
 
-def _phase2_context(
-    closed: list[list[int]], members: list[int], visited: set[int], size: int
-) -> list[tuple[int, ...]]:
-    context = [tuple(sorted(c)) for c in closed]
-    context.append(tuple(sorted(members)))
-    context.extend((k,) for k in range(size) if k not in visited)
-    return context
+def _working_matrices(
+    X: np.ndarray, closed, members: list[int], visited: set[int], j: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-II working matrices before and after feature ``j`` joins the open cluster.
+
+    Their columns are the means of the closed clusters, then of the open
+    one, then every unvisited feature.  The second matrix is copied to C
+    order, the layout the merged matrix has always had: the residual lstsq
+    leaves, and so the last bits of the recorded scalars, depend on it.
+    """
+    head = [tuple(sorted(c)) for c in closed]
+    free = [k for k in range(X.shape[1]) if k not in visited]
+    before = head + [tuple(sorted(members))] + [(k,) for k in free]
+    after = head + [tuple(sorted(members + [j]))] + [(k,) for k in free if k != j]
+    return _cluster_means(X, before), np.ascontiguousarray(_cluster_means(X, after))
 
 
 class _TargetMerges:
@@ -347,15 +316,17 @@ class _TargetMerges:
         # lstsq's default cutoff for singular values that count as zero.
         self.rank = int(np.count_nonzero(s > np.finfo(float).eps * max(X.shape) * s[0]))
         Q = U[:, : self.rank]
-        self.X, self.Z, self.epsilon = X, Z, epsilon
+        self.d, self.Z, self.epsilon = X.shape[1], Z, epsilon
         # One target at a time: a blocked multi-column product can round a
         # column differently from an identical one, which would split the
         # exact ties between duplicate targets that the per-fit path keeps.
         self.E = [z - Q @ (Q.T @ z) for z in Z.T]
         self.singles = [self._fit(z, e) for z, e in zip(Z.T, self.E)]
 
-    def _fit(self, z: np.ndarray, e: np.ndarray) -> _Fit:
-        return _Fit(float(e @ e), _target_variance(z), z.shape[0], self.rank)
+    def _fit(self, z: np.ndarray, e: np.ndarray) -> ThresholdFit:
+        return ThresholdFit(
+            float(e @ e), _target_variance(z), z.shape[0], self.d, self.rank
+        )
 
     def open(self, i: int) -> None:
         self.size = 1
@@ -370,16 +341,8 @@ class _TargetMerges:
             (self.sum_z + z) / size, (self.sum_e + self.E[j]) / size
         )
         return compute_threshold_targets(
-            self.X,
-            self.sum_z / self.size,
-            z,
-            self.epsilon,
-            cluster_id=len(closed),
-            candidate=j,
-            members=tuple(members),
-            _p_fit=self.p_fit,
-            _j_fit=self.singles[j],
-            _ag_fit=self.ag_fit,
+            self.p_fit, self.singles[j], self.ag_fit, self.epsilon,
+            cluster_id=len(closed), candidate=j, members=members,
         )
 
     def accept(self, members, j: int) -> None:
@@ -404,30 +367,20 @@ class _FeatureRefits:
     def open(self, i: int) -> None:
         self.sep_fit = None
 
-    def _report(self, M, p_col, j_col, closed, members, j, **fits) -> ThresholdReport:
+    def compare(self, closed, members, visited, j: int) -> ThresholdReport:
+        self.ag_fit = self._merged_fit(closed, members, visited, j)
         return compute_threshold_features(
-            M,
-            self.y,
-            p_col,
-            j_col,
-            self.epsilon,
-            cluster_id=len(closed),
-            candidate=j,
-            members=tuple(members),
+            self.sep_fit, self.ag_fit, self.epsilon,
+            cluster_id=len(closed), candidate=j, members=members,
             task_cluster=self.task_cluster,
-            **fits,
         )
 
-    def compare(self, closed, members, visited, j: int) -> ThresholdReport:
-        context = _phase2_context(closed, members, visited, self.X.shape[1])
-        M = _cluster_means(self.X, context)
+    def _merged_fit(self, closed, members, visited, j: int) -> ThresholdFit:
+        """The fit once ``j`` joins the open cluster; fits ``sep_fit`` if unknown."""
+        M, merged = _working_matrices(self.X, closed, members, visited, j)
         if self.sep_fit is None:
-            self.sep_fit = _fit(M, self.y)
-        return self._report(
-            M, len(closed), context.index((j,)), closed, members, j,
-            merged=self.X[:, members + [j]].mean(axis=1),
-            _sep_fit=self.sep_fit,
-        )
+            self.sep_fit = threshold_fit(M, self.y)
+        return threshold_fit(merged, self.y)
 
     def accept(self, members, j: int) -> None:
         self.sep_fit = None
@@ -456,24 +409,20 @@ class _FeatureRestrictions(_FeatureRefits):
         self.beta = W @ (U.T @ y)
         self.K = W @ W.T
         resid = y - X @ self.beta
-        self.sep_fit = _Fit(
-            float(resid @ resid), _target_variance(y), y.shape[0], X.shape[1]
+        d = X.shape[1]
+        self.sep_fit = ThresholdFit(
+            float(resid @ resid), _target_variance(y), y.shape[0], d, d
         )
 
     def open(self, i: int) -> None:
         pass
 
-    def compare(self, closed, members, visited, j: int) -> ThresholdReport:
+    def _merged_fit(self, closed, members, visited, j: int) -> ThresholdFit:
         s, b, K = members[0], self.beta, self.K
         diff = b[s] - b[j]
         delta = diff * diff / (K[s, s] - 2.0 * K[s, j] + K[j, j])
         sep = self.sep_fit
-        self.ag_fit = sep._replace(ss_res=sep.ss_res + delta, rank=sep.rank - 1)
-        # Both fits are given, so the matrix and the original columns (s, j)
-        # only size the column check.
-        return self._report(
-            self.X, s, j, closed, members, j, _sep_fit=sep, _ag_fit=self.ag_fit
-        )
+        return sep._replace(ss_res=sep.ss_res + delta, d=sep.d - 1, rank=sep.rank - 1)
 
     def accept(self, members, j: int) -> None:
         s = members[0]
@@ -518,33 +467,21 @@ class _SlabMerges:
 
     def __init__(self, slabs, Y: np.ndarray, epsilon: float):
         self.slabs, self.Y, self.epsilon = slabs, Y, epsilon
-        self.singles = [_fit(slab, Y[:, t]) for t, slab in enumerate(slabs)]
+        self.singles = [threshold_fit(slab, Y[:, t]) for t, slab in enumerate(slabs)]
 
     def open(self, i: int) -> None:
-        self.y_p = self.Y[:, i]
         self.p_fit = self.singles[i]
 
     def compare(self, closed, members, visited, j: int) -> ThresholdReport:
         extended = members + [j]
         slab_ag = np.mean([self.slabs[k] for k in extended], axis=0)
-        self.y_ag = self.Y[:, extended].mean(axis=1)
-        self.ag_fit = _fit(slab_ag, self.y_ag)
-        # All three fits are given, so the matrix only sizes the thresholds.
+        self.ag_fit = threshold_fit(slab_ag, self.Y[:, extended].mean(axis=1))
         return compute_threshold_targets(
-            slab_ag,
-            self.y_p,
-            self.Y[:, j],
-            self.epsilon,
-            cluster_id=len(closed),
-            candidate=j,
-            members=tuple(members),
-            _p_fit=self.p_fit,
-            _j_fit=self.singles[j],
-            _ag_fit=self.ag_fit,
+            self.p_fit, self.singles[j], self.ag_fit, self.epsilon,
+            cluster_id=len(closed), candidate=j, members=members,
         )
 
     def accept(self, members, j: int) -> None:
-        self.y_p = self.y_ag
         self.p_fit = self.ag_fit
 
 
@@ -829,41 +766,44 @@ def assert_replay(dataset: Dataset, result: AggregationResult) -> None:
 def reevaluate_report(
     dataset: Dataset, result: AggregationResult, report: ThresholdReport
 ) -> ThresholdReport:
-    """Re-run a single recorded comparison standalone on the stored data."""
+    """Re-run a single recorded comparison standalone on the stored data.
+
+    Every fit is an lstsq refit.  Raises ValidationError for a record that
+    does not name a comparison of this result: members and candidate must be
+    distinct items of the dataset, and a phase-2 record must lie inside the
+    stored feature partitions.
+    """
     members = list(report.members)
     extended = members + [report.candidate]
+    size = dataset.n_tasks if report.phase == 1 else dataset.n_features
+    if (
+        not members
+        or len(set(extended)) < len(extended)
+        or not all(0 <= k < size for k in extended)
+    ):
+        raise ValidationError(
+            f"phase-{report.phase} record compares {report.candidate} with members "
+            f"{report.members}; both must be distinct items of {size}"
+        )
+    ids = dict(cluster_id=report.cluster_id, candidate=report.candidate,
+               members=report.members)
     if report.phase == 1:
-        y_p = dataset.targets[:, members].mean(axis=1)
-        y_j = dataset.targets[:, report.candidate]
-        y_ag = dataset.targets[:, extended].mean(axis=1)
+        Y = dataset.targets
+        targets = (Y[:, members].mean(axis=1), Y[:, report.candidate],
+                   Y[:, extended].mean(axis=1))
         if result.homogeneous:
             slabs = dataset.per_task_features
             if slabs is None:
                 raise ValidationError("homogeneous result needs per-task slabs")
-            slab_p = np.mean([slabs[k] for k in members], axis=0)
-            return compute_threshold_targets(
-                None,
-                y_p,
-                y_j,
-                report.epsilon,
-                X_p=slab_p,
-                X_j=slabs[report.candidate],
-                X_ag=np.mean([slabs[k] for k in extended], axis=0),
-                y_ag=y_ag,
-                cluster_id=report.cluster_id,
-                candidate=report.candidate,
-                members=report.members,
+            matrices = (
+                np.mean([slabs[k] for k in members], axis=0),
+                slabs[report.candidate],
+                np.mean([slabs[k] for k in extended], axis=0),
             )
-        return compute_threshold_targets(
-            dataset.features,
-            y_p,
-            y_j,
-            report.epsilon,
-            y_ag=y_ag,
-            cluster_id=report.cluster_id,
-            candidate=report.candidate,
-            members=report.members,
-        )
+        else:
+            matrices = (dataset.features,) * 3
+        fits = [threshold_fit(M, y) for M, y in zip(matrices, targets)]
+        return compute_threshold_targets(*fits, report.epsilon, **ids)
 
     t = report.task_cluster
     if t is None or not 0 <= t < len(result.feature_partitions):
@@ -877,23 +817,19 @@ def reevaluate_report(
             f"of {len(clusters)}"
         )
     closed = clusters[: report.cluster_id]
-    visited = set(members).union(*closed)
-    if report.candidate in visited or not 0 <= report.candidate < dataset.n_features:
+    taken = set().union(*closed)
+    if taken.intersection(extended):
         raise ValidationError(
-            f"phase-2 candidate {report.candidate} is not a free feature at that point"
+            f"phase-2 record names features {sorted(taken.intersection(extended))} "
+            "of clusters closed before it"
         )
-    context = _phase2_context(closed, members, visited, dataset.n_features)
+    visited = taken.union(members)
+    y = result.task_partition.aggregated_targets[:, t]
+    M, merged = _working_matrices(dataset.features, closed, members, visited,
+                                  report.candidate)
     return compute_threshold_features(
-        _cluster_means(dataset.features, context),
-        result.task_partition.aggregated_targets[:, t],
-        len(closed),
-        context.index((report.candidate,)),
-        report.epsilon,
-        merged=dataset.features[:, extended].mean(axis=1),
-        cluster_id=report.cluster_id,
-        candidate=report.candidate,
-        members=report.members,
-        task_cluster=t,
+        threshold_fit(M, y), threshold_fit(merged, y), report.epsilon,
+        task_cluster=t, **ids,
     )
 
 

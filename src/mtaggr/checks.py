@@ -8,12 +8,12 @@ functions at their full budgets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregation import compute_threshold_features, compute_threshold_targets
+from .aggregation import compute_threshold_features, compute_threshold_targets, threshold_fit
 from .errors import ValidationError
 from .oracle import (
     NoiseModel,
@@ -500,7 +500,8 @@ def check_merge_guarantee_targets(budget: VerifyBudget, seed: int = 0) -> CheckR
         f = Xc @ w
         y0 = f + e0 - (f + e0).mean()
         y1 = f + e1 - (f + e1).mean()
-        report = compute_threshold_targets(Xc, y0, y1, 0.0)
+        fits = [threshold_fit(Xc, y) for y in (y0, y1, 0.5 * (y0 + y1))]
+        report = compute_threshold_targets(*fits, 0.0)
         ok = report.accepted
         if ok:
             w0, *_ = np.linalg.lstsq(Xc, y0, rcond=None)
@@ -526,7 +527,8 @@ def check_merge_guarantee_targets(budget: VerifyBudget, seed: int = 0) -> CheckR
         y1 = Xc @ w1 + rng.standard_normal(n_train) * 0.2
         y0 -= y0.mean()
         y1 -= y1.mean()
-        report = compute_threshold_targets(Xc, y0, y1, 0.0)
+        fits = [threshold_fit(Xc, y) for y in (y0, y1, 0.5 * (y0 + y1))]
+        report = compute_threshold_targets(*fits, 0.0)
         rejected_orth += int(not report.accepted)
     frac_good = good / budget.draws
     frac_rej = rejected_orth / budget.draws
@@ -560,13 +562,13 @@ def check_merge_guarantee_features(budget: VerifyBudget, seed: int = 0) -> Check
         y = X @ w + rng.standard_normal(n_train) * sigma
         Xc = X - X.mean(axis=0)
         yc = y - y.mean()
-        report = compute_threshold_features(Xc, yc, 1, 3, 0.0)
+        merged = np.delete(Xc, 3, axis=1)
+        merged[:, 1] = 0.5 * (Xc[:, 1] + Xc[:, 3])
+        fits = threshold_fit(Xc, yc), threshold_fit(merged, yc)
+        report = compute_threshold_features(*fits, 0.0)
         ok = report.accepted
         if ok:
             w_full, *_ = np.linalg.lstsq(Xc, yc, rcond=None)
-            merged = Xc.copy()
-            merged[:, 1] = 0.5 * (Xc[:, 1] + Xc[:, 3])
-            merged = np.delete(merged, 3, axis=1)
             w_red, *_ = np.linalg.lstsq(merged, yc, rcond=None)
             X_pop = rng.standard_normal((n_pop, D))
             X_pop[:, 3] = X_pop[:, 1]
@@ -582,7 +584,10 @@ def check_merge_guarantee_features(budget: VerifyBudget, seed: int = 0) -> Check
         y = X[:, 1] - X[:, 3] + rng.standard_normal(n_train) * 0.1
         Xc = X - X.mean(axis=0)
         yc = y - y.mean()
-        report = compute_threshold_features(Xc, yc, 1, 3, 0.0)
+        merged = np.delete(Xc, 3, axis=1)
+        merged[:, 1] = 0.5 * (Xc[:, 1] + Xc[:, 3])
+        fits = threshold_fit(Xc, yc), threshold_fit(merged, yc)
+        report = compute_threshold_features(*fits, 0.0)
         rejected_anti += int(not report.accepted)
     frac_good = good / budget.draws
     frac_rej = rejected_anti / budget.draws

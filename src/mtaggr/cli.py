@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields as dataclass_fields
+from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -242,23 +242,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     names = [n for n in (args.checks or "").split(",") if n] or None
-    if args.quick:
-        budget = VerifyBudget.quick()
-    else:
-        budget = VerifyBudget()
-    overrides = {}
-    if args.replicates is not None:
-        overrides["replicates"] = args.replicates
-    if args.n_eval is not None:
-        overrides["n_eval"] = args.n_eval
-    if args.n_pop is not None:
-        overrides["n_pop"] = args.n_pop
-    if args.draws is not None:
-        overrides["draws"] = args.draws
-    if overrides:
-        from dataclasses import replace as dc_replace
-
-        budget = dc_replace(budget, **overrides)
+    budget = VerifyBudget.quick() if args.quick else VerifyBudget()
+    overrides = {
+        k: getattr(args, k)
+        for k in ("replicates", "n_eval", "n_pop", "draws")
+        if getattr(args, k) is not None
+    }
+    budget = replace(budget, **overrides)
 
     results = run_checks(names, budget, seed=args.seed, jobs=args.jobs)
     doc = {

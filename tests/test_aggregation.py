@@ -22,7 +22,9 @@ from mtaggr.aggregation import (
     reevaluate_report,
     result_from_json,
     result_to_json,
+    threshold_fit,
 )
+from mtaggr import aggregation
 from mtaggr.data import Dataset, center
 from mtaggr.errors import ValidationError
 from mtaggr.synth import SynthConfig, generate
@@ -103,6 +105,20 @@ def assert_reevaluates(ds, result):
                 assert np.isclose(a, b, rtol=REPLAY_RTOL, atol=REPLAY_ATOL), (k, f)
 
 
+def target_report(X, y_p, y_j, epsilon):
+    """The phase-I test of merging two targets on shared features."""
+    fits = [threshold_fit(X, y) for y in (y_p, y_j, 0.5 * (y_p + y_j))]
+    return compute_threshold_targets(*fits, epsilon)
+
+
+def feature_report(X, y, p, j, epsilon):
+    """The phase-II test of replacing columns p < j of X by their mean."""
+    merged = np.delete(X, j, axis=1)
+    merged[:, p] = 0.5 * (X[:, p] + X[:, j])
+    fits = threshold_fit(X, y), threshold_fit(merged, y)
+    return compute_threshold_features(*fits, epsilon)
+
+
 def adjusted_r2_oracle(X, y):
     """Independent path: normal-equation solve plus the df-adjusted R^2."""
     X = np.asarray(X, float)
@@ -122,7 +138,7 @@ class TestThresholdTargets:
         rng = np.random.default_rng(0)
         X = centered(rng.standard_normal((100, 4)))
         y = centered(X @ [1.0, 0.5, -0.5, 0.2] + rng.standard_normal(100))
-        report = compute_threshold_targets(X, y, y, 0.0)
+        report = target_report(X, y, y, 0.0)
         assert report.threshold1 == 0.0
         assert report.threshold2 == 0.0
         assert report.accepted
@@ -142,7 +158,7 @@ class TestThresholdTargets:
             f = X @ w
             y0 = centered(f + rng.standard_normal(2000))
             y1 = centered(f + rng.standard_normal(2000))
-            accepted += compute_threshold_targets(X, y0, y1, 0.0).accepted
+            accepted += target_report(X, y0, y1, 0.0).accepted
         assert accepted >= 0.95 * draws
 
     def test_orthogonal_signals_rejected(self):
@@ -153,14 +169,14 @@ class TestThresholdTargets:
             X = centered(rng.standard_normal((2000, 5)))
             y0 = centered(X[:, 0] + X[:, 1] + 0.1 * rng.standard_normal(2000))
             y1 = centered(X[:, 3] + X[:, 4] + 0.1 * rng.standard_normal(2000))
-            rejected += not compute_threshold_targets(X, y0, y1, 0.0).accepted
+            rejected += not target_report(X, y0, y1, 0.0).accepted
         assert rejected >= 0.95 * draws
 
     def test_degenerate_aggregate_rejected_with_note(self):
         rng = np.random.default_rng(3)
         X = centered(rng.standard_normal((50, 3)))
         y = centered(rng.standard_normal(50))
-        report = compute_threshold_targets(X, y, -y, 0.0)
+        report = target_report(X, y, -y, 0.0)
         assert not report.accepted
         assert report.note is not None
         assert report.threshold1 is None
@@ -171,8 +187,20 @@ class TestThresholdTargets:
         y0 = centered(X @ [1.0, 0.0, 0.0] + rng.standard_normal(80))
         y1 = centered(X @ [0.0, 1.0, 0.0] + rng.standard_normal(80))
         for eps in (-0.5, 0.0, 0.5, 5.0):
-            r = compute_threshold_targets(X, y0, y1, eps)
+            r = target_report(X, y0, y1, eps)
             assert r.accepted == (r.threshold1 <= eps and r.threshold2 <= eps)
+
+
+def test_threshold_tests_reject_fits_of_mismatched_widths():
+    rng = np.random.default_rng(12)
+    X = centered(rng.standard_normal((40, 4)))
+    y = centered(X @ [1.0, 0.5, -0.5, 0.2] + rng.standard_normal(40))
+    wide, narrow = threshold_fit(X, y), threshold_fit(X[:, :3], y)
+    with pytest.raises(ValidationError):
+        compute_threshold_targets(wide, wide, narrow, 0.0)
+    with pytest.raises(ValidationError):
+        compute_threshold_features(wide, wide, 0.0)
+    assert compute_threshold_features(wide, narrow, 1.0).accepted
 
 
 class TestThresholdFeatures:
@@ -182,7 +210,7 @@ class TestThresholdFeatures:
         X = np.column_stack([X, X[:, 1]])
         y = centered(X[:, :4] @ [1.0, 0.8, -0.5, 0.3] + 0.5 * rng.standard_normal(200))
         for eps in (0.0, 1e-4, 1.0):
-            report = compute_threshold_features(X, y, 1, 4, eps)
+            report = feature_report(X, y, 1, 4, eps)
             assert report.accepted, eps
 
     def test_antisymmetric_signal_rejected(self):
@@ -192,7 +220,7 @@ class TestThresholdFeatures:
         rng = np.random.default_rng(6)
         X = centered(rng.standard_normal((500, 4)))
         y = centered(X[:, 0] - X[:, 2] + 0.05 * rng.standard_normal(500))
-        report = compute_threshold_features(X, y, 0, 2, 1e-4)
+        report = feature_report(X, y, 0, 2, 1e-4)
         assert not report.accepted
         assert report.r_gap > 0.5
         assert abs(report.r_p - adjusted_r2_oracle(X, y)) < 1e-8
@@ -203,7 +231,7 @@ class TestThresholdFeatures:
         rng = np.random.default_rng(7)
         X = centered(rng.standard_normal((2000, 4)))
         y = centered(X[:, 0] + X[:, 2] + 0.1 * rng.standard_normal(2000))
-        report = compute_threshold_features(X, y, 0, 2, 1e-4)
+        report = feature_report(X, y, 0, 2, 1e-4)
         assert report.accepted
 
     def test_accept_flag_matches_gap(self):
@@ -211,7 +239,7 @@ class TestThresholdFeatures:
         X = centered(rng.standard_normal((100, 4)))
         y = centered(X @ [1.0, -1.0, 0.5, 0.2] + rng.standard_normal(100))
         for eps in (-1.0, 0.0, 1e-3, 1.0):
-            r = compute_threshold_features(X, y, 0, 1, eps)
+            r = feature_report(X, y, 0, 1, eps)
             assert r.accepted == (r.r_gap <= eps)
 
 
@@ -479,9 +507,90 @@ class TestDriver:
             {"cluster_id": -1},
             {"candidate": clusters[0][0]},
             {"candidate": ds.n_features},
+            {"members": report.members + (clusters[0][0],)},
         ):
             with pytest.raises(ValidationError):
                 reevaluate_report(ds, result, dataclasses.replace(report, **change))
+
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    @pytest.mark.parametrize(
+        "change",
+        ["negative_candidate", "negative_member", "candidate_past_end",
+         "member_past_end", "no_members", "candidate_is_member"],
+    )
+    def test_reevaluation_rejects_phase1_records_outside_the_tasks(
+        self, change, homogeneous
+    ):
+        ds = make_homogeneous(seed=6)
+        if homogeneous:
+            result = nonlin_ctfa_homogeneous(ds, 0.0, seed=1)
+        else:
+            result = nonlin_ctfa(ds, 0.0, 1e-4, seed=1)
+        report = next(r for r in result.trace if r.phase == 1)
+        T = ds.n_tasks
+        fields = {
+            "negative_candidate": {"candidate": -1},
+            "negative_member": {"members": (-1,)},
+            "candidate_past_end": {"candidate": T},
+            "member_past_end": {"members": report.members + (T,)},
+            "no_members": {"members": ()},
+            "candidate_is_member": {"candidate": report.members[0]},
+        }[change]
+        with pytest.raises(ValidationError):
+            reevaluate_report(ds, result, dataclasses.replace(report, **fields))
+
+    @pytest.mark.parametrize("case", ["reference", "n_below_d", "homogeneous"])
+    def test_one_threshold_call_per_recorded_comparison(self, case, monkeypatch):
+        # The benchmark counts one comparison per call of the module-level
+        # threshold tests and checks that count against the trace.
+        calls, accepts, paths = {1: 0, 2: 0}, {1: 0, 2: 0}, set()
+        for phase, name in ((1, "compute_threshold_targets"),
+                            (2, "compute_threshold_features")):
+            def counted(*args, _phase=phase, _test=getattr(aggregation, name), **kw):
+                report = _test(*args, **kw)
+                calls[_phase] += 1
+                accepts[_phase] += report.accepted
+                return report
+
+            monkeypatch.setattr(aggregation, name, counted)
+        feature_merges = aggregation._feature_merges
+
+        def recorded(*args):
+            model = feature_merges(*args)
+            paths.add(type(model).__name__)
+            return model
+
+        monkeypatch.setattr(aggregation, "_feature_merges", recorded)
+        if case == "homogeneous":
+            # Thresholds here lie near 1.2; this tolerance accepts 2 of 4.
+            ds = make_homogeneous(seed=6)
+            result = nonlin_ctfa_homogeneous(ds, 1.2, seed=1)
+        else:
+            build, eps1, eps2, seed = REEVALUATION_CASES[case]
+            ds = build()
+            result = nonlin_ctfa(ds, eps1, eps2, seed=seed)
+        assert paths == {
+            "reference": {"_FeatureRestrictions"},
+            "n_below_d": {"_FeatureRefits"},
+            "homogeneous": set(),
+        }[case]
+        for phase in (1, 2):
+            records = [r for r in result.trace if r.phase == phase]
+            assert calls[phase] == len(records), phase
+            assert accepts[phase] == sum(r.accepted for r in records), phase
+        assert 0 < sum(accepts.values()) < len(result.trace)
+
+    def test_package_exports_reevaluation_and_fit(self):
+        import mtaggr
+
+        assert mtaggr.reevaluate_report is reevaluate_report
+        assert mtaggr.threshold_fit is threshold_fit
+        fit = mtaggr.threshold_fit(np.eye(3)[:, :2], np.array([1.0, 0.0, -1.0]))
+        assert isinstance(fit, mtaggr.ThresholdFit)
+        assert (fit.n, fit.d, fit.rank) == (3, 2, 2)
+        assert {"ThresholdFit", "reevaluate_report", "threshold_fit"} <= set(
+            mtaggr.__all__
+        )
 
     def test_json_keeps_variant_of_singleton_feature_clusters(self):
         # A shared-feature run whose feature clusters are all singletons, on
