@@ -437,8 +437,25 @@ class _FeatureRestrictions(_FeatureRefits):
         self.sep_fit = self.ag_fit._replace(ss_res=float(resid @ resid))
 
 
+class _ConstantTarget(_FeatureRefits):
+    """Phase II comparisons against a target of zero variance.
+
+    :func:`compute_threshold_features` rejects such a target before it reads
+    a residual, so each comparison passes it fits that carry only the
+    working matrices' column counts, and no matrix is built or fitted.
+    """
+
+    def _merged_fit(self, closed, members, visited, j: int) -> ThresholdFit:
+        d = len(closed) + 1 + self.X.shape[1] - len(visited)
+        self.sep_fit = ThresholdFit(0.0, 0.0, self.y.shape[0], d, d)
+        return self.sep_fit._replace(d=d - 1, rank=d - 1)
+
+
 def _feature_merges(X: np.ndarray, y: np.ndarray, epsilon: float, task_cluster):
     """The restriction identity where it matches a refit; otherwise refits.
+
+    A target of zero variance rejects every merge on the target alone, so
+    it takes neither path (see :class:`_ConstantTarget`).
 
     The identity works from (X'X)^-1, so its R^2 values carry a relative
     error of order eps * cond(X)^2.  Their gap can be near zero, where only
@@ -448,6 +465,8 @@ def _feature_merges(X: np.ndarray, y: np.ndarray, epsilon: float, task_cluster):
     averaging matrix, at most sqrt(d) times worse conditioned) under
     lstsq's cutoff.
     """
+    if _target_variance(y) <= 0.0:
+        return _ConstantTarget(X, y, epsilon, task_cluster)
     svd = np.linalg.svd(X, full_matrices=False)
     s = svd[1]
     max_cond = np.sqrt(REPLAY_ATOL / np.finfo(float).eps)

@@ -199,6 +199,7 @@ def check_variance_formula(budget: VerifyBudget, seed: int = 0) -> CheckResult:
                         n_eval=budget.n_eval,
                         seed=int(rng.integers(2**32)),
                         bootstrap=budget.bootstrap,
+                        total=False,
                     )
                     theory = theoretical_variance(
                         aggregated_noise_variance(noise, range(k)), n, d
@@ -250,6 +251,7 @@ def check_bias_single_task(budget: VerifyBudget, seed: int = 0) -> CheckResult:
             n_eval=2 * budget.n_eval,
             seed=int(rng.integers(2**32)),
             bootstrap=budget.bootstrap,
+            total=False,
         )
         se = float(np.hypot(est.bias_se, pop.standard_error))
         gap = abs(est.bias_term - pop.bias_value)
@@ -299,6 +301,7 @@ def check_bias_aggregated(budget: VerifyBudget, seed: int = 0) -> CheckResult:
             n_eval=budget.n_eval,
             seed=int(rng.integers(2**32)),
             bootstrap=budget.bootstrap,
+            total=False,
         )
         se = float(np.hypot(est.bias_se, pop.standard_error))
         gap = abs(est.bias_term - pop.bias_value)

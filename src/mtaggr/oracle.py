@@ -189,8 +189,9 @@ def _signal(task: "SyntheticTask", X: np.ndarray, index: int) -> np.ndarray:
 
 
 def _draw_features(task: "SyntheticTask", n: int, rng: np.random.Generator):
-    D = task.coefficients.shape[1]
-    return rng.standard_normal((n, D)) * task.feature_std
+    X = rng.standard_normal((n, task.coefficients.shape[1]))
+    X *= task.feature_std
+    return X
 
 
 def _partial_cov_terms(
@@ -301,18 +302,20 @@ class BiasVarianceEstimate:
     """Monte-Carlo estimates of the variance / bias / noise split of the MSE.
 
     The bias term is debiased by the replicate-mean variance; standard
-    errors come from a bootstrap over replicates.  ``warning`` is set when a
-    requested standard-error target was not met.
+    errors come from a bootstrap over replicates.  ``total_mse`` and
+    ``total_se`` are ``None`` when the estimate was made with
+    ``total=False``.  ``warning`` is set when a requested standard-error
+    target was not met.
     """
 
     variance_term: float
     bias_term: float
     noise_term: float
-    total_mse: float
+    total_mse: float | None
     variance_se: float
     bias_se: float
     noise_se: float
-    total_se: float
+    total_se: float | None
     replicates: int
     warning: str | None = None
 
@@ -329,6 +332,8 @@ def monte_carlo_bias_variance(
     noise: NoiseModel | None = None,
     bootstrap: int = 100,
     se_target: float | None = None,
+    *,
+    total: bool = True,
 ) -> BiasVarianceEstimate:
     """Train replicate models on fresh draws and split their error on task ``task_index``.
 
@@ -339,6 +344,13 @@ def monte_carlo_bias_variance(
     prediction against the true signal; the noise term is the task's own
     noise variance.  ``total_mse`` is estimated independently with fresh
     evaluation noise so the three-way closure is a real check.
+
+    That total is the largest single draw (replicates x ``n_eval`` normals)
+    and only the closure check reads it.  With ``total=False`` it is not
+    drawn, ``total_mse`` and ``total_se`` are ``None``, and ``se_target`` is
+    compared with the standard errors that were computed.  Every other
+    field is bit-identical to ``total=True``: the evaluation noise has its
+    own stream, apart from the replicate and bootstrap streams.
 
     Each replicate reduces its training set to the normal equations
     (phi'phi, phi'psi); one stacked ``solve`` gives every replicate's
@@ -406,11 +418,22 @@ def monte_carlo_bias_variance(
     bias_term = max(0.0, float(point_bias.mean()))
     noise_term = sigma_i**2
 
-    rng_noise = np.random.default_rng(noise_seed)
-    eps_eval = rng_noise.standard_normal((replicates, n_eval)) * sigma_i
-    sq_err = (preds - f_eval[None, :] - eps_eval) ** 2
-    per_rep_total = sq_err.mean(axis=1)
-    total_mse = float(per_rep_total.mean())
+    total_mse = per_rep_total = None
+    if total:
+        eps_eval = np.random.default_rng(noise_seed).standard_normal(
+            (replicates, n_eval)
+        )
+        eps_eval *= sigma_i
+        # ((preds - f) - eps)^2 in one buffer, in that order so the bits
+        # stay those of the plain expression; freed before the bootstrap.
+        sq_err = preds - f_eval[None, :]
+        sq_err -= eps_eval
+        del eps_eval
+        sq_err **= 2
+        per_rep_total = sq_err.mean(axis=1)
+        total_mse = float(per_rep_total.mean())
+        point_total_sd = sq_err.mean(axis=0).std(ddof=1)
+        del sq_err
 
     var_se, bias_se, total_se = _bootstrap_ses(
         preds, f_eval, per_rep_total, bootstrap, rep_seed=ss.spawn(1)[0]
@@ -420,13 +443,12 @@ def monte_carlo_bias_variance(
     root_n = np.sqrt(n_eval)
     var_se = float(np.hypot(var_se, point_var.std(ddof=1) / root_n))
     bias_se = float(np.hypot(bias_se, point_bias.std(ddof=1) / root_n))
-    total_se = float(
-        np.hypot(total_se, sq_err.mean(axis=0).std(ddof=1) / root_n)
-    )
+    if total:
+        total_se = float(np.hypot(total_se, point_total_sd / root_n))
 
     warning = None
     if se_target is not None:
-        worst = max(var_se, bias_se, total_se)
+        worst = max(se for se in (var_se, bias_se, total_se) if se is not None)
         if worst > se_target:
             warning = (
                 f"replicate budget too small: worst standard error {worst:g} "
@@ -447,6 +469,11 @@ def monte_carlo_bias_variance(
     )
 
 
+def _row_square_means(a: np.ndarray) -> np.ndarray:
+    """Mean of the squares of each row, as a row dot product with no squared copy."""
+    return np.einsum("ij,ij->i", a, a) / a.shape[1]
+
+
 def _bootstrap_ses(preds, f_eval, per_rep_total, n_boot, rep_seed):
     """Bootstrap over replicates, vectorized through multinomial count matrices.
 
@@ -455,21 +482,25 @@ def _bootstrap_ses(preds, f_eval, per_rep_total, n_boot, rep_seed):
     prediction variance is taken in moment form,
     (mean_x of weighted E[pred^2] - mean_x of (weighted E[pred])^2) * R/(R-1),
     and the second moment needs only the matvec ``counts @ mean_x(preds^2)``.
+    The total's standard error is ``None`` when ``per_rep_total`` is.
     """
     if n_boot < 2:
-        return 0.0, 0.0, 0.0
+        return 0.0, 0.0, None if per_rep_total is None else 0.0
     R = preds.shape[0]
     rng = np.random.default_rng(rep_seed)
     counts = rng.multinomial(R, np.full(R, 1.0 / R), size=n_boot) / R  # (B, R)
     m1 = counts @ preds  # bootstrap means, (B, n_eval)
-    m2 = counts @ (preds**2).mean(axis=1)  # bootstrap second moments, mean over x
-    var_terms = (m2 - (m1**2).mean(axis=1)) * (R / (R - 1))
-    bias_terms = ((m1 - f_eval[None, :]) ** 2).mean(axis=1) - var_terms / R
-    total_terms = counts @ per_rep_total
+    m2 = counts @ _row_square_means(preds)  # bootstrap second moments, mean over x
+    var_terms = (m2 - _row_square_means(m1)) * (R / (R - 1))
+    m1 -= f_eval
+    bias_terms = _row_square_means(m1) - var_terms / R
+    total_se = None
+    if per_rep_total is not None:
+        total_se = float(np.std(counts @ per_rep_total, ddof=1))
     return (
         float(np.std(var_terms, ddof=1)),
         float(np.std(bias_terms, ddof=1)),
-        float(np.std(total_terms, ddof=1)),
+        total_se,
     )
 
 
@@ -557,11 +588,11 @@ def delta_mse_check(
     identity = tuple((k,) for k in range(D))
     single = monte_carlo_bias_variance(
         task, [task_index], identity, task_index, n_train, replicates, n_eval,
-        seed=seed,
+        seed=seed, total=False,
     )
     agg = monte_carlo_bias_variance(
         task, cluster, identity, task_index, n_train, replicates, n_eval,
-        seed=seed + 1,
+        seed=seed + 1, total=False,
     )
     sigma_i = float(task.noise.sigmas[task_index])
     sbar = aggregated_noise_variance(task.noise, cluster)

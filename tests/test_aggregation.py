@@ -580,6 +580,43 @@ class TestDriver:
             assert accepts[phase] == sum(r.accepted for r in records), phase
         assert 0 < sum(accepts.values()) < len(result.trace)
 
+    def test_zero_variance_target_makes_no_phase2_fit(self, monkeypatch):
+        # Every merge against a constant target is rejected on the target
+        # alone, so that task cluster's phase II needs no least-squares fit.
+        ds = with_columns(
+            make_centered(seed=1, n=20, D=30, L=2), targets={1: lambda Y: 0.0}
+        )
+        lstsq, greedy = np.linalg.lstsq, aggregation._greedy
+        walk, fits = [None], {}
+
+        def counted(*args, **kw):
+            fits[walk[0]] = fits.get(walk[0], 0) + 1
+            return lstsq(*args, **kw)
+
+        def tagged(order, model):
+            walk[0] = getattr(model, "task_cluster", "phase1")
+            try:
+                return greedy(order, model)
+            finally:
+                walk[0] = None
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        monkeypatch.setattr(aggregation, "_greedy", tagged)
+        result = nonlin_ctfa(ds, -1e6, 1e-3, seed=1)
+        monkeypatch.undo()
+
+        assert sorted(result.task_partition.clusters) == [(0,), (1,)]
+        zero = result.task_partition.clusters.index((1,))
+        records = [r for r in result.trace if r.phase == 2 and r.task_cluster == zero]
+        assert records and fits.get(zero, 0) == 0
+        assert fits[1 - zero] > 0
+        # The same records as a walk that refits every working matrix.
+        psi = result.task_partition.aggregated_targets[:, zero]
+        refits = aggregation._FeatureRefits(ds.features, psi, 1e-3, zero)
+        _, want = greedy(list(range(ds.n_features)), refits)
+        assert records == want
+        assert all(not r.accepted and r.note for r in records)
+
     def test_package_exports_reevaluation_and_fit(self):
         import mtaggr
 

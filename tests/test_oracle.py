@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mtaggr.aggregation import REPLAY_ATOL, REPLAY_RTOL
 from mtaggr.data import _cluster_means
+from mtaggr import oracle
 from mtaggr.errors import ValidationError
 from mtaggr.oracle import (
     BiasDecomposition,
@@ -387,6 +388,107 @@ class TestStackedSolve:
         assert np.signbit(matrix[0]).all()
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def previous_bootstrap_ses(preds, f_eval, per_rep_total, n_boot, rep_seed):
+    """The bootstrap as it was before its means over x became row dot products."""
+    R = preds.shape[0]
+    rng = np.random.default_rng(rep_seed)
+    counts = rng.multinomial(R, np.full(R, 1.0 / R), size=n_boot) / R
+    m1 = counts @ preds
+    m2 = counts @ (preds**2).mean(axis=1)
+    var_terms = (m2 - (m1**2).mean(axis=1)) * (R / (R - 1))
+    bias_terms = ((m1 - f_eval[None, :]) ** 2).mean(axis=1) - var_terms / R
+    total_terms = counts @ per_rep_total
+    return (
+        float(np.std(var_terms, ddof=1)),
+        float(np.std(bias_terms, ddof=1)),
+        float(np.std(total_terms, ddof=1)),
+    )
+
+
+NON_TOTAL_FIELDS = ("variance_term", "bias_term", "noise_term", "variance_se",
+                    "bias_se", "noise_se", "replicates")
+
+
+class TestTotalOptional:
+    """``total=False`` skips the total estimate and leaves every other field alone."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(1, 3),
+        mixed=st.booleans(),
+        D=st.integers(2, 6),
+        data=st.data(),
+    )
+    def test_other_fields_bit_identical(self, k, mixed, D, data):
+        partition = identity(D)
+        if mixed:
+            labels = data.draw(st.lists(st.integers(0, 2), min_size=D, max_size=D),
+                               label="labels")
+            partition = partition_from_labels(labels)
+        L = len(partition)
+        n_train = data.draw(st.integers(L + 2, 500), label="n_train")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        rng = np.random.default_rng(seed)
+        task = make_task(rng.uniform(-1.0, 1.0, (k, D)),
+                         NoiseModel.equicorrelated(1.0, k, 0.3))
+        args = (task, range(k), partition, 0, n_train, 100, 10_000)
+        full = monte_carlo_bias_variance(*args, seed=seed, bootstrap=20)
+        part = monte_carlo_bias_variance(*args, seed=seed, bootstrap=20, total=False)
+        for name in NON_TOTAL_FIELDS:
+            a, b = getattr(full, name), getattr(part, name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+        assert full.total_mse is not None and full.total_se is not None
+        assert part.total_mse is None and part.total_se is None
+        # The warning weighs only the standard errors that were computed.
+        computed = max(part.variance_se, part.bias_se)
+        for se_target in (computed, 0.5 * computed):
+            full = monte_carlo_bias_variance(*args, seed=seed, bootstrap=20,
+                                             se_target=se_target)
+            part = monte_carlo_bias_variance(*args, seed=seed, bootstrap=20,
+                                             se_target=se_target, total=False)
+            assert (part.warning is not None) == (computed > se_target)
+            assert (full.warning is not None) == (
+                max(computed, full.total_se) > se_target
+            )
+
+    def test_warning_ignores_the_skipped_total(self):
+        task = make_task(np.ones(3), NoiseModel.independent(1.0, 1))
+        args = (task, [0], identity(3), 0, 100, 100, 10_000)
+        part = monte_carlo_bias_variance(*args, seed=0, total=False)
+        se_target = max(part.variance_se, part.bias_se)
+        full = monte_carlo_bias_variance(*args, seed=0, se_target=se_target)
+        assert full.total_se > se_target
+        assert full.warning is not None
+        assert monte_carlo_bias_variance(
+            *args, seed=0, se_target=se_target, total=False
+        ).warning is None
+
+    @pytest.mark.parametrize("n_boot", [0, 1])
+    def test_no_bootstrap(self, n_boot):
+        task = make_task(np.ones(3), NoiseModel.independent(1.0, 1))
+        args = (task, [0], identity(3), 0, 100, 100, 10_000)
+        full = monte_carlo_bias_variance(*args, seed=0, bootstrap=n_boot)
+        part = monte_carlo_bias_variance(*args, seed=0, bootstrap=n_boot,
+                                         total=False)
+        assert full.total_se is not None and part.total_se is None
+        assert full.variance_se == part.variance_se
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bootstrap_matches_previous_expression(self, seed):
+        rng = np.random.default_rng(seed)
+        R, n_eval = [(100, 10_000), (137, 2_000), (2, 50)][seed % 3]
+        scale = [1.0, 1e-3, 50.0][seed // 2]
+        f_eval = rng.standard_normal(n_eval) * scale
+        preds = f_eval + rng.standard_normal((R, n_eval)) * scale * 0.1
+        preds += rng.standard_normal(n_eval) * scale * 0.05
+        per_rep_total = rng.uniform(0.5, 1.5, R)
+        rep_seed = np.random.SeedSequence(seed)
+        got = oracle._bootstrap_ses(preds, f_eval, per_rep_total, 60, rep_seed)
+        want = previous_bootstrap_ses(preds, f_eval, per_rep_total, 60, rep_seed)
+        np.testing.assert_allclose(got, want, rtol=REPLAY_RTOL, atol=REPLAY_ATOL)
+        assert oracle._bootstrap_ses(preds, f_eval, None, 60, rep_seed)[2] is None
 
 
 class TestOracleInputValidation:
