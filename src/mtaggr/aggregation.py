@@ -142,8 +142,10 @@ class ThresholdReport:
     Phase 1 populates the three-fit scalars and both thresholds; phase 2
     populates the separated/aggregated pair (as ``r_p``/``r_ag``) and the
     R^2 gap.  ``cluster_id`` is the open cluster's index in creation order
-    and ``members`` its membership at test time (in merge order).  A
-    phase-2 record's working columns follow from the result's feature
+    and ``members`` its membership at test time, in walk order.  The walk
+    hands every report of one cluster state the same tuple, which is kept
+    as given; any other sequence is copied to a tuple of ints.  A phase-2
+    record's working columns follow from the result's feature
     partition of ``task_cluster``: the clusters before ``cluster_id``, the
     members, and every feature not yet in either as a singleton, so any
     record can be re-evaluated standalone.
@@ -173,7 +175,8 @@ class ThresholdReport:
     def __post_init__(self):
         if self.phase not in (1, 2):
             raise ValidationError(f"phase must be 1 or 2, got {self.phase}")
-        object.__setattr__(self, "members", tuple(map(int, self.members)))
+        if type(self.members) is not tuple:
+            object.__setattr__(self, "members", tuple(map(int, self.members)))
 
 
 # The recorded statistics a replay must reproduce.
@@ -284,7 +287,7 @@ def compute_threshold_features(
 
 
 def _working_matrices(
-    X: np.ndarray, closed, members: list[int], visited: set[int], j: int
+    X: np.ndarray, closed, members: tuple[int, ...], visited: set[int], j: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Phase-II working matrices before and after feature ``j`` joins the open cluster.
 
@@ -296,7 +299,7 @@ def _working_matrices(
     head = [tuple(sorted(c)) for c in closed]
     free = [k for k in range(X.shape[1]) if k not in visited]
     before = head + [tuple(sorted(members))] + [(k,) for k in free]
-    after = head + [tuple(sorted(members + [j]))] + [(k,) for k in free if k != j]
+    after = head + [tuple(sorted(members + (j,)))] + [(k,) for k in free if k != j]
     return _cluster_means(X, before), np.ascontiguousarray(_cluster_means(X, after))
 
 
@@ -492,7 +495,7 @@ class _SlabMerges:
         self.p_fit = self.singles[i]
 
     def compare(self, closed, members, visited, j: int) -> ThresholdReport:
-        extended = members + [j]
+        extended = members + (j,)
         slab_ag = np.mean([self.slabs[k] for k in extended], axis=0)
         self.ag_fit = threshold_fit(slab_ag, self.Y[:, extended].mean(axis=1))
         return compute_threshold_targets(
@@ -511,16 +514,18 @@ def _greedy(
 
     Each unvisited item opens a cluster and every later unvisited item is
     compared with it; ``model`` makes the comparisons and tracks the open
-    cluster.  Returns the clusters (creation order, members sorted
-    ascending) and the trace.
+    cluster.  The open cluster's members are one tuple in walk order,
+    rebound only on an accept, so every comparison of one cluster state
+    gets the same tuple and none copies it.  Returns the clusters (creation
+    order, members sorted ascending) and the trace.
     """
     visited: set[int] = set()
-    closed: list[list[int]] = []
+    closed: list[tuple[int, ...]] = []
     trace: list[ThresholdReport] = []
     for pos, i in enumerate(order):
         if i in visited:
             continue
-        members = [i]
+        members = (i,)
         visited.add(i)
         model.open(i)
         for j in order[pos + 1 :]:
@@ -530,7 +535,7 @@ def _greedy(
             trace.append(report)
             if report.accepted:
                 model.accept(members, j)
-                members.append(j)
+                members += (j,)
                 visited.add(j)
         closed.append(members)
     return tuple(tuple(sorted(c)) for c in closed), trace
@@ -588,7 +593,12 @@ def aggregation_loop(
 
 @dataclass(frozen=True)
 class AggregationResult:
-    """Complete output of a run: both partitions, the trace, and the knobs."""
+    """Complete output of a run: both partitions, the trace, and the knobs.
+
+    ``fingerprint`` names the centered data the run saw (see
+    :func:`_fingerprint`); it is None for a result read from a document
+    that predates it.
+    """
 
     task_partition: TaskPartition
     feature_partitions: tuple[FeaturePartition, ...]
@@ -597,6 +607,7 @@ class AggregationResult:
     epsilon1: float
     epsilon2: float
     homogeneous: bool = False
+    fingerprint: str | None = None
 
     def __post_init__(self):
         if len(self.feature_partitions) != self.task_partition.n_clusters:
@@ -618,6 +629,23 @@ def _check_centered(matrix: np.ndarray, what: str) -> None:
             f"{what} column {worst} has mean {matrix[:, worst].mean():g}; "
             "center the dataset first"
         )
+
+
+def _fingerprint(dataset: Dataset) -> str:
+    """The shape of a dataset and the SHA-256 of its feature, target and slab bytes.
+
+    Each matrix is hashed as its own block; the dataset stores them C
+    contiguous, so nothing is copied.
+    """
+    import hashlib  # only documents are fingerprinted; keep it off `import mtaggr`
+
+    slabs = dataset.per_task_features or ()
+    digest = hashlib.sha256()
+    for block in (dataset.features, dataset.targets, *slabs):
+        digest.update(np.ascontiguousarray(block))
+    n, D = dataset.features.shape
+    return (f"n={n} D={D} L={dataset.n_tasks} slabs={len(slabs)} "
+            f"sha256={digest.hexdigest()}")
 
 
 def _task_order(n_tasks: int, seed: int) -> np.ndarray:
@@ -667,6 +695,7 @@ def nonlin_ctfa(
         seed=seed,
         epsilon1=epsilon1,
         epsilon2=epsilon2,
+        fingerprint=_fingerprint(dataset),
     )
 
 
@@ -704,6 +733,7 @@ def nonlin_ctfa_homogeneous(
         epsilon1=epsilon,
         epsilon2=epsilon,
         homogeneous=True,
+        fingerprint=_fingerprint(dataset),
     )
 
 
@@ -789,20 +819,23 @@ def reevaluate_report(
 
     Every fit is an lstsq refit.  Raises ValidationError for a record that
     does not name a comparison of this result: members and candidate must be
-    distinct items of the dataset, and a phase-2 record must lie inside the
-    stored feature partitions.
+    distinct integer indices of the dataset's items, and a phase-2 record
+    must lie inside the stored feature partitions.
     """
-    members = list(report.members)
-    extended = members + [report.candidate]
+    members = report.members
+    extended = members + (report.candidate,)
     size = dataset.n_tasks if report.phase == 1 else dataset.n_features
     if (
         not members
         or len(set(extended)) < len(extended)
-        or not all(0 <= k < size for k in extended)
+        or not all(
+            isinstance(k, (int, np.integer)) and not isinstance(k, bool) and 0 <= k < size
+            for k in extended
+        )
     ):
         raise ValidationError(
             f"phase-{report.phase} record compares {report.candidate} with members "
-            f"{report.members}; both must be distinct items of {size}"
+            f"{report.members}; both must be distinct integer items of {size}"
         )
     ids = dict(cluster_id=report.cluster_id, candidate=report.candidate,
                members=report.members)
@@ -856,10 +889,15 @@ def reevaluate_report(
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-# (field name, document key) for every field of a trace record.
+FORMAT_VERSION = 2
+
+# (field name, document key) for every stored field of a trace record.  A
+# record's members are not stored: they follow from the partitions (see
+# :func:`_derived_trace`).
 _DOC_KEYS = tuple(
     (f.name, "cluster" if f.name == "cluster_id" else f.name)
     for f in fields(ThresholdReport)
+    if f.name != "members"
 )
 
 
@@ -867,11 +905,83 @@ def _report_to_dict(r: ThresholdReport) -> dict:
     return {key: getattr(r, name) for name, key in _DOC_KEYS}
 
 
-def _report_from_dict(d: dict) -> ThresholdReport:
+def _report_from_dict(d: dict, members: tuple[int, ...]) -> ThresholdReport:
     missing = [key for _, key in _DOC_KEYS if key not in d]
     if missing:
         raise ValidationError(f"trace record is missing keys {missing}")
-    return ThresholdReport(**{name: d[key] for name, key in _DOC_KEYS})
+    return ThresholdReport(members=members, **{name: d[key] for name, key in _DOC_KEYS})
+
+
+class _Step(NamedTuple):
+    cluster_id: int
+    candidate: int
+    members: tuple[int, ...]
+    accepted: bool
+
+
+class _StoredDecisions:
+    """Comparisons whose decisions are read from the partition a walk ended in.
+
+    Run through :func:`_greedy`, it yields each comparison of that walk:
+    a candidate is accepted exactly when the final partition puts it in the
+    open cluster.
+    """
+
+    def __init__(self, clusters):
+        self.cluster_of = {i: k for k, c in enumerate(clusters) for i in c}
+
+    def open(self, i: int) -> None:
+        self.opened = self.cluster_of[i]
+
+    def compare(self, closed, members, visited, j: int) -> _Step:
+        return _Step(len(closed), j, members, self.cluster_of[j] == self.opened)
+
+    def accept(self, members, j: int) -> None:
+        pass
+
+
+def _derived_trace(records: list, walks, legacy: bool) -> list[ThresholdReport]:
+    """The trace records of ``walks``, with the members each was tested against.
+
+    ``walks`` holds (phase, task cluster, walk order, final clusters) in
+    trace order.  A record's members are the members of its final cluster
+    that precede its candidate in walk order; they are rebuilt by walking
+    each order with the decisions the stored clusters imply, which also
+    gives every record's cluster, candidate and decision.  Raises
+    ValidationError if the records or the clusters differ from that walk,
+    or, for ``legacy`` documents, if a record's stored members do.
+    """
+    steps = []
+    for phase, task_cluster, order, clusters in walks:
+        walked, walk_steps = _greedy(order, _StoredDecisions(clusters))
+        if walked != clusters:
+            raise ValidationError(
+                f"the stored phase-{phase} clusters are not the ones their walk "
+                "ends in, in its order of creation"
+            )
+        steps.extend((phase, task_cluster, step) for step in walk_steps)
+    if len(records) != len(steps):
+        raise ValidationError(
+            f"trace has {len(records)} records; the partitions imply {len(steps)}"
+        )
+    trace = []
+    for k, (d, (phase, task_cluster, step)) in enumerate(zip(records, steps)):
+        report = _report_from_dict(d, step.members)
+        got = (report.phase, report.task_cluster, report.cluster_id,
+               report.candidate, report.accepted)
+        want = (phase, task_cluster, step.cluster_id, step.candidate, step.accepted)
+        if got != want:
+            raise ValidationError(
+                f"trace record {k} has (phase, task cluster, cluster, candidate, "
+                f"accepted) {got}; the partitions imply {want}"
+            )
+        if legacy and d.get("members") != list(step.members):
+            raise ValidationError(
+                f"trace record {k} stores members {d.get('members')}; "
+                f"the partitions imply {list(step.members)}"
+            )
+        trace.append(report)
+    return trace
 
 
 def result_to_json(result: AggregationResult) -> str:
@@ -881,10 +991,12 @@ def result_to_json(result: AggregationResult) -> str:
     lines keep the file readable with line tools.
     """
     head = json.dumps({
+        "format_version": FORMAT_VERSION,
         "seed": result.seed,
         "epsilon1": result.epsilon1,
         "epsilon2": result.epsilon2,
         "homogeneous": result.homogeneous,
+        "fingerprint": result.fingerprint,
         "task_clusters": result.task_partition.clusters,
         "feature_clusters": [fp.clusters for fp in result.feature_partitions],
     })
@@ -893,10 +1005,21 @@ def result_to_json(result: AggregationResult) -> str:
 
 
 def result_from_json(text: str, dataset: Dataset) -> AggregationResult:
-    """Rebuild a result against the dataset it was fitted on."""
+    """Rebuild a result against the dataset it was fitted on.
+
+    Raises ValidationError when the document was written from other data,
+    for a variant the data does not fit, or with a trace that its
+    partitions cannot have produced.
+    """
     doc = json.loads(text)
-    for key in ("seed", "epsilon1", "epsilon2", "task_clusters", "feature_clusters",
-                "trace"):
+    version = doc.get("format_version", 1)
+    if type(version) is not int or version not in (1, FORMAT_VERSION):
+        raise ValidationError(f"unknown result format_version {version!r}")
+    keys = ["seed", "epsilon1", "epsilon2", "task_clusters", "feature_clusters",
+            "trace"]
+    if version == FORMAT_VERSION:
+        keys += ["homogeneous", "fingerprint"]
+    for key in keys:
         if key not in doc:
             raise ValidationError(f"result document is missing key {key!r}")
     task_partition = TaskPartition.from_clusters(doc["task_clusters"], dataset.targets)
@@ -904,27 +1027,46 @@ def result_from_json(text: str, dataset: Dataset) -> AggregationResult:
     feature_partitions = tuple(
         FeaturePartition.from_clusters(fc, source) for fc in doc["feature_clusters"]
     )
-    trace = tuple(_report_from_dict(d) for d in doc["trace"])
-    if "homogeneous" in doc:
-        homogeneous = doc["homogeneous"]
-        if not isinstance(homogeneous, bool):
-            raise ValidationError(
-                f"'homogeneous' must be true or false, got {homogeneous!r}"
-            )
+    legacy = version == 1
+    if legacy:
+        # Documents without a version store every record's members, which
+        # are checked against the derived ones, and carry no fingerprint.
+        # Those written before the variant was stored infer it: a
+        # homogeneous run needs slabs and leaves every feature cluster a
+        # singleton.
+        fingerprint = None
+        homogeneous = doc.get("homogeneous", dataset.per_task_features is not None
+                              and all(len(c) == 1 for fp in feature_partitions
+                                      for c in fp.clusters))
     else:
-        # Documents written before the variant was stored: a homogeneous run
-        # needs slabs and leaves every feature cluster a singleton.
-        homogeneous = dataset.per_task_features is not None and all(
-            len(c) == 1 for fp in feature_partitions for c in fp.clusters
+        fingerprint, homogeneous = doc["fingerprint"], doc["homogeneous"]
+    if not isinstance(homogeneous, bool):
+        raise ValidationError(f"'homogeneous' must be true or false, got {homogeneous!r}")
+    if homogeneous and dataset.per_task_features is None:
+        raise ValidationError("a homogeneous result needs data with per-task slabs")
+    if homogeneous and any(len(c) > 1 for fp in feature_partitions for c in fp.clusters):
+        raise ValidationError("a homogeneous result merges no features")
+    if fingerprint is not None and fingerprint != _fingerprint(dataset):
+        raise ValidationError(
+            f"result was written from data {fingerprint}, not {_fingerprint(dataset)}"
         )
+
+    seed = int(doc["seed"])
+    walks = [(1, None, [int(i) for i in _task_order(dataset.n_tasks, seed)],
+              task_partition.clusters)]
+    if not homogeneous:
+        features = list(range(dataset.n_features))
+        walks += [(2, t, features, fp.clusters) for t, fp in enumerate(feature_partitions)]
+    trace = _derived_trace(doc["trace"], walks, legacy)
     return AggregationResult(
         task_partition=task_partition,
         feature_partitions=feature_partitions,
         trace=trace,
-        seed=int(doc["seed"]),
+        seed=seed,
         epsilon1=float(doc["epsilon1"]),
         epsilon2=float(doc["epsilon2"]),
         homogeneous=homogeneous,
+        fingerprint=fingerprint,
     )
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,24 @@ from mtaggr import aggregation
 from mtaggr.data import Dataset, center
 from mtaggr.errors import ValidationError
 from mtaggr.synth import SynthConfig, generate
+
+
+# A result document as written before format_version 2: every trace record
+# stores its members.  It is the result of nonlin_ctfa(make_centered(seed=9),
+# 0.0, 1e-4, seed=1).
+V1_DOCUMENT = Path(__file__).resolve().parent / "data" / "result_v1.json"
+
+
+def v1_document(result) -> dict:
+    """The document of ``result`` in the layout of :data:`V1_DOCUMENT`."""
+    doc = json.loads(result_to_json(result))
+    del doc["format_version"], doc["fingerprint"]
+    doc["trace"] = [
+        {**{k: d[k] for k in ("phase", "cluster", "candidate")},
+         "members": list(r.members), **d}
+        for d, r in zip(doc["trace"], result.trace)
+    ]
+    return doc
 
 
 def centered(a):
@@ -441,18 +460,21 @@ class TestDriver:
         text = result_to_json(result)
         # The layout written with json.dumps(doc, indent=2) before records
         # moved onto single lines, built here from the result's fields.
+        # Version 2 stores no members.
         indented = json.dumps({
+            "format_version": 2,
             "seed": result.seed,
             "epsilon1": result.epsilon1,
             "epsilon2": result.epsilon2,
             "homogeneous": result.homogeneous,
+            "fingerprint": result.fingerprint,
             "task_clusters": [list(c) for c in result.task_partition.clusters],
             "feature_clusters": [
                 [list(c) for c in fp.clusters] for fp in result.feature_partitions
             ],
             "trace": [
                 {("cluster" if f.name == "cluster_id" else f.name): getattr(r, f.name)
-                 for f in dataclasses.fields(r)}
+                 for f in dataclasses.fields(r) if f.name != "members"}
                 for r in result.trace
             ],
         }, indent=2)
@@ -462,6 +484,7 @@ class TestDriver:
         assert [list(r) for r in doc["trace"]] == [list(r) for r in want["trace"]]
         lines = text.splitlines()
         assert text.endswith("]}\n") and lines[-1] == "]}"
+        assert lines[0].startswith('{"format_version": 2, ')
         assert lines[0].endswith('"trace": [')
         assert len(lines) == len(result.trace) + 2
         for line, record in zip(lines[1:-1], want["trace"]):
@@ -479,7 +502,7 @@ class TestDriver:
         # them as "context" on every phase-2 record; the key is ignored.
         build, eps1, eps2, seed = REEVALUATION_CASES["duplicate_column"]
         ds = build()
-        doc = json.loads(result_to_json(nonlin_ctfa(ds, eps1, eps2, seed=seed)))
+        doc = v1_document(nonlin_ctfa(ds, eps1, eps2, seed=seed))
         phase2 = [r for r in doc["trace"] if r["phase"] == 2]
         assert phase2 and any(len(r["members"]) > 1 for r in phase2)
         for r in phase2:
@@ -516,7 +539,8 @@ class TestDriver:
     @pytest.mark.parametrize(
         "change",
         ["negative_candidate", "negative_member", "candidate_past_end",
-         "member_past_end", "no_members", "candidate_is_member"],
+         "member_past_end", "no_members", "candidate_is_member",
+         "fractional_member"],
     )
     def test_reevaluation_rejects_phase1_records_outside_the_tasks(
         self, change, homogeneous
@@ -535,6 +559,7 @@ class TestDriver:
             "member_past_end": {"members": report.members + (T,)},
             "no_members": {"members": ()},
             "candidate_is_member": {"candidate": report.members[0]},
+            "fractional_member": {"members": report.members[:-1] + (0.5,)},
         }[change]
         with pytest.raises(ValidationError):
             reevaluate_report(ds, result, dataclasses.replace(report, **fields))
@@ -642,9 +667,207 @@ class TestDriver:
     def test_json_without_variant_key_infers_it(self):
         ds = make_homogeneous(seed=6)
         result = nonlin_ctfa_homogeneous(ds, 0.0, seed=1)
-        doc = json.loads(result_to_json(result))
+        doc = v1_document(result)
         del doc["homogeneous"]
         assert result_from_json(json.dumps(doc), ds).homogeneous
+
+
+def degenerate_dataset(n, D, L, homogeneous, degenerate, seed):
+    """Random centered data with one degenerate feature or target column."""
+    rng = np.random.default_rng(seed)
+    slabs = [rng.standard_normal((n, D)) for _ in range(L if homogeneous else 1)]
+    for X in slabs:
+        if degenerate == "duplicate" and D > 1:
+            X[:, -1] = X[:, 0]
+        if degenerate == "constant_column":
+            X[:, -1] = 1.0
+    Y = np.column_stack(
+        [slabs[t % len(slabs)] @ rng.standard_normal(D) for t in range(L)]
+    ) + rng.standard_normal((n, L))
+    if degenerate == "constant_target":
+        Y[:, -1] = 3.0
+    slabs = [centered(X) for X in slabs]
+    if homogeneous:
+        return Dataset(np.mean(slabs, axis=0), centered(Y), per_task_features=slabs)
+    return Dataset(slabs[0], centered(Y))
+
+
+def run_variant(ds, homogeneous, eps1, eps2, seed):
+    if homogeneous:
+        return nonlin_ctfa_homogeneous(ds, eps1, seed=seed)
+    return nonlin_ctfa(ds, eps1, eps2, seed=seed)
+
+
+class TestResultDocument:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(3, 30),
+        D=st.integers(1, 12),
+        L=st.integers(1, 5),
+        homogeneous=st.booleans(),
+        degenerate=st.sampled_from([None, "duplicate", "constant_column",
+                                    "constant_target"]),
+        eps1=st.sampled_from([-1e6, 0.0, 0.5, 1e6]),
+        eps2=st.sampled_from([-1e6, 0.0, 1e-3, 1e6]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_round_trip_rebuilds_every_record(
+        self, n, D, L, homogeneous, degenerate, eps1, eps2, seed
+    ):
+        ds = degenerate_dataset(n, D, L, homogeneous, degenerate, seed)
+        result = run_variant(ds, homogeneous, eps1, eps2, seed)
+        text = result_to_json(result)
+        loaded = result_from_json(text, ds)
+        assert loaded.trace == result.trace
+        assert [r.members for r in loaded.trace] == [r.members for r in result.trace]
+        for field in ("seed", "epsilon1", "epsilon2", "homogeneous", "fingerprint"):
+            assert getattr(loaded, field) == getattr(result, field), field
+        assert loaded.task_partition.clusters == result.task_partition.clusters
+        assert [fp.clusters for fp in loaded.feature_partitions] == [
+            fp.clusters for fp in result.feature_partitions
+        ]
+        assert_replay(ds, loaded)
+        assert_reevaluates(ds, loaded)
+        assert result_to_json(loaded) == text
+
+    # Tolerances at which both variants accept some merges and reject others.
+    @pytest.mark.parametrize("homogeneous, epsilon", [(False, 0.0), (True, 1.2)])
+    def test_records_of_one_cluster_state_share_their_members(
+        self, homogeneous, epsilon
+    ):
+        ds = make_homogeneous(seed=6, L=8, shared_signal=homogeneous)
+        result = run_variant(ds, homogeneous, epsilon, 1e-3, 1)
+        loaded = result_from_json(result_to_json(result), ds)
+        for trace in (result.trace, loaded.trace):
+            shared = grown = 0
+            for a, b in zip(trace, trace[1:]):
+                if (a.phase, a.task_cluster, a.cluster_id) != (
+                        b.phase, b.task_cluster, b.cluster_id):
+                    continue
+                if a.accepted:
+                    assert b.members == a.members + (a.candidate,)
+                    grown += 1
+                else:
+                    assert b.members is a.members
+                    shared += 1
+            assert shared and grown
+
+    def test_fingerprint_names_the_data(self):
+        ds = make_homogeneous(seed=6)
+        shared = nonlin_ctfa(ds, 0.0, 1e-3, seed=1).fingerprint
+        assert shared == nonlin_ctfa_homogeneous(ds, 0.0, seed=2).fingerprint
+        assert shared.startswith(f"n={ds.n_samples} D={ds.n_features} "
+                                 f"L={ds.n_tasks} slabs={ds.n_tasks} sha256=")
+        changed = [s.copy() for s in ds.per_task_features]
+        changed[-1][0, 0] += 1.0
+        other = Dataset(ds.features, ds.targets, per_task_features=changed)
+        assert nonlin_ctfa(other, 0.0, 1e-3, seed=1).fingerprint != shared
+
+    @pytest.mark.parametrize("cell", ["feature", "target", "slab"])
+    def test_rejects_other_data(self, cell):
+        ds = make_homogeneous(seed=6)
+        text = result_to_json(nonlin_ctfa_homogeneous(ds, 0.0, seed=1))
+        X, Y = ds.features.copy(), ds.targets.copy()
+        slabs = [s.copy() for s in ds.per_task_features]
+        {"feature": X, "target": Y, "slab": slabs[2]}[cell][5, 1] += 1e-9
+        with pytest.raises(ValidationError, match="written from data"):
+            result_from_json(text, Dataset(X, Y, per_task_features=slabs))
+
+    def test_rejects_the_wrong_variant(self):
+        slab_ds = make_homogeneous(seed=6)
+        plain_ds = Dataset(slab_ds.features, slab_ds.targets)
+        homogeneous = result_to_json(nonlin_ctfa_homogeneous(slab_ds, 0.0, seed=1))
+        with pytest.raises(ValidationError, match="per-task slabs"):
+            result_from_json(homogeneous, plain_ds)
+        shared = result_to_json(nonlin_ctfa(plain_ds, 0.0, 1e-3, seed=1))
+        with pytest.raises(ValidationError, match="per-task slabs"):
+            result_from_json(shared.replace('"homogeneous": false', '"homogeneous": true'),
+                             plain_ds)
+        # The reverse: a shared-feature run on data without slabs, read
+        # against the same matrices with slabs.
+        with pytest.raises(ValidationError, match="slabs=0"):
+            result_from_json(shared, slab_ds)
+
+    @pytest.mark.parametrize("version", [0, 3, "2", 2.0, True, None])
+    def test_rejects_an_unknown_format_version(self, version):
+        ds = make_centered(seed=9)
+        doc = json.loads(result_to_json(nonlin_ctfa(ds, 0.0, 1e-4, seed=1)))
+        doc["format_version"] = version
+        with pytest.raises(ValidationError, match="format_version"):
+            result_from_json(json.dumps(doc), ds)
+
+    @pytest.mark.parametrize("tamper", [
+        "move_task", "swap_task_clusters", "move_feature", "flip_decision",
+        "drop_record", "change_candidate", "homogeneous_merged_features",
+    ])
+    def test_rejects_a_trace_the_partitions_cannot_produce(self, tamper):
+        ds = make_centered(seed=9)
+        result = nonlin_ctfa(ds, 0.0, 1e-4, seed=1)
+        assert result.task_partition.clusters == ((0, 1), (2, 3))
+        assert result.feature_partitions[1].clusters == ((0, 4), (1, 2, 3, 5))
+        doc = json.loads(result_to_json(result))
+        trace = doc["trace"]
+        if tamper == "move_task":
+            doc["task_clusters"] = [[0, 1, 2], [3]]
+        elif tamper == "swap_task_clusters":
+            doc["task_clusters"] = doc["task_clusters"][::-1]
+        elif tamper == "move_feature":
+            doc["feature_clusters"][1] = [[0, 4, 5], [1, 2, 3]]
+        elif tamper == "flip_decision":
+            trace[3]["accepted"] = not trace[3]["accepted"]
+        elif tamper == "drop_record":
+            del trace[-1]
+        elif tamper == "change_candidate":
+            trace[-1]["candidate"] = 0
+        else:
+            doc["homogeneous"] = True
+            slab_ds = Dataset(ds.features, ds.targets,
+                              per_task_features=[ds.features] * ds.n_tasks)
+            doc["fingerprint"] = aggregation._fingerprint(slab_ds)
+            ds = slab_ds
+        with pytest.raises(ValidationError):
+            result_from_json(json.dumps(doc), ds)
+
+    def test_v1_document_loads_through_the_legacy_branch(self):
+        ds = make_centered(seed=9)
+        text = V1_DOCUMENT.read_text(encoding="utf-8")
+        loaded = result_from_json(text, ds)
+        fresh = nonlin_ctfa(ds, 0.0, 1e-4, seed=1)
+        assert loaded.fingerprint is None and not loaded.homogeneous
+        assert [r.members for r in loaded.trace] == [r.members for r in fresh.trace]
+        assert any(len(r.members) > 1 for r in loaded.trace if r.phase == 1)
+        assert any(len(r.members) > 1 for r in loaded.trace if r.phase == 2)
+        assert_replay(ds, loaded)
+        assert_reevaluates(ds, loaded)
+        # v1_document writes the same layout, so the legacy tests can build
+        # v1 documents from any result.
+        doc, mimic = json.loads(text), v1_document(fresh)
+        assert list(doc) == list(mimic)
+        assert [list(r) for r in doc["trace"]] == [list(r) for r in mimic["trace"]]
+        assert [r["members"] for r in doc["trace"]] == [
+            r["members"] for r in mimic["trace"]
+        ]
+        # Written again it is a v2 document with no fingerprint to check.
+        again = result_to_json(loaded)
+        assert json.loads(again)["fingerprint"] is None
+        assert result_to_json(result_from_json(again, ds)) == again
+
+    @pytest.mark.parametrize("change", ["extra_member", "missing_member",
+                                        "reordered", "absent"])
+    def test_rejects_v1_members_that_disagree_with_the_partitions(self, change):
+        ds = make_centered(seed=9)
+        doc = json.loads(V1_DOCUMENT.read_text(encoding="utf-8"))
+        record = next(r for r in doc["trace"] if len(r["members"]) > 1)
+        if change == "extra_member":
+            record["members"].append(record["candidate"])
+        elif change == "missing_member":
+            record["members"].pop()
+        elif change == "reordered":
+            record["members"].reverse()
+        else:
+            del record["members"]
+        with pytest.raises(ValidationError, match="members"):
+            result_from_json(json.dumps(doc), ds)
 
 
 class TestApplyPartition:

@@ -82,9 +82,12 @@ class TestAggregateCommand:
                    "--targets", "y0,y1,y2", "--seed", "1", "--out-dir", str(out))
         assert code == 0
         doc = json.loads((out / "result.json").read_text())
-        assert set(doc) == {"seed", "epsilon1", "epsilon2", "homogeneous",
-                            "task_clusters", "feature_clusters", "trace"}
+        assert set(doc) == {"format_version", "seed", "epsilon1", "epsilon2",
+                            "homogeneous", "fingerprint", "task_clusters",
+                            "feature_clusters", "trace"}
+        assert doc["format_version"] == 2
         assert doc["homogeneous"] is False
+        assert doc["trace"] and not any("members" in r for r in doc["trace"])
         assert (out / "summary.txt").exists()
         assert (out / "reduced_cluster0.csv").exists()
         assert "clusters" in capsys.readouterr().out
