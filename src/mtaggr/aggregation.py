@@ -31,9 +31,10 @@ the models fit nothing per comparison:
   the replay tolerance, each comparison refits its working matrix instead.
 
 The homogeneous model fits each task's slab once and each merged mean slab
-once per comparison.  The threshold tests take fits, not arrays: every model
-calls one of them once per comparison with the fits it holds, so the report
-and its decision are built in one place.  Callers that hold arrays, such as
+once per comparison, forming that slab from a running sum.  The threshold
+tests take fits, not arrays: every model calls one of them once per
+comparison with the fits it holds, so the report and its decision are built
+in one place.  Callers that hold arrays, such as
 standalone re-evaluation and the verification checks, fit first with lstsq
 (:func:`threshold_fit`), which serves as the reference.
 """
@@ -484,7 +485,9 @@ class _SlabMerges:
     A merged cluster's matrix is the mean of its members' slabs, so every
     fit has its own matrix.  Each task's own fit is made once; the fit of
     the merged mean is made once per comparison and, on an accept, becomes
-    the open cluster's fit.
+    the open cluster's fit.  The sum of the open cluster's slabs, added in
+    walk order, is kept, so a comparison forms its mean slab in O(n D)
+    however large the cluster grows.
     """
 
     def __init__(self, slabs, Y: np.ndarray, epsilon: float):
@@ -493,11 +496,14 @@ class _SlabMerges:
 
     def open(self, i: int) -> None:
         self.p_fit = self.singles[i]
+        self.slab_sum = self.slabs[i] + 0.0
 
     def compare(self, closed, members, visited, j: int) -> ThresholdReport:
         extended = members + (j,)
-        slab_ag = np.mean([self.slabs[k] for k in extended], axis=0)
-        self.ag_fit = threshold_fit(slab_ag, self.Y[:, extended].mean(axis=1))
+        self.ag_sum = self.slab_sum + self.slabs[j]
+        self.ag_fit = threshold_fit(
+            self.ag_sum / len(extended), self.Y[:, extended].mean(axis=1)
+        )
         return compute_threshold_targets(
             self.p_fit, self.singles[j], self.ag_fit, self.epsilon,
             cluster_id=len(closed), candidate=j, members=members,
@@ -505,6 +511,7 @@ class _SlabMerges:
 
     def accept(self, members, j: int) -> None:
         self.p_fit = self.ag_fit
+        self.slab_sum = self.ag_sum
 
 
 def _greedy(

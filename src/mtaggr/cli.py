@@ -23,7 +23,7 @@ from .aggregation import (
     result_to_json,
 )
 from .checks import VerifyBudget, run_checks
-from .data import center, load_dataset, save_dataset
+from .data import center, load_dataset, read_header, save_dataset
 from .errors import NumericalError, ValidationError
 from .synth import SynthConfig, generate, sweep
 
@@ -84,16 +84,8 @@ def _build_schema(header_targets: list[str], ignore: list[str], homogeneous: boo
     In homogeneous mode feature columns must be named ``<feature>@<target>``
     and are routed to that target's slab.
     """
-    import csv
-
     p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"no such file: {p}")
-    with p.open(newline="", encoding="utf-8") as fh:
-        try:
-            header = [h.strip() for h in next(csv.reader(fh))]
-        except StopIteration:
-            raise ValidationError(f"{p}: empty file") from None
+    header = read_header(p)
     schema: dict[str, str] = {}
     targets = set(header_targets)
     ignores = set(ignore)
@@ -170,10 +162,9 @@ def cmd_aggregate(args) -> int:
                 writer.writerow(
                     [f"phi{k}" for k in range(X.shape[1])] + [f"y_cluster{ci}"]
                 )
-                for r in range(X.shape[0]):
-                    writer.writerow(
-                        [repr(float(v)) for v in X[r]] + [repr(float(y[r]))]
-                    )
+                writer.writerows(
+                    map(repr, row.tolist()) for row in np.column_stack([X, y])
+                )
 
     lines = [
         f"tasks: {centered.n_tasks} -> {result.task_partition.n_clusters} clusters",

@@ -28,6 +28,7 @@ __all__ = [
     "FeaturePartition",
     "CenterResult",
     "load_dataset",
+    "read_header",
     "save_dataset",
     "center",
 ]
@@ -376,6 +377,93 @@ def _parse_cell(cell: str, line: int, column: str) -> float:
     return value
 
 
+def _not_utf8(p: Path, exc: UnicodeDecodeError) -> ValidationError:
+    return ValidationError(
+        f"{p}: not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})"
+    )
+
+
+def read_header(path) -> list[str]:
+    """The column names on the first row of a CSV file, stripped."""
+    p = Path(path)
+    if not p.exists():
+        raise ValidationError(f"no such file: {p}")
+    with p.open(newline="", encoding="utf-8") as fh:
+        try:
+            return [h.strip() for h in next(csv.reader(fh))]
+        except StopIteration:
+            raise ValidationError(f"{p}: empty file") from None
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(p, exc) from None
+
+
+# Bytes that csv and ``float`` read otherwise than numpy's C reader does.
+_NOT_FOR_THE_C_READER = (b'"', b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _read_table(p: Path, width: int) -> np.ndarray | None:
+    """The body of ``p`` as numpy's C reader parses it, or None where it may not.
+
+    The C reader converts a cell with the function Python's ``float`` uses,
+    so a table it returns holds the bits :func:`_parse_table` would.  Its
+    lines are not csv's, though: it does not know quotes, reads a lone
+    carriage return as a line end, and skips blank lines, which csv reports
+    as rows of zero fields.  It also strips the separators U+001C..U+001F
+    around a number as white space, which ``float`` refuses.  So the table
+    is taken only from a file without quotes, carriage returns or those
+    separators, with one row per data line of the header's width and every
+    value finite.  Any other file, including one with a cell the C reader
+    refuses, returns None.  The file is scanned in chunks, so no second
+    copy of it is held.
+    """
+    with p.open("rb") as fh:
+        chunk = fh.readline()  # the header
+        if fh.peek(1)[:1] == b"\n":
+            return None  # a blank line; a body of only those makes loadtxt warn
+        rows, last = -1, b"\n"  # -1: the header's line end is counted too
+        while chunk:
+            if any(s in chunk for s in _NOT_FOR_THE_C_READER):
+                return None
+            rows += chunk.count(b"\n")
+            last = chunk[-1:]
+            chunk = fh.read(1 << 20)
+    rows += last != b"\n"
+    if rows < 1:
+        return None  # loadtxt warns on a body without rows
+    try:
+        table = np.loadtxt(p, delimiter=",", skiprows=1, comments=None, dtype=float,
+                           ndmin=2, encoding="utf-8")
+    except ValueError:
+        return None
+    if table.shape != (rows, width) or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _parse_table(p: Path, header: Sequence[str]) -> np.ndarray:
+    """The body of ``p`` parsed by csv, one cell at a time through :func:`_parse_cell`.
+
+    Raises at the first bad row or cell in file order.
+    """
+    rows: list[array] = []
+    with p.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            next(reader)
+            for raw in reader:
+                line = reader.line_num
+                if len(raw) != len(header):
+                    raise ValidationError(
+                        f"line {line}: expected {len(header)} fields, got {len(raw)}"
+                    )
+                rows.append(array(
+                    "d", (_parse_cell(c, line, header[k]) for k, c in enumerate(raw))
+                ))
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(p, exc) from None
+    return np.frombuffer(b"".join(rows)).reshape(len(rows), len(header))
+
+
 def load_dataset(path, schema: Mapping[str, str]) -> Dataset:
     """Load a CSV file into a validated :class:`Dataset`.
 
@@ -386,90 +474,62 @@ def load_dataset(path, schema: Mapping[str, str]) -> Dataset:
     order in the file is preserved.
     """
     p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"no such file: {p}")
+    header = read_header(p)
+    if len(set(header)) != len(header):
+        raise ValidationError(f"{p}: duplicate column names in header")
 
-    with p.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{p}: empty file") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            raise ValidationError(f"{p}: duplicate column names in header")
+    unknown = sorted(set(schema) - set(header))
+    if unknown:
+        raise ValidationError(
+            f"schema names columns not present in {p}: {unknown}"
+        )
 
-        unknown = sorted(set(schema) - set(header))
-        if unknown:
+    roles: dict[str, str] = {}
+    for name in header:
+        role = schema.get(name, "ignore")
+        if role not in _SHARED_ROLES and not role.startswith("feature:"):
             raise ValidationError(
-                f"schema names columns not present in {p}: {unknown}"
+                f"column {name!r}: unknown role {role!r}"
             )
+        roles[name] = role
 
-        roles: dict[str, str] = {}
-        for name in header:
-            role = schema.get(name, "ignore")
-            if role not in _SHARED_ROLES and not role.startswith("feature:"):
-                raise ValidationError(
-                    f"column {name!r}: unknown role {role!r}"
-                )
-            roles[name] = role
+    feature_cols = [c for c in header if roles[c] == "feature"]
+    target_cols = [c for c in header if roles[c] == "target"]
+    slab_cols: dict[str, list[str]] = {}
+    for c in header:
+        if roles[c].startswith("feature:"):
+            owner = roles[c].split(":", 1)[1]
+            slab_cols.setdefault(owner, []).append(c)
 
-        feature_cols = [c for c in header if roles[c] == "feature"]
-        target_cols = [c for c in header if roles[c] == "target"]
-        slab_cols: dict[str, list[str]] = {}
-        for c in header:
-            if roles[c].startswith("feature:"):
-                owner = roles[c].split(":", 1)[1]
-                slab_cols.setdefault(owner, []).append(c)
+    if slab_cols:
+        if feature_cols:
+            raise ValidationError(
+                "cannot mix shared 'feature' columns with per-task "
+                "'feature:<target>' columns"
+            )
+        owners = set(slab_cols)
+        targets_set = set(target_cols)
+        if owners != targets_set:
+            raise ValidationError(
+                f"per-task feature owners {sorted(owners)} do not match "
+                f"target columns {sorted(targets_set)}"
+            )
+        widths = {t: len(cols) for t, cols in slab_cols.items()}
+        if len(set(widths.values())) != 1:
+            raise ValidationError(
+                f"per-task slabs must have equal column counts, got {widths}"
+            )
+    if not feature_cols and not slab_cols:
+        raise ValidationError("schema selects zero feature columns")
+    if not target_cols:
+        raise ValidationError("schema selects zero target columns")
 
-        if slab_cols:
-            if feature_cols:
-                raise ValidationError(
-                    "cannot mix shared 'feature' columns with per-task "
-                    "'feature:<target>' columns"
-                )
-            owners = set(slab_cols)
-            targets_set = set(target_cols)
-            if owners != targets_set:
-                raise ValidationError(
-                    f"per-task feature owners {sorted(owners)} do not match "
-                    f"target columns {sorted(targets_set)}"
-                )
-            widths = {t: len(cols) for t, cols in slab_cols.items()}
-            if len(set(widths.values())) != 1:
-                raise ValidationError(
-                    f"per-task slabs must have equal column counts, got {widths}"
-                )
-        if not feature_cols and not slab_cols:
-            raise ValidationError("schema selects zero feature columns")
-        if not target_cols:
-            raise ValidationError("schema selects zero target columns")
-
-        index = {name: k for k, name in enumerate(header)}
-        rows: list[array] = []
-        for raw in reader:
-            line = reader.line_num
-            if len(raw) != len(header):
-                raise ValidationError(
-                    f"line {line}: expected {len(header)} fields, got {len(raw)}"
-                )
-            # The whole row goes through float and isfinite in C, into an
-            # array of doubles, so no float object outlives its row.  Only a
-            # row that fails is scanned cell by cell, which raises at its
-            # first bad cell.
-            try:
-                row = array("d", map(float, raw))
-                if not all(map(math.isfinite, row)):
-                    raise ValueError
-            except ValueError:
-                for k, c in enumerate(raw):
-                    _parse_cell(c, line, header[k])
-                raise AssertionError("unreachable: a failing row has a bad cell")
-            rows.append(row)
-
-    if len(rows) < 2:
-        raise ValidationError(f"{p}: need at least 2 data rows, got {len(rows)}")
-    table = np.frombuffer(b"".join(rows)).reshape(len(rows), len(header))
+    index = {name: k for k, name in enumerate(header)}
+    table = _read_table(p, len(header))
+    if table is None:
+        table = _parse_table(p, header)
+    if table.shape[0] < 2:
+        raise ValidationError(f"{p}: need at least 2 data rows, got {table.shape[0]}")
 
     targets = table[:, [index[c] for c in target_cols]]
     if slab_cols:
@@ -501,10 +561,8 @@ def save_dataset(dataset: Dataset, path) -> None:
     with p.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(dataset.feature_names) + list(dataset.target_names))
-        for i in range(dataset.n_samples):
-            row = [repr(float(v)) for v in dataset.features[i]]
-            row += [repr(float(v)) for v in dataset.targets[i]]
-            writer.writerow(row)
+        table = np.hstack([dataset.features, dataset.targets])
+        writer.writerows(map(repr, row.tolist()) for row in table)
 
 
 def schema_for(dataset: Dataset) -> dict[str, str]:

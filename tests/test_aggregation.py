@@ -963,6 +963,98 @@ class TestHomogeneousVariant:
         assert_reevaluates(ds, result)
 
 
+class MeanSlabMerges:
+    """The homogeneous comparisons taking ``np.mean`` over the members' slabs.
+
+    The reference for :class:`mtaggr.aggregation._SlabMerges`, which forms
+    the same mean slab from a running sum.
+    """
+
+    def __init__(self, slabs, Y, epsilon):
+        self.slabs, self.Y, self.epsilon = slabs, Y, epsilon
+        self.singles = [threshold_fit(slab, Y[:, t]) for t, slab in enumerate(slabs)]
+
+    def open(self, i):
+        self.p_fit = self.singles[i]
+
+    def compare(self, closed, members, visited, j):
+        extended = members + (j,)
+        slab_ag = np.mean([self.slabs[k] for k in extended], axis=0)
+        self.ag_fit = threshold_fit(slab_ag, self.Y[:, extended].mean(axis=1))
+        return compute_threshold_targets(
+            self.p_fit, self.singles[j], self.ag_fit, self.epsilon,
+            cluster_id=len(closed), candidate=j, members=members,
+        )
+
+    def accept(self, members, j):
+        self.p_fit = self.ag_fit
+
+
+@st.composite
+def slab_sets(draw):
+    """Tasks drawn as copies of a few base tasks, and a walk order.
+
+    A task either repeats its base exactly (slab and target) or adds noise
+    of a drawn scale.  Entries are multiples of 1/4, so that a mean over
+    copies of one slab is that slab to the bit, and some zeros are -0.0.
+    Returns the slabs, the targets, the order and each task's copy group
+    (exact copies share one; a noisy task has its own).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    L = draw(st.integers(9, 14))
+    n, D = draw(st.integers(12, 30)), draw(st.integers(1, 4))
+    n_bases = draw(st.integers(1, 3))
+    bases = []
+    for _ in range(n_bases):
+        slab = rng.integers(-8, 9, (n, D)) / 4.0
+        slab[(slab == 0.0) & (rng.random((n, D)) < 0.5)] = -0.0
+        y = slab @ rng.integers(-4, 5, D) + rng.integers(-4, 5, n) / 4.0
+        bases.append((slab, y))
+    noise = draw(st.sampled_from([0.0, 0.0, 0.25, 1.0]))
+    slabs, cols, groups = [], [], []
+    for t in range(L):
+        b = draw(st.integers(0, n_bases - 1))
+        slab, y = bases[b]
+        if noise and draw(st.booleans()):
+            slab = slab + np.round(noise * rng.standard_normal((n, D)) * 4) / 4
+            y = y + np.round(noise * rng.standard_normal(n) * 4) / 4
+            groups.append(n_bases + t)
+        else:
+            groups.append(b)
+        slabs.append(slab.copy())
+        cols.append(y)
+    order = draw(st.permutations(range(L)))
+    return tuple(slabs), np.column_stack(cols), list(order), groups
+
+
+class TestSlabWalk:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(slab_sets(), st.sampled_from([0.0, 0.0, 0.05, 1.0, 1e6, -1e6]))
+    def test_running_sum_matches_mean_of_members(self, tasks, epsilon):
+        slabs, Y, order, groups = tasks
+        clusters, trace = aggregation._greedy(
+            order, aggregation._SlabMerges(slabs, Y, epsilon)
+        )
+        want_clusters, want_trace = aggregation._greedy(
+            order, MeanSlabMerges(slabs, Y, epsilon)
+        )
+        assert clusters == want_clusters
+        assert len(trace) == len(want_trace)
+        for got, want in zip(trace, want_trace):
+            assert (got.cluster_id, got.candidate, got.members, got.accepted,
+                    got.note) == (want.cluster_id, want.candidate, want.members,
+                                  want.accepted, want.note)
+            for f in TRACE_SCALARS:
+                a, b = getattr(got, f), getattr(want, f)
+                assert (a is None) == (b is None), f
+                if a is not None:
+                    assert np.isclose(a, b, rtol=REPLAY_RTOL, atol=REPLAY_ATOL), f
+            # Exact copies tie, and so merge at any epsilon >= 0.
+            copies = {groups[k] for k in got.members + (got.candidate,)}
+            if epsilon >= 0.0 and len(copies) == 1:
+                assert got.accepted and got.threshold1 == got.threshold2 == 0.0
+
+
 class TestComparisonBudget:
     def test_randomized_budget_bounds(self):
         rng = np.random.default_rng(30)

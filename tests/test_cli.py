@@ -119,6 +119,19 @@ class TestAggregateCommand:
         p.write_text("a,y\n1,2\nNaN,4\n")
         assert run("aggregate", "--input", str(p), "--targets", "y") == 1
 
+    @pytest.mark.parametrize("good_rows", [0, 2000])
+    def test_non_utf8_input_exits_1_naming_the_file(self, tmp_path, capsys, good_rows):
+        # Without good rows the bad byte is read with the header; after 2000
+        # of them, only when the body is.
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"a,b,y\n" + b"1,2,3\n" * good_rows + b"4,\xff5,6\n")
+        out = tmp_path / "res"
+        assert run("aggregate", "--input", str(p), "--targets", "y",
+                   "--out-dir", str(out), "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and f"{p}: not UTF-8" in err
+        assert not out.exists()
+
     def test_unknown_target_exits_1(self, tmp_path, dataset_csv):
         assert run("aggregate", "--input", str(dataset_csv),
                    "--targets", "nope") == 1

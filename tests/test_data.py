@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtaggr import data
 from mtaggr.data import (
     Dataset,
     FeaturePartition,
@@ -203,6 +204,77 @@ def test_loader_matches_per_cell_parse(tmp_path_factory, text):
     ds = load_dataset(path, LOADER_SCHEMA)
     assert ds.features.tobytes() == np.ascontiguousarray(table[:, :3]).tobytes()
     assert ds.targets.tobytes() == np.ascontiguousarray(table[:, 3:]).tobytes()
+
+
+PLAIN_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from([" 1.5", "2.5 ", " -0.0 ", "-0", "1e5", "+3", ".5", "5.", "\t3"]),
+)
+# Cells the C reader refuses, so a file with one takes the csv parse.
+REFUSED_CELLS = st.sampled_from(['"7.25"', '" 8 "', "1_0", "-1_000.2_5", "x", "nan"])
+
+
+@st.composite
+def csv_layouts(draw):
+    """CSV bytes in varied line layouts, and whether numpy's C reader may take them.
+
+    One row in ``width`` columns per line, each line ended by ``eol``, the
+    last one possibly not, or followed by a blank line; possibly with a
+    blank or whitespace-only line put before a row, or with a cell the C
+    reader refuses.
+    """
+    width = draw(st.sampled_from([1, 5]))
+    lines = [",".join(draw(PLAIN_CELLS) for _ in range(width))
+             for _ in range(draw(st.integers(1, 6)))]
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    end = draw(st.sampled_from([eol, "", eol + eol]))
+    c_reader = eol == "\n" and end != eol + eol
+    odd = draw(st.sampled_from([None, None, "", " ", "\t", "refused"]))
+    if odd is not None:
+        c_reader = False
+        k = draw(st.integers(0, len(lines) - 1))
+        if odd == "refused":
+            cells = lines[k].split(",")
+            cells[draw(st.integers(0, width - 1))] = draw(REFUSED_CELLS)
+            lines[k] = ",".join(cells)
+        else:
+            lines.insert(k, odd)
+    header = ",".join(["a", "b", "c", "y0", "y1"][:width])
+    return (eol.join([header] + lines) + end).encode("utf-8"), width, c_reader
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(csv_layouts())
+def test_loader_reads_line_layouts_like_csv(tmp_path_factory, layout):
+    raw, width, c_reader = layout
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(raw)
+    fast = data._read_table(path, width)
+    assert (fast is not None) == c_reader
+    header = data.read_header(path)
+    try:
+        want = reference_table(path)
+    except ValidationError as exc:
+        assert fast is None
+        with pytest.raises(ValidationError) as got:
+            data._parse_table(path, header)
+        assert str(got.value) == str(exc)
+        return
+    assert data._parse_table(path, header).tobytes() == want.tobytes()
+    if fast is not None:
+        assert fast.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("good_rows", [0, 2000])
+def test_non_utf8_file_raises_naming_it(tmp_path, good_rows):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,b,y\n" + b"1,2,3\n" * good_rows + b"4,\xff5,6\n")
+    with pytest.raises(ValidationError) as got:
+        load_dataset(path, SCHEMA)
+    assert str(got.value) == (
+        f"{path}: not UTF-8 text: byte 0xff (invalid start byte)"
+    )
 
 
 @pytest.mark.parametrize("rows, message", [
