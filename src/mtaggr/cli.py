@@ -23,7 +23,7 @@ from .aggregation import (
     result_to_json,
 )
 from .checks import VerifyBudget, run_checks
-from .data import center, load_dataset, read_header, save_dataset
+from .data import center, load_dataset, save_dataset, _read_header
 from .errors import NumericalError, ValidationError
 from .synth import SynthConfig, generate, sweep
 
@@ -85,7 +85,7 @@ def _build_schema(header_targets: list[str], ignore: list[str], homogeneous: boo
     and are routed to that target's slab.
     """
     p = Path(path)
-    header = read_header(p)
+    header = _read_header(p)
     schema: dict[str, str] = {}
     targets = set(header_targets)
     ignores = set(ignore)

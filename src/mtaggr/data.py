@@ -28,7 +28,6 @@ __all__ = [
     "FeaturePartition",
     "CenterResult",
     "load_dataset",
-    "read_header",
     "save_dataset",
     "center",
 ]
@@ -383,7 +382,7 @@ def _not_utf8(p: Path, exc: UnicodeDecodeError) -> ValidationError:
     )
 
 
-def read_header(path) -> list[str]:
+def _read_header(path) -> list[str]:
     """The column names on the first row of a CSV file, stripped."""
     p = Path(path)
     if not p.exists():
@@ -397,8 +396,17 @@ def read_header(path) -> list[str]:
             raise _not_utf8(p, exc) from None
 
 
-# Bytes that csv and ``float`` read otherwise than numpy's C reader does.
-_NOT_FOR_THE_C_READER = (b'"', b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# Bytes that csv and ``float`` read otherwise than numpy's C reader does.  A
+# carriage return is one of them only outside a CRLF pair.
+_NOT_FOR_THE_C_READER = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# The scan before the C reader reads the body this many bytes at a time.
+_CHUNK = 1 << 20
+
+
+def _plain(chunk: bytes) -> bool:
+    """Whether csv and numpy's C reader split ``chunk`` into the same cells."""
+    return (not any(s in chunk for s in _NOT_FOR_THE_C_READER)
+            and chunk.count(b"\r") == chunk.count(b"\r\n"))
 
 
 def _read_table(p: Path, width: int) -> np.ndarray | None:
@@ -410,23 +418,28 @@ def _read_table(p: Path, width: int) -> np.ndarray | None:
     carriage return as a line end, and skips blank lines, which csv reports
     as rows of zero fields.  It also strips the separators U+001C..U+001F
     around a number as white space, which ``float`` refuses.  So the table
-    is taken only from a file without quotes, carriage returns or those
+    is taken only from a file without quotes, lone carriage returns or those
     separators, with one row per data line of the header's width and every
-    value finite.  Any other file, including one with a cell the C reader
-    refuses, returns None.  The file is scanned in chunks, so no second
-    copy of it is held.
+    value finite.  LF and CRLF line ends read alike, as the file is opened
+    in universal-newline mode.  Any other file, including one with a cell
+    the C reader refuses, returns None.  The file is scanned in chunks, so
+    no second copy of it is held.
     """
     with p.open("rb") as fh:
         chunk = fh.readline()  # the header
-        if fh.peek(1)[:1] == b"\n":
-            return None  # a blank line; a body of only those makes loadtxt warn
+        if fh.peek(1)[:1] in (b"\n", b"\r"):
+            # A blank line (a body of only those makes loadtxt warn), or a
+            # lone carriage return.
+            return None
         rows, last = -1, b"\n"  # -1: the header's line end is counted too
         while chunk:
-            if any(s in chunk for s in _NOT_FOR_THE_C_READER):
+            if chunk.endswith(b"\r"):
+                chunk += fh.read(1)  # keep a CRLF pair in one chunk
+            if not _plain(chunk):
                 return None
             rows += chunk.count(b"\n")
             last = chunk[-1:]
-            chunk = fh.read(1 << 20)
+            chunk = fh.read(_CHUNK)
     rows += last != b"\n"
     if rows < 1:
         return None  # loadtxt warns on a body without rows
@@ -441,10 +454,7 @@ def _read_table(p: Path, width: int) -> np.ndarray | None:
 
 
 def _parse_table(p: Path, header: Sequence[str]) -> np.ndarray:
-    """The body of ``p`` parsed by csv, one cell at a time through :func:`_parse_cell`.
-
-    Raises at the first bad row or cell in file order.
-    """
+    """The body of ``p`` parsed by csv; raises at the first bad row or cell."""
     rows: list[array] = []
     with p.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -456,9 +466,19 @@ def _parse_table(p: Path, header: Sequence[str]) -> np.ndarray:
                     raise ValidationError(
                         f"line {line}: expected {len(header)} fields, got {len(raw)}"
                     )
-                rows.append(array(
-                    "d", (_parse_cell(c, line, header[k]) for k, c in enumerate(raw))
-                ))
+                # The whole row goes through float and isfinite in C, into an
+                # array of doubles, so no float object outlives its row.  Only
+                # a row that fails is scanned cell by cell, which raises at
+                # its first bad cell.
+                try:
+                    row = array("d", map(float, raw))
+                    if not all(map(math.isfinite, row)):
+                        raise ValueError
+                except ValueError:
+                    for k, c in enumerate(raw):
+                        _parse_cell(c, line, header[k])
+                    raise AssertionError("unreachable: a failing row has a bad cell")
+                rows.append(row)
         except UnicodeDecodeError as exc:
             raise _not_utf8(p, exc) from None
     return np.frombuffer(b"".join(rows)).reshape(len(rows), len(header))
@@ -474,7 +494,7 @@ def load_dataset(path, schema: Mapping[str, str]) -> Dataset:
     order in the file is preserved.
     """
     p = Path(path)
-    header = read_header(p)
+    header = _read_header(p)
     if len(set(header)) != len(header):
         raise ValidationError(f"{p}: duplicate column names in header")
 

@@ -229,7 +229,7 @@ def csv_layouts(draw):
              for _ in range(draw(st.integers(1, 6)))]
     eol = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
     end = draw(st.sampled_from([eol, "", eol + eol]))
-    c_reader = eol == "\n" and end != eol + eol
+    c_reader = eol != "\r" and end != eol + eol
     odd = draw(st.sampled_from([None, None, "", " ", "\t", "refused"]))
     if odd is not None:
         c_reader = False
@@ -244,15 +244,15 @@ def csv_layouts(draw):
     return (eol.join([header] + lines) + end).encode("utf-8"), width, c_reader
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(csv_layouts())
-def test_loader_reads_line_layouts_like_csv(tmp_path_factory, layout):
-    raw, width, c_reader = layout
-    path = tmp_path_factory.mktemp("csv") / "data.csv"
-    path.write_bytes(raw)
+def check_both_paths(path, width, c_reader):
+    """The file takes the C reader iff ``c_reader``, and reads as ``reference_table``.
+
+    Both paths give its table bit for bit, or the csv parse raises the
+    reference's first error message.
+    """
     fast = data._read_table(path, width)
     assert (fast is not None) == c_reader
-    header = data.read_header(path)
+    header = data._read_header(path)
     try:
         want = reference_table(path)
     except ValidationError as exc:
@@ -260,10 +260,51 @@ def test_loader_reads_line_layouts_like_csv(tmp_path_factory, layout):
         with pytest.raises(ValidationError) as got:
             data._parse_table(path, header)
         assert str(got.value) == str(exc)
-        return
+        return None
     assert data._parse_table(path, header).tobytes() == want.tobytes()
     if fast is not None:
         assert fast.tobytes() == want.tobytes()
+    return want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(csv_layouts())
+def test_loader_reads_line_layouts_like_csv(tmp_path_factory, layout):
+    raw, width, c_reader = layout
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(raw)
+    check_both_paths(path, width, c_reader)
+
+
+@pytest.mark.parametrize("body", [
+    # numpy reads a lone CR as a line end and skips the blank line that
+    # follows, so these have one row per LF there; csv finds an empty row.
+    b"1,2\r\r\n3,4\n",
+    b"1,2\r\n\r3,4\r\n",
+    # Read alike, but a lone CR still takes the csv parse.
+    b"1,2\n3,4\r",
+])
+def test_lone_carriage_return_takes_csv(tmp_path, body):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"a,y\n" + body)
+    check_both_paths(path, 2, c_reader=False)
+
+
+@pytest.mark.parametrize("pair, c_reader", [(b"\r\n", True), (b"\r", False)])
+def test_carriage_return_at_a_chunk_end(tmp_path, pair, c_reader):
+    # The scan reads the body in chunks after the header line; put a
+    # carriage return on the last byte of the first chunk.  CRLF there still
+    # takes the C reader; a lone CR does not, though csv reads both alike.
+    header = b"a,y\r\n"
+    end = len(header) + data._CHUNK - 1
+    # Rows of "1,2\r\n" after a first row padded so that one CR lands on `end`.
+    first = b"1." + b"0" * ((data._CHUNK - 10) % 5) + b",2\r\n"
+    n = (data._CHUNK - 4 - len(first)) // 5 + 3
+    raw = header + first + b"1,2\r\n" * n
+    assert raw[end:end + 2] == b"\r\n"
+    path = tmp_path / "data.csv"
+    path.write_bytes(raw[:end] + pair + raw[end + 2:])
+    assert check_both_paths(path, 2, c_reader).shape == (n + 1, 2)
 
 
 @pytest.mark.parametrize("good_rows", [0, 2000])
