@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -1075,11 +1074,3 @@ def result_from_json(text: str, dataset: Dataset) -> AggregationResult:
         homogeneous=homogeneous,
         fingerprint=fingerprint,
     )
-
-
-def write_result(result: AggregationResult, path) -> None:
-    Path(path).write_text(result_to_json(result), encoding="utf-8")
-
-
-def read_result(path, dataset: Dataset) -> AggregationResult:
-    return result_from_json(Path(path).read_text(encoding="utf-8"), dataset)

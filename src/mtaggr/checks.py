@@ -1,14 +1,17 @@
 """Named verification checks that pit the Monte-Carlo estimators against the closed forms.
 
-Each check returns a :class:`CheckResult` summarizing the worst comparison it
-made, plus per-case details.  The CLI ``verify`` command runs these and fails
+Each check builds a list of case dicts, and :func:`_summary` turns them into
+a :class:`CheckResult` that reports the case with the largest margin, plus
+the per-case details.  The CLI ``verify`` command runs these and fails
 loudly when any check does not pass; the acceptance test suite runs the same
 functions at their full budgets.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,16 +30,6 @@ from .oracle import (
 from .synth import SyntheticTask
 
 __all__ = ["CheckResult", "VerifyBudget", "CHECKS", "run_checks"]
-
-
-def _json_scalar(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    return v
 
 
 @dataclass(frozen=True)
@@ -60,7 +53,8 @@ class CheckResult:
             "passed": bool(self.passed),
             "replicates": int(self.replicates),
             "details": [
-                {k: _json_scalar(v) for k, v in d.items()} for d in self.details
+                {k: v.item() if isinstance(v, np.generic) else v for k, v in d.items()}
+                for d in self.details
             ],
         }
 
@@ -92,14 +86,12 @@ class VerifyBudget:
         )
 
 
-def _make_task(
-    coefficients: np.ndarray, noise: NoiseModel, feature_std: float = 1.0
-) -> SyntheticTask:
+def _make_task(coefficients: np.ndarray, noise: NoiseModel) -> SyntheticTask:
     return SyntheticTask(
         coefficients=coefficients,
         noise_train=None,
         noise_test=None,
-        feature_std=feature_std,
+        feature_std=1.0,
         noise=noise,
     )
 
@@ -118,6 +110,32 @@ def _random_partition(d: int, rng: np.random.Generator) -> tuple[tuple[int, ...]
     )
 
 
+def _summary(name: str, cases: list[dict], replicates: int, margin: Callable[[dict], float],
+             reported=itemgetter("theoretical", "empirical", "standard_error")) -> CheckResult:
+    """One check's result from its cases: passed only when every case passed.
+
+    It reports ``reported(case)``, (theoretical, empirical, standard error),
+    of the case with the largest ``margin(case)``, the first of equal
+    margins, and keeps every case as a detail.
+    """
+    worst = max(cases, key=margin)
+    return CheckResult(
+        name, all(c["passed"] for c in cases), *reported(worst), replicates, tuple(cases)
+    )
+
+
+def _within_three_se(theoretical: float, empirical: float, se: float, **labels) -> dict:
+    """A case that passes when the two sides agree within three standard errors."""
+    return {
+        **labels, "theoretical": theoretical, "empirical": empirical,
+        "standard_error": se, "passed": abs(empirical - theoretical) <= 3 * se,
+    }
+
+
+def _se_margin(case: dict) -> float:
+    return abs(case["empirical"] - case["theoretical"]) / max(case["standard_error"], 1e-15)
+
+
 # ---------------------------------------------------------------------------
 # Individual checks
 # ---------------------------------------------------------------------------
@@ -125,26 +143,19 @@ def _random_partition(d: int, rng: np.random.Generator) -> tuple[tuple[int, ...]
 
 def check_noise_variance(budget: VerifyBudget, seed: int = 0) -> CheckResult:
     """Mean-noise variance closed form on equicorrelated and mixed models."""
-    details = []
-    worst = (0.0, 0.0, 0.0)
-    cases = [
+    cases = []
+    for sigma, k, rho, expected in [
         (1.0, 2, 0.0, 0.5),
         (1.0, 2, 1.0, 1.0),
         (1.0, 2, -1.0, 0.0),
         (2.0, 5, 0.5, (4.0 / 5.0) * (1 + 4 * 0.5)),
         (1.0, 5, 0.0, 0.2),
-    ]
-    passed = True
-    for sigma, k, rho, expected in cases:
+    ]:
         model = NoiseModel.equicorrelated(sigma, k, rho)
         got = aggregated_noise_variance(model, range(k))
-        ok = abs(got - expected) <= 1e-10
-        passed &= ok
-        if abs(got - expected) >= abs(worst[0] - worst[1]):
-            worst = (expected, got, 0.0)
-        details.append(
+        cases.append(
             {"sigma": sigma, "K": k, "rho": rho, "theoretical": expected,
-             "empirical": got, "passed": ok}
+             "empirical": got, "passed": abs(got - expected) <= 1e-10}
         )
     # Unequal sigmas against an independent elementwise double sum.
     sigmas = np.array([0.5, 1.0, 2.0])
@@ -154,11 +165,13 @@ def check_noise_variance(budget: VerifyBudget, seed: int = 0) -> CheckResult:
         sigmas[h] * sigmas[k_] * corr[h, k_] for h in range(3) for k_ in range(3)
     ) / 9.0
     got = aggregated_noise_variance(model, [0, 1, 2])
-    ok = abs(got - direct) <= 1e-12
-    passed &= ok
-    details.append({"case": "mixed sigmas", "theoretical": direct, "empirical": got,
-                    "passed": ok})
-    return CheckResult("noise_variance", passed, worst[0], worst[1], 0.0, 0, tuple(details))
+    cases.append({"case": "mixed sigmas", "theoretical": direct, "empirical": got,
+                  "passed": abs(got - direct) <= 1e-12})
+    return _summary(
+        "noise_variance", cases, 0,
+        margin=lambda c: abs(c["empirical"] - c["theoretical"]),
+        reported=lambda c: (c["theoretical"], c["empirical"], 0.0),
+    )
 
 
 def check_variance_formula(budget: VerifyBudget, seed: int = 0) -> CheckResult:
@@ -177,51 +190,57 @@ def check_variance_formula(budget: VerifyBudget, seed: int = 0) -> CheckResult:
     grid_k = (1, 2, 5)
     grid_rho = (0.0, 0.5, 1.0)
     ss = np.random.SeedSequence(seed)
-    details = []
-    passed = True
-    worst = None
-    for n, tol in grid_n:
-        for d in grid_d:
-            for k in grid_k:
-                for rho in grid_rho:
-                    child = ss.spawn(1)[0]
-                    rng = np.random.default_rng(child)
-                    coeffs = rng.uniform(0.5, 1.0, size=(k, d))
-                    noise = NoiseModel.equicorrelated(1.0, k, rho)
-                    task = _make_task(coeffs, noise)
-                    est = monte_carlo_bias_variance(
-                        task,
-                        cluster=range(k),
-                        feature_clusters=_identity_partition(d),
-                        task_index=0,
-                        n_train=n,
-                        replicates=budget.replicates,
-                        n_eval=budget.n_eval,
-                        seed=int(rng.integers(2**32)),
-                        bootstrap=budget.bootstrap,
-                        total=False,
-                    )
-                    theory = theoretical_variance(
-                        aggregated_noise_variance(noise, range(k)), n, d
-                    )
-                    rel = abs(est.variance_term - theory) / theory
-                    net = max(0.0, abs(est.variance_term - theory) - 3 * est.variance_se)
-                    ok = net <= tol * theory
-                    passed &= ok
-                    cell = {
-                        "n": n, "d": d, "K": k, "rho": rho,
-                        "theoretical": theory, "empirical": est.variance_term,
-                        "standard_error": est.variance_se,
-                        "rel_dev": rel, "net_rel_dev": net / theory,
-                        "tolerance": tol, "passed": ok,
-                    }
-                    details.append(cell)
-                    if worst is None or rel / tol > worst["rel_dev"] / worst["tolerance"]:
-                        worst = cell
-    return CheckResult(
-        "variance_formula", passed, worst["theoretical"], worst["empirical"],
-        worst["standard_error"], budget.replicates, tuple(details),
+    cases = []
+    for (n, tol), d, k, rho in itertools.product(grid_n, grid_d, grid_k, grid_rho):
+        rng = np.random.default_rng(ss.spawn(1)[0])
+        coeffs = rng.uniform(0.5, 1.0, size=(k, d))
+        noise = NoiseModel.equicorrelated(1.0, k, rho)
+        task = _make_task(coeffs, noise)
+        est = monte_carlo_bias_variance(
+            task,
+            cluster=range(k),
+            feature_clusters=_identity_partition(d),
+            task_index=0,
+            n_train=n,
+            replicates=budget.replicates,
+            n_eval=budget.n_eval,
+            seed=int(rng.integers(2**32)),
+            bootstrap=budget.bootstrap,
+            total=False,
+        )
+        theory = theoretical_variance(aggregated_noise_variance(noise, range(k)), n, d)
+        rel = abs(est.variance_term - theory) / theory
+        net = max(0.0, abs(est.variance_term - theory) - 3 * est.variance_se)
+        cases.append({
+            "n": n, "d": d, "K": k, "rho": rho,
+            "theoretical": theory, "empirical": est.variance_term,
+            "standard_error": est.variance_se,
+            "rel_dev": rel, "net_rel_dev": net / theory,
+            "tolerance": tol, "passed": net <= tol * theory,
+        })
+    return _summary(
+        "variance_formula", cases, budget.replicates,
+        margin=lambda c: c["rel_dev"] / c["tolerance"],
     )
+
+
+def _bias_case(task: SyntheticTask, cluster: list[int], partition, budget: VerifyBudget,
+               rng: np.random.Generator, replicates: int, n_eval: int, **labels) -> dict:
+    """Population bias of task 0 against its Monte-Carlo bias at n_train = 4000."""
+    pop = population_bias_decomposition(
+        task, cluster, partition, 0, n_pop=budget.n_pop, seed=int(rng.integers(2**32))
+    )
+    est = monte_carlo_bias_variance(
+        task, cluster, partition, 0,
+        n_train=4000,
+        replicates=replicates,
+        n_eval=n_eval,
+        seed=int(rng.integers(2**32)),
+        bootstrap=budget.bootstrap,
+        total=False,
+    )
+    se = float(np.hypot(est.bias_se, pop.standard_error))
+    return _within_three_se(pop.bias_value, est.bias_term, se, **labels)
 
 
 def check_bias_single_task(budget: VerifyBudget, seed: int = 0) -> CheckResult:
@@ -236,39 +255,14 @@ def check_bias_single_task(budget: VerifyBudget, seed: int = 0) -> CheckResult:
     coeffs = rng.uniform(0.5, 1.0, size=(1, D)) * rng.choice([-1.0, 1.0], size=(1, D))
     noise = NoiseModel.independent(1.0, 1)
     task = _make_task(coeffs, noise)
-    details = []
-    passed = True
-    worst = None
-    for p in range(budget.bias_partitions):
+    cases = []
+    for _ in range(budget.bias_partitions):
         partition = _random_partition(D, rng)
-        pop = population_bias_decomposition(
-            task, [0], partition, 0, n_pop=budget.n_pop, seed=int(rng.integers(2**32))
-        )
-        est = monte_carlo_bias_variance(
-            task, [0], partition, 0,
-            n_train=4000,
-            replicates=budget.replicates,
-            n_eval=2 * budget.n_eval,
-            seed=int(rng.integers(2**32)),
-            bootstrap=budget.bootstrap,
-            total=False,
-        )
-        se = float(np.hypot(est.bias_se, pop.standard_error))
-        gap = abs(est.bias_term - pop.bias_value)
-        ok = gap <= 3 * se
-        passed &= ok
-        case = {
-            "partition_cells": len(partition),
-            "theoretical": pop.bias_value, "empirical": est.bias_term,
-            "standard_error": se, "passed": ok,
-        }
-        details.append(case)
-        if worst is None or gap / max(se, 1e-15) > worst["_margin"]:
-            worst = {**case, "_margin": gap / max(se, 1e-15)}
-    return CheckResult(
-        "bias_single_task", passed, worst["theoretical"], worst["empirical"],
-        worst["standard_error"], budget.replicates, tuple(details),
-    )
+        cases.append(_bias_case(
+            task, [0], partition, budget, rng, budget.replicates, 2 * budget.n_eval,
+            partition_cells=len(partition),
+        ))
+    return _summary("bias_single_task", cases, budget.replicates, margin=_se_margin)
 
 
 def check_bias_aggregated(budget: VerifyBudget, seed: int = 0) -> CheckResult:
@@ -280,9 +274,7 @@ def check_bias_aggregated(budget: VerifyBudget, seed: int = 0) -> CheckResult:
     """
     D = 6
     rng = np.random.default_rng(seed)
-    details = []
-    passed = True
-    worst = None
+    cases = []
     for g in range(budget.bias_generators):
         coeffs = rng.uniform(-1.0, 1.0, size=(2, D))
         sigma = float(rng.uniform(0.5, 1.5))
@@ -290,44 +282,18 @@ def check_bias_aggregated(budget: VerifyBudget, seed: int = 0) -> CheckResult:
         noise = NoiseModel.equicorrelated(sigma, 2, rho)
         task = _make_task(coeffs, noise)
         partition = _random_partition(D, rng)
-        pop = population_bias_decomposition(
-            task, [0, 1], partition, 0, n_pop=budget.n_pop,
-            seed=int(rng.integers(2**32)),
-        )
-        est = monte_carlo_bias_variance(
-            task, [0, 1], partition, 0,
-            n_train=4000,
-            replicates=max(100, int(budget.replicates * 0.8)),
-            n_eval=budget.n_eval,
-            seed=int(rng.integers(2**32)),
-            bootstrap=budget.bootstrap,
-            total=False,
-        )
-        se = float(np.hypot(est.bias_se, pop.standard_error))
-        gap = abs(est.bias_term - pop.bias_value)
-        ok = gap <= 3 * se
-        passed &= ok
-        case = {
-            "generator": g, "sigma": sigma, "rho": rho,
-            "partition_cells": len(partition),
-            "theoretical": pop.bias_value, "empirical": est.bias_term,
-            "standard_error": se, "passed": ok,
-        }
-        details.append(case)
-        if worst is None or gap / max(se, 1e-15) > worst["_margin"]:
-            worst = {**case, "_margin": gap / max(se, 1e-15)}
-    return CheckResult(
-        "bias_aggregated", passed, worst["theoretical"], worst["empirical"],
-        worst["standard_error"], budget.replicates, tuple(details),
-    )
+        cases.append(_bias_case(
+            task, [0, 1], partition, budget, rng,
+            max(100, int(budget.replicates * 0.8)), budget.n_eval,
+            generator=g, sigma=sigma, rho=rho, partition_cells=len(partition),
+        ))
+    return _summary("bias_aggregated", cases, budget.replicates, margin=_se_margin)
 
 
 def check_closure(budget: VerifyBudget, seed: int = 0) -> CheckResult:
     """variance + bias + noise must equal the directly estimated total MSE."""
     rng = np.random.default_rng(seed)
-    details = []
-    passed = True
-    worst = None
+    cases = []
     configs = [
         (1, 4, 0.0, 1.0),
         (2, 6, 0.5, 1.5),
@@ -346,23 +312,19 @@ def check_closure(budget: VerifyBudget, seed: int = 0) -> CheckResult:
             seed=int(rng.integers(2**32)),
             bootstrap=budget.bootstrap,
         )
-        lhs = est.variance_term + est.bias_term + est.noise_term
-        se = float(np.hypot(np.hypot(est.variance_se, est.bias_se), est.total_se))
-        gap = abs(est.total_mse - lhs)
-        ok = gap <= 3 * se
-        passed &= ok
-        case = {
-            "K": k, "d": d, "rho": rho, "sigma": sigma,
-            "theoretical": lhs, "empirical": est.total_mse,
-            "standard_error": se, "passed": ok,
-        }
-        details.append(case)
-        if worst is None or gap / max(se, 1e-15) > worst["_margin"]:
-            worst = {**case, "_margin": gap / max(se, 1e-15)}
-    return CheckResult(
-        "closure", passed, worst["theoretical"], worst["empirical"],
-        worst["standard_error"], budget.replicates, tuple(details),
-    )
+        cases.append(_within_three_se(
+            est.variance_term + est.bias_term + est.noise_term, est.total_mse,
+            float(np.hypot(np.hypot(est.variance_se, est.bias_se), est.total_se)),
+            K=k, d=d, rho=rho, sigma=sigma,
+        ))
+    return _summary("closure", cases, budget.replicates, margin=_se_margin)
+
+
+# DeltaMseReport fields in the order a delta_mse case lists them.
+_DELTA_FIELDS = (
+    "dvar_theoretical", "dvar_empirical", "dvar_se",
+    "dbias_theoretical", "dbias_empirical", "dbias_se", "passed",
+)
 
 
 def check_delta_mse(budget: VerifyBudget, seed: int = 0) -> CheckResult:
@@ -370,12 +332,9 @@ def check_delta_mse(budget: VerifyBudget, seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     D = 5
     n_train = 400
-    details = []
-    passed = True
-    worst = None
     shared = rng.uniform(0.5, 1.0, size=D)
 
-    cases = [
+    setups = [
         ("identical noise", np.stack([shared, shared + rng.uniform(-0.1, 0.1, D)]),
          NoiseModel.equicorrelated(1.0, 2, 1.0)),
         ("independent noise", np.stack([shared, shared + rng.uniform(-0.1, 0.1, D)]),
@@ -383,38 +342,20 @@ def check_delta_mse(budget: VerifyBudget, seed: int = 0) -> CheckResult:
         ("identical tasks", np.stack([shared, shared]),
          NoiseModel.independent(1.0, 2)),
     ]
-    for label, coeffs, noise in cases:
+    cases = []
+    for label, coeffs, noise in setups:
         task = _make_task(coeffs, noise)
         report = delta_mse_check(
             task, [0, 1], 0, n_train, budget.replicates,
             n_eval=budget.n_eval, seed=int(rng.integers(2**32)),
             n_pop=budget.n_pop,
         )
-        passed &= report.passed
-        case = {
-            "case": label,
-            "dvar_theoretical": report.dvar_theoretical,
-            "dvar_empirical": report.dvar_empirical,
-            "dvar_se": report.dvar_se,
-            "dbias_theoretical": report.dbias_theoretical,
-            "dbias_empirical": report.dbias_empirical,
-            "dbias_se": report.dbias_se,
-            "passed": report.passed,
-        }
-        details.append(case)
-        margin = abs(report.dvar_empirical - report.dvar_theoretical) / max(
-            report.dvar_se, 1e-15
-        )
-        if worst is None or margin > worst["_margin"]:
-            worst = {
-                "theoretical": report.dvar_theoretical,
-                "empirical": report.dvar_empirical,
-                "standard_error": report.dvar_se,
-                "_margin": margin,
-            }
-    return CheckResult(
-        "delta_mse", passed, worst["theoretical"], worst["empirical"],
-        worst["standard_error"], budget.replicates, tuple(details),
+        cases.append({"case": label, **{k: getattr(report, k) for k in _DELTA_FIELDS}})
+    return _summary(
+        "delta_mse", cases, budget.replicates,
+        margin=lambda c: abs(c["dvar_empirical"] - c["dvar_theoretical"])
+        / max(c["dvar_se"], 1e-15),
+        reported=itemgetter("dvar_theoretical", "dvar_empirical", "dvar_se"),
     )
 
 
@@ -426,9 +367,7 @@ def check_coefficient_covariance(budget: VerifyBudget, seed: int = 0) -> CheckRe
     """
     rng = np.random.default_rng(seed)
     n = 300
-    details = []
-    passed = True
-    worst = None
+    cases = []
     for d in (2, 5):
         signs = np.array([(-1.0) ** i for i in range(d)])
         precision = 0.4 * np.eye(d) + 0.6 * np.outer(signs, signs)
@@ -439,22 +378,14 @@ def check_coefficient_covariance(budget: VerifyBudget, seed: int = 0) -> CheckRe
             X, sigma=1.0, replicates=budget.coefficient_replicates,
             seed=int(rng.integers(2**32)),
         )
-        ok = report.max_rel_dev <= 0.10
-        passed &= ok
-        case = {
+        cases.append({
             "d": d, "max_rel_dev": report.max_rel_dev,
-            "entries_compared": report.n_compared, "passed": ok,
-        }
-        details.append(case)
-        if worst is None or report.max_rel_dev > worst["_margin"]:
-            worst = {
-                "theoretical": 0.0,
-                "empirical": report.max_rel_dev,
-                "_margin": report.max_rel_dev,
-            }
-    return CheckResult(
-        "coefficient_covariance", passed, 0.10, worst["empirical"], 0.0,
-        budget.coefficient_replicates, tuple(details),
+            "entries_compared": report.n_compared, "passed": report.max_rel_dev <= 0.10,
+        })
+    return _summary(
+        "coefficient_covariance", cases, budget.coefficient_replicates,
+        margin=itemgetter("max_rel_dev"),
+        reported=lambda c: (0.10, c["max_rel_dev"], 0.0),
     )
 
 
@@ -481,6 +412,22 @@ def _worsened(
     return float(diff.mean()) > 3 * se + 1e-12 * max(1.0, base)
 
 
+def _rates(name: str, draws: int, good: int, rejected: int, rejected_key: str) -> CheckResult:
+    """A merge-guarantee check passes when both of its rates reach 0.9."""
+    frac_good, frac_rej = good / draws, rejected / draws
+    return CheckResult(
+        name, frac_good >= 0.9 and frac_rej >= 0.9, 0.9, min(frac_good, frac_rej), 0.0,
+        draws, ({"no_worse_fraction": frac_good, rejected_key: frac_rej},),
+    )
+
+
+def _merge_columns_1_and_3(X: np.ndarray) -> np.ndarray:
+    """X with columns 1 and 3 replaced by their mean, in column 1."""
+    merged = np.delete(X, 3, axis=1)
+    merged[:, 1] = 0.5 * (X[:, 1] + X[:, 3])
+    return merged
+
+
 def check_merge_guarantee_targets(budget: VerifyBudget, seed: int = 0) -> CheckResult:
     """Accepted target merges at epsilon = 0 may not hurt either member.
 
@@ -493,8 +440,7 @@ def check_merge_guarantee_targets(budget: VerifyBudget, seed: int = 0) -> CheckR
     n_pop = 100_000
     good = 0
     rejected_orth = 0
-    details = []
-    for draw in range(budget.draws):
+    for _ in range(budget.draws):
         w = rng.uniform(0.5, 1.0, size=D)
         X = rng.standard_normal((n_train, D))
         e0 = rng.standard_normal(n_train) * sigma
@@ -517,8 +463,7 @@ def check_merge_guarantee_targets(budget: VerifyBudget, seed: int = 0) -> CheckR
                 if _worsened(X_pop, f_pop, sigma, pred_ag, X_pop @ wm, rng):
                     ok = False
         good += int(ok)
-        details.append({"draw": draw, "accepted": report.accepted, "no_worse": ok})
-    for draw in range(budget.draws):
+    for _ in range(budget.draws):
         half = D // 2
         w0 = np.zeros(D)
         w1 = np.zeros(D)
@@ -533,14 +478,8 @@ def check_merge_guarantee_targets(budget: VerifyBudget, seed: int = 0) -> CheckR
         fits = [threshold_fit(Xc, y) for y in (y0, y1, 0.5 * (y0 + y1))]
         report = compute_threshold_targets(*fits, 0.0)
         rejected_orth += int(not report.accepted)
-    frac_good = good / budget.draws
-    frac_rej = rejected_orth / budget.draws
-    passed = frac_good >= 0.9 and frac_rej >= 0.9
-    return CheckResult(
-        "merge_guarantee_targets", passed, 0.9, min(frac_good, frac_rej), 0.0,
-        budget.draws,
-        ({"no_worse_fraction": frac_good, "orthogonal_rejected_fraction": frac_rej},),
-    )
+    return _rates("merge_guarantee_targets", budget.draws, good, rejected_orth,
+                  "orthogonal_rejected_fraction")
 
 
 def check_merge_guarantee_features(budget: VerifyBudget, seed: int = 0) -> CheckResult:
@@ -557,16 +496,14 @@ def check_merge_guarantee_features(budget: VerifyBudget, seed: int = 0) -> Check
     n_pop = 100_000
     good = 0
     rejected_anti = 0
-    details = []
-    for draw in range(budget.draws):
+    for _ in range(budget.draws):
         X = rng.standard_normal((n_train, D))
         X[:, 3] = X[:, 1]
         w = rng.uniform(0.5, 1.0, size=D)
         y = X @ w + rng.standard_normal(n_train) * sigma
         Xc = X - X.mean(axis=0)
         yc = y - y.mean()
-        merged = np.delete(Xc, 3, axis=1)
-        merged[:, 1] = 0.5 * (Xc[:, 1] + Xc[:, 3])
+        merged = _merge_columns_1_and_3(Xc)
         fits = threshold_fit(Xc, yc), threshold_fit(merged, yc)
         report = compute_threshold_features(*fits, 0.0)
         ok = report.accepted
@@ -576,30 +513,21 @@ def check_merge_guarantee_features(budget: VerifyBudget, seed: int = 0) -> Check
             X_pop = rng.standard_normal((n_pop, D))
             X_pop[:, 3] = X_pop[:, 1]
             f_pop = X_pop @ w
-            merged_pop = np.delete(X_pop, 3, axis=1)
-            merged_pop[:, 1] = 0.5 * (X_pop[:, 1] + X_pop[:, 3])
+            merged_pop = _merge_columns_1_and_3(X_pop)
             if _worsened(X_pop, f_pop, sigma, merged_pop @ w_red, X_pop @ w_full, rng):
                 ok = False
         good += int(ok)
-        details.append({"draw": draw, "accepted": report.accepted, "no_worse": ok})
-    for draw in range(budget.draws):
+    for _ in range(budget.draws):
         X = rng.standard_normal((n_train, D))
         y = X[:, 1] - X[:, 3] + rng.standard_normal(n_train) * 0.1
         Xc = X - X.mean(axis=0)
         yc = y - y.mean()
-        merged = np.delete(Xc, 3, axis=1)
-        merged[:, 1] = 0.5 * (Xc[:, 1] + Xc[:, 3])
+        merged = _merge_columns_1_and_3(Xc)
         fits = threshold_fit(Xc, yc), threshold_fit(merged, yc)
         report = compute_threshold_features(*fits, 0.0)
         rejected_anti += int(not report.accepted)
-    frac_good = good / budget.draws
-    frac_rej = rejected_anti / budget.draws
-    passed = frac_good >= 0.9 and frac_rej >= 0.9
-    return CheckResult(
-        "merge_guarantee_features", passed, 0.9, min(frac_good, frac_rej), 0.0,
-        budget.draws,
-        ({"no_worse_fraction": frac_good, "antisymmetric_rejected_fraction": frac_rej},),
-    )
+    return _rates("merge_guarantee_features", budget.draws, good, rejected_anti,
+                  "antisymmetric_rejected_fraction")
 
 
 CHECKS: dict[str, Callable[[VerifyBudget, int], CheckResult]] = {

@@ -1,8 +1,10 @@
 """Command-line entry point: aggregate, synth, sweep, and verify subcommands.
 
 Every command is a pure function of its input files, flags, and seed, and
-writes byte-identical outputs on repeated invocation.  Exit codes: 0 success,
-1 validation (including I/O), 2 numerical, 3 verification failure.
+writes byte-identical outputs on repeated invocation at a fixed BLAS thread
+count (another thread count can move the last bits of floating-point
+results).  Exit codes: 0 success, 1 validation (including I/O), 2 numerical,
+3 verification failure.
 """
 
 from __future__ import annotations
@@ -114,13 +116,6 @@ def _build_schema(header_targets: list[str], ignore: list[str], homogeneous: boo
     return schema
 
 
-def _in_sample_r2(pred: np.ndarray, actual: np.ndarray) -> float:
-    err = linstats.mse(pred, actual)
-    dev = actual - actual.mean()
-    denom = float(dev @ dev) / len(actual)
-    return 1.0 - err / denom if denom > 0 else 0.0
-
-
 def _single_task_predictions(dataset) -> np.ndarray:
     """In-sample OLS predictions of each target from its own features, by column."""
     if dataset.per_task_features is None:
@@ -183,8 +178,8 @@ def cmd_aggregate(args) -> int:
         pred = X @ coef
         for t in result.task_partition.clusters[ci]:
             actual = centered.targets[:, t]
-            before = _in_sample_r2(single[:, t], actual)
-            after = _in_sample_r2(pred, actual)
+            before = linstats._prediction_r2(single[:, t], actual)
+            after = linstats._prediction_r2(pred, actual)
             lines.append(
                 f"  {centered.target_names[t]}: {before:.4f} -> {after:.4f}"
             )

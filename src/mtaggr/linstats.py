@@ -183,6 +183,14 @@ def mse(predictions, actuals) -> float:
     return float(diff @ diff) / p.shape[0]
 
 
+def _prediction_r2(pred: np.ndarray, actual: np.ndarray) -> float:
+    """1 - MSE / variance of ``actual`` (divisor n); 0 for a constant ``actual``."""
+    err = mse(pred, actual)
+    dev = actual - actual.mean()
+    denom = float(dev @ dev) / len(actual)
+    return 1.0 - err / denom if denom > 0 else 0.0
+
+
 def nrmse(predictions, actuals) -> float:
     """Root mean squared error normalized by the range of the actuals."""
     a = _as_vector(actuals, "actuals")

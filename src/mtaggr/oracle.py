@@ -184,14 +184,18 @@ def _centered(a: np.ndarray) -> np.ndarray:
     return a - a.mean(axis=0)
 
 
-def _signal(task: "SyntheticTask", X: np.ndarray, index: int) -> np.ndarray:
-    return X @ task.coefficients[index]
-
-
 def _draw_features(task: "SyntheticTask", n: int, rng: np.random.Generator):
     X = rng.standard_normal((n, task.coefficients.shape[1]))
     X *= task.feature_std
     return X
+
+
+def _solve_or_pinv(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
+    """gram^{-1} rhs, through the pseudo-inverse when gram is singular (flagged)."""
+    try:
+        return np.linalg.solve(gram, rhs), False
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(gram) @ rhs, True
 
 
 def _partial_cov_terms(
@@ -206,12 +210,7 @@ def _partial_cov_terms(
     cov_pp = pc.T @ pc / (n - 1)
     cov_pa = pc.T @ ac / (n - 1)
     cov_pb = pc.T @ bc / (n - 1)
-    used_pinv = False
-    try:
-        solved = np.linalg.solve(cov_pp, cov_pb)
-    except np.linalg.LinAlgError:
-        solved = np.linalg.pinv(cov_pp) @ cov_pb
-        used_pinv = True
+    solved, used_pinv = _solve_or_pinv(cov_pp, cov_pb)
     partial = plain - float(cov_pa @ solved)
     return plain, partial, used_pinv
 
@@ -228,6 +227,10 @@ def _checked_indices(task: "SyntheticTask", cluster, feature_clusters, task_inde
     return members, _validate_partition(feature_clusters, D, "feature_clusters")
 
 
+# Batches of the fresh sample whose bias values give the standard error.
+_BIAS_BATCHES = 10
+
+
 def population_bias_decomposition(
     task: "SyntheticTask",
     cluster: Sequence[int],
@@ -235,7 +238,6 @@ def population_bias_decomposition(
     task_index: int,
     n_pop: int = 100_000,
     seed: int = 0,
-    n_batches: int = 10,
 ) -> BiasDecomposition:
     """Estimate the bias decomposition on fresh generator samples.
 
@@ -252,25 +254,19 @@ def population_bias_decomposition(
     )
     rng = np.random.default_rng(seed)
     X = _draw_features(task, n_pop, rng)
-    f_i = _signal(task, X, task_index)
-    psi = np.mean([_signal(task, X, k) for k in cluster], axis=0)
+    f_i = task.signal(X, task_index)
+    psi = np.mean([task.signal(X, k) for k in cluster], axis=0)
     phi = _cluster_means(X, feature_clusters)
 
     def decompose(sl: slice) -> BiasDecomposition:
-        Xs, fs, ps, phis = X[sl], f_i[sl], psi[sl], phi[sl]
+        fs, ps, phis = f_i[sl], psi[sl], phi[sl]
         n = fs.shape[0]
         var_f = float(np.var(fs, ddof=1))
         var_psi = float(np.var(ps, ddof=1))
         # Explained variance of psi from phi, via the population projection.
         pc = _centered(phis)
         psc = ps - ps.mean()
-        gram = pc.T @ pc
-        try:
-            coef = np.linalg.solve(gram, pc.T @ psc)
-            pinv_used = False
-        except np.linalg.LinAlgError:
-            coef = np.linalg.pinv(gram) @ (pc.T @ psc)
-            pinv_used = True
+        coef, pinv_used = _solve_or_pinv(pc.T @ pc, pc.T @ psc)
         fitted = pc @ coef
         explained = float(fitted @ fitted) / (n - 1)
         r2 = explained / var_psi if var_psi > 0 else 0.0
@@ -280,12 +276,12 @@ def population_bias_decomposition(
         )
 
     full = decompose(slice(None))
-    batch = n_pop // n_batches
+    batch = n_pop // _BIAS_BATCHES
     values = [
         decompose(slice(b * batch, (b + 1) * batch)).bias_value
-        for b in range(n_batches)
+        for b in range(_BIAS_BATCHES)
     ]
-    se = float(np.std(values, ddof=1) / np.sqrt(n_batches))
+    se = float(np.std(values, ddof=1) / np.sqrt(_BIAS_BATCHES))
     return BiasDecomposition.assemble(
         full.var_f_i,
         full.var_psi,
@@ -386,7 +382,7 @@ def monte_carlo_bias_variance(
 
     rng_eval = np.random.default_rng(eval_seed)
     X_eval = _draw_features(task, n_eval, rng_eval)
-    f_eval = _signal(task, X_eval, task_index)
+    f_eval = task.signal(X_eval, task_index)
     phi_eval = _cluster_means(X_eval, feature_clusters)
 
     # Each replicate keeps its own stream (features, then noise) and is

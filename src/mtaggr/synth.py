@@ -12,14 +12,14 @@ order: coefficients, train features, train noise, test features, test noise.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from . import linstats
-from .aggregation import AggregationResult, apply_partition, nonlin_ctfa
+from .aggregation import apply_partition, nonlin_ctfa
 from .data import Dataset, center
 from .errors import ValidationError
 from .oracle import NoiseModel
@@ -188,13 +188,6 @@ def generate(
     return train, test, truth
 
 
-def _out_of_sample_r2(pred: np.ndarray, actual: np.ndarray) -> float:
-    err = linstats.mse(pred, actual)
-    dev = actual - actual.mean()
-    denom = float(dev @ dev) / len(actual)
-    return 1.0 - err / denom if denom > 0 else 0.0
-
-
 @dataclass(frozen=True)
 class TrialMetrics:
     """Per-seed evaluation of single-task vs aggregated models.
@@ -213,20 +206,11 @@ class TrialMetrics:
     r2_phase12: float
     n_task_clusters: float
     mean_reduced_features: float
-    result: AggregationResult | None = None
 
-    METRIC_FIELDS = (
-        "mse_single",
-        "mse_phase1",
-        "mse_phase12",
-        "pct_phase1",
-        "pct_phase12",
-        "r2_single",
-        "r2_phase1",
-        "r2_phase12",
-        "n_task_clusters",
-        "mean_reduced_features",
-    )
+    METRIC_FIELDS: ClassVar[tuple[str, ...]]  # every field, in order; set below
+
+
+TrialMetrics.METRIC_FIELDS = tuple(f.name for f in fields(TrialMetrics))
 
 
 def _pct_change(value: float, baseline: float) -> float:
@@ -237,9 +221,7 @@ def _pct_change(value: float, baseline: float) -> float:
     return 100.0 * (value - baseline) / baseline
 
 
-def run_trial(
-    config: SynthConfig, seed: int, keep_result: bool = False
-) -> TrialMetrics:
+def run_trial(config: SynthConfig, seed: int) -> TrialMetrics:
     """Generate, aggregate, and score one seed of the benchmark."""
     train_raw, test_raw, _ = generate(config, seed)
     centering = center(train_raw)
@@ -255,7 +237,7 @@ def run_trial(
         fit = linstats.ols_fit(train.features, train.targets[:, t])
         pred = fit.predict(test.features)
         mse_single[t] = linstats.mse(pred, test.targets[:, t])
-        r2_single[t] = _out_of_sample_r2(pred, test.targets[:, t])
+        r2_single[t] = linstats._prediction_r2(pred, test.targets[:, t])
 
     mse_p1 = np.empty(L)
     r2_p1 = np.empty(L)
@@ -272,9 +254,9 @@ def run_trial(
         for t in cluster:
             actual = test.targets[:, t]
             mse_p1[t] = linstats.mse(pred1, actual)
-            r2_p1[t] = _out_of_sample_r2(pred1, actual)
+            r2_p1[t] = linstats._prediction_r2(pred1, actual)
             mse_p12[t] = linstats.mse(pred2, actual)
-            r2_p12[t] = _out_of_sample_r2(pred2, actual)
+            r2_p12[t] = linstats._prediction_r2(pred2, actual)
 
     m_single = float(mse_single.mean())
     m_p1 = float(mse_p1.mean())
@@ -292,7 +274,6 @@ def run_trial(
         mean_reduced_features=float(
             np.mean([fp.n_clusters for fp in result.feature_partitions])
         ),
-        result=result if keep_result else None,
     )
 
 

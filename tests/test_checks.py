@@ -1,11 +1,23 @@
 """Smoke coverage of the verification-check plumbing (full budgets run in acceptance)."""
 
 import json
+import math
+from pathlib import Path
 
 import pytest
 
-from mtaggr.checks import CHECKS, VerifyBudget, check_closure, check_noise_variance, run_checks
+from mtaggr.aggregation import REPLAY_ATOL, REPLAY_RTOL
+from mtaggr.checks import (
+    CHECKS,
+    VerifyBudget,
+    _summary,
+    check_closure,
+    check_noise_variance,
+    run_checks,
+)
 from mtaggr.errors import ValidationError
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_noise_variance_check_is_exact():
@@ -48,3 +60,52 @@ def test_results_serialize_to_json():
     result = check_noise_variance(VerifyBudget.quick())
     text = json.dumps(result.to_dict())
     assert "noise_variance" in text
+
+
+def _assert_same_report(got, want, path="report"):
+    """Keys, strings, bools and ints exactly; floats within the replay tolerance."""
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            _assert_same_report(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_report(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), (path, got)
+        assert math.isclose(got, want, rel_tol=REPLAY_RTOL, abs_tol=REPLAY_ATOL), (
+            path, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+def test_quick_reports_at_seed_3_match_the_recorded_ones():
+    want = json.loads((DATA / "verify_quick_seed3.json").read_text(encoding="utf-8"))
+    got = [r.to_dict() for r in run_checks(None, VerifyBudget.quick(), seed=3)]
+    # Round-trip through JSON so the comparison sees what a report file stores.
+    _assert_same_report(json.loads(json.dumps(got)), want)
+
+
+def _case(theoretical, empirical, se, passed):
+    return {"theoretical": theoretical, "empirical": empirical,
+            "standard_error": se, "passed": passed}
+
+
+def test_summary_fails_when_one_case_fails():
+    cases = [_case(1.0, 1.0, 0.1, True), _case(2.0, 5.0, 0.1, False),
+             _case(3.0, 3.0, 0.1, True)]
+    result = _summary("demo", cases, 7, margin=lambda c: abs(c["empirical"] - c["theoretical"]))
+    assert not result.passed
+    assert (result.theoretical, result.empirical, result.standard_error) == (2.0, 5.0, 0.1)
+    assert result.replicates == 7
+    assert result.details == tuple(cases)
+
+
+def test_summary_reports_the_first_of_equal_margins():
+    cases = [_case(1.0, 1.5, 0.1, True), _case(2.0, 2.5, 0.2, True),
+             _case(3.0, 3.1, 0.3, True)]
+    result = _summary("demo", cases, 1, margin=lambda c: abs(c["empirical"] - c["theoretical"]))
+    assert result.passed
+    assert (result.theoretical, result.empirical, result.standard_error) == (1.0, 1.5, 0.1)
+
