@@ -18,17 +18,22 @@ The walk (:func:`_greedy`) knows nothing of the data: a comparison model
 opens a cluster, compares a candidate and accepts it.  With shared features
 the models fit nothing per comparison:
 
-* Phase I projects every target off the column space of X once (one SVD of
-  X).  The fit of a target mean is the mean of the targets' fits, so running
-  sums of the open cluster's targets and residuals give each comparison's
-  three fits in O(n).
+* Phase I projects every target off the column space of X once.  The fit
+  of a target mean is the mean of the targets' fits, so running sums of the
+  open cluster's targets and residuals give each comparison's three fits in
+  O(n).
 * Phase II keeps the restricted coefficients b and their unscaled
-  covariance K = (X'X)^-1, from one SVD of X per call.  Merging candidate j
-  into the cluster opened by s imposes b_s = b_j, which raises the residual
-  sum of squares by (b_s - b_j)^2 / (K_ss - 2 K_sj + K_jj) and lowers the
-  rank by one; an accept applies it to b and K as a rank-one downdate.  Where X is
-  rank-deficient or too badly conditioned for this to match a refit within
-  the replay tolerance, each comparison refits its working matrix instead.
+  covariance K = (X'X)^-1.  Merging candidate j into the cluster opened by s
+  imposes b_s = b_j, which raises the residual sum of squares by
+  (b_s - b_j)^2 / (K_ss - 2 K_sj + K_jj) and lowers the rank by one.  A
+  comparison reads only diag(K) and K_sj; an accept keeps its rank-one
+  downdate of K as a vector and applies a block of them to K at once.  Where
+  X is rank-deficient or too badly conditioned for this to match a refit
+  within the replay tolerance, each comparison refits its working matrix
+  instead.
+
+Both phases take their factors from one SVD of X, which :func:`nonlin_ctfa`
+computes once per run.
 
 The homogeneous model fits each task's slab once and each merged mean slab
 once per comparison, forming that slab from a running sum.  The threshold
@@ -82,6 +87,11 @@ REPLAY_ATOL = 1e-12
 CENTERED_TOL = 1e-7
 
 _SEED_MASK = (1 << 64) - 1
+
+# Accepted phase-II downdates are applied to the stored (X'X)^-1 as one
+# rank-k update of this many (see _FeatureRestrictions).  Of 16 to 512, 128
+# ran fastest at D = 800 and 1600 (n = 2.5 D) on one OpenBLAS thread.
+_DOWNDATE_BLOCK = 128
 
 
 class ThresholdFit(NamedTuple):
@@ -314,8 +324,8 @@ class _TargetMerges:
     comparison O(n) however large the cluster grows.
     """
 
-    def __init__(self, X: np.ndarray, Z: np.ndarray, epsilon: float):
-        U, s, _ = np.linalg.svd(X, full_matrices=False)
+    def __init__(self, X: np.ndarray, Z: np.ndarray, epsilon: float, svd):
+        U, s, _ = np.linalg.svd(X, full_matrices=False) if svd is None else svd
         # lstsq's default cutoff for singular values that count as zero.
         self.rank = int(np.count_nonzero(s > np.finfo(float).eps * max(X.shape) * s[0]))
         Q = U[:, : self.rank]
@@ -400,9 +410,19 @@ class _FeatureRestrictions(_FeatureRefits):
     the residual sum of squares by ``(b_s - b_j)^2 / (K_ss - 2 K_sj + K_jj)``
     and lowers the rank by one (the F-test restriction identity, Seber &
     Lee, *Linear Regression Analysis*, sec. 4.3).  An accept imposes the
-    restriction on b and K as a rank-one downdate; opening a cluster only
-    reorders the working columns and changes neither.  Used only where this
-    matches a refit to the replay tolerance (see :func:`_feature_merges`).
+    restriction on b and K; opening a cluster only reorders the working
+    columns and changes neither.  Used only where this matches a refit to
+    the replay tolerance (see :func:`_feature_merges`).
+
+    K is held as ``K0 - V V'``: the columns of V are the rank-one downdates
+    accepted since they were last applied to ``K0``, and diag(K) is kept up
+    to date on its own.  A comparison reads diag(K) and one entry of K, and
+    an accept forms the column difference of K it needs with one matrix-
+    vector product.  Every ``_DOWNDATE_BLOCK`` accepts one matrix product,
+    a rank-k update (Golub & Van Loan, *Matrix Computations*), applies V to
+    ``K0``, and the residual sum of squares is recomputed from the
+    restricted coefficients.  In between it carries the summed increments,
+    so their rounding builds up over one block at most.
     """
 
     def __init__(self, X, y, epsilon, task_cluster, svd):
@@ -410,34 +430,44 @@ class _FeatureRestrictions(_FeatureRefits):
         U, s, Vt = svd
         W = Vt.T / s
         self.beta = W @ (U.T @ y)
-        self.K = W @ W.T
-        resid = y - X @ self.beta
+        self.K0 = W @ W.T
+        self.diag = np.diagonal(self.K0).copy()
+        # A walk over d features accepts at most d - 1 merges.
         d = X.shape[1]
-        self.sep_fit = ThresholdFit(
-            float(resid @ resid), _target_variance(y), y.shape[0], d, d
-        )
+        self.V = np.empty((d, min(_DOWNDATE_BLOCK, d)))
+        self.k = 0
+        self.sep_fit = ThresholdFit(self._ss_res(), _target_variance(y), y.shape[0], d, d)
+
+    def _ss_res(self) -> float:
+        resid = self.y - self.X @ self.beta
+        return float(resid @ resid)
 
     def open(self, i: int) -> None:
         pass
 
     def _merged_fit(self, closed, members, visited, j: int) -> ThresholdFit:
-        s, b, K = members[0], self.beta, self.K
+        s, b, V = members[0], self.beta, self.V[:, : self.k]
         diff = b[s] - b[j]
-        delta = diff * diff / (K[s, s] - 2.0 * K[s, j] + K[j, j])
+        k_sj = self.K0[s, j] - V[s] @ V[j]
+        delta = diff * diff / (self.diag[s] - 2.0 * k_sj + self.diag[j])
         sep = self.sep_fit
         return sep._replace(ss_res=sep.ss_res + delta, d=sep.d - 1, rank=sep.rank - 1)
 
     def accept(self, members, j: int) -> None:
-        s = members[0]
-        Kc = self.K[:, s] - self.K[:, j]
+        s, V = members[0], self.V[:, : self.k]
+        # K0 is symmetric: its rows s and j are its columns s and j.
+        Kc = self.K0[s] - self.K0[j] - V @ (V[s] - V[j])
         root = np.sqrt(Kc[s] - Kc[j])
         self.beta -= Kc * ((self.beta[s] - self.beta[j]) / (root * root))
         u = Kc / root
-        self.K -= np.outer(u, u)
-        # The residual of the restricted coefficients, rather than the sum of
-        # the increments, keeps rounding from accumulating over a long chain.
-        resid = self.y - self.X @ self.beta
-        self.sep_fit = self.ag_fit._replace(ss_res=float(resid @ resid))
+        self.V[:, self.k] = u
+        self.diag -= u * u
+        self.k += 1
+        self.sep_fit = self.ag_fit
+        if self.k == self.V.shape[1]:
+            self.K0 -= self.V @ self.V.T
+            self.k = 0
+            self.sep_fit = self.ag_fit._replace(ss_res=self._ss_res())
 
 
 class _ConstantTarget(_FeatureRefits):
@@ -454,8 +484,10 @@ class _ConstantTarget(_FeatureRefits):
         return self.sep_fit._replace(d=d - 1, rank=d - 1)
 
 
-def _feature_merges(X: np.ndarray, y: np.ndarray, epsilon: float, task_cluster):
+def _feature_merges(X: np.ndarray, y: np.ndarray, epsilon: float, task_cluster, svd):
     """The restriction identity where it matches a refit; otherwise refits.
+
+    ``svd`` is the thin SVD of X, or None to compute it here.
 
     A target of zero variance rejects every merge on the target alone, so
     it takes neither path (see :class:`_ConstantTarget`).
@@ -470,7 +502,8 @@ def _feature_merges(X: np.ndarray, y: np.ndarray, epsilon: float, task_cluster):
     """
     if _target_variance(y) <= 0.0:
         return _ConstantTarget(X, y, epsilon, task_cluster)
-    svd = np.linalg.svd(X, full_matrices=False)
+    if svd is None:
+        svd = np.linalg.svd(X, full_matrices=False)
     s = svd[1]
     max_cond = np.sqrt(REPLAY_ATOL / np.finfo(float).eps)
     if s.shape[0] == X.shape[1] and s[-1] * max_cond > s[0]:
@@ -556,12 +589,16 @@ def aggregation_loop(
     targets=None,
     target=None,
     task_cluster: int | None = None,
+    svd=None,
 ) -> tuple[tuple[tuple[int, ...], ...], list[ThresholdReport]]:
     """Greedy single-pass aggregation of ``items`` on shared features.
 
     Phase 1 merges target columns of ``targets``; phase 2 merges feature
     columns against the single ``target``.  Items are walked in the given
-    order (see :func:`_greedy`).
+    order (see :func:`_greedy`).  ``svd`` is the thin SVD ``(U, s, Vt)`` of
+    ``features`` as ``np.linalg.svd(features, full_matrices=False)`` returns
+    it, so that several walks on one matrix share it; when None, the walk
+    computes it where it needs it.
     """
     order = [int(i) for i in items]
     if not order:
@@ -591,10 +628,19 @@ def aggregation_loop(
     for i in order:
         if i < 0 or i >= size:
             raise ValidationError(f"item index {i} out of range [0, {size})")
+    if svd is not None:
+        r = min(X.shape)
+        want = [(n, r), (r,), (r, X.shape[1])]
+        got = [np.shape(f) for f in svd]
+        if got != want:
+            raise ValidationError(
+                f"SVD factors of shapes {got} do not fit features of shape "
+                f"{X.shape}; expected {want}"
+            )
 
     if phase == 1:
-        return _greedy(order, _TargetMerges(X, Z, epsilon))
-    return _greedy(order, _feature_merges(X, y, epsilon, task_cluster))
+        return _greedy(order, _TargetMerges(X, Z, epsilon, svd))
+    return _greedy(order, _feature_merges(X, y, epsilon, task_cluster, svd))
 
 
 @dataclass(frozen=True)
@@ -666,14 +712,17 @@ def nonlin_ctfa(
 
     Phase I visits the targets in a seed-shuffled order to avoid systematic
     ordering bias; phase II visits the features in dataset order, once per
-    task cluster, against that cluster's mean target.
+    task cluster, against that cluster's mean target.  Every walk takes its
+    factors from one SVD of the features.
     """
     _check_centered(dataset.features, "feature")
     _check_centered(dataset.targets, "target")
 
+    svd = np.linalg.svd(dataset.features, full_matrices=False)
     order = _task_order(dataset.n_tasks, seed)
     clusters, trace = aggregation_loop(
-        order, 1, epsilon1, features=dataset.features, targets=dataset.targets
+        order, 1, epsilon1, features=dataset.features, targets=dataset.targets,
+        svd=svd,
     )
     task_partition = TaskPartition.from_clusters(clusters, dataset.targets)
 
@@ -688,6 +737,7 @@ def nonlin_ctfa(
             features=dataset.features,
             target=psi,
             task_cluster=ci,
+            svd=svd,
         )
         feature_partitions.append(
             FeaturePartition.from_clusters(fclusters, dataset.features)

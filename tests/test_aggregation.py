@@ -320,8 +320,91 @@ class TestAggregationLoop:
         with pytest.raises(ValidationError):
             aggregation_loop([0], 1, 0.0, features=ds.features)
 
+    @staticmethod
+    def walk_data(ds, phase):
+        if phase == 1:
+            return range(ds.n_tasks), dict(targets=ds.targets)
+        return range(ds.n_features), dict(target=ds.targets[:, 0], task_cluster=0)
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_a_given_svd_repeats_the_walk_bit_for_bit(self, phase):
+        ds = make_centered(seed=3, D=12)
+        items, data = self.walk_data(ds, phase)
+        svd = np.linalg.svd(ds.features, full_matrices=False)
+        alone = aggregation_loop(items, phase, 1e-3, features=ds.features, **data)
+        shared = aggregation_loop(items, phase, 1e-3, features=ds.features, svd=svd,
+                                  **data)
+        assert shared == alone
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_svd_factors_of_another_shape_rejected(self, phase):
+        ds = make_centered(seed=3, D=12)
+        X = ds.features
+        items, data = self.walk_data(ds, phase)
+        for svd in (
+            np.linalg.svd(X[:, :-1], full_matrices=False),
+            np.linalg.svd(X[:-1], full_matrices=False),
+            np.linalg.svd(X.T, full_matrices=False),
+            np.linalg.svd(X),
+            np.linalg.svd(X, full_matrices=False)[:2],
+        ):
+            with pytest.raises(ValidationError, match="SVD factors"):
+                aggregation_loop(items, phase, 0.0, features=X, svd=svd, **data)
+
+
+class TestRestrictionBlocks:
+    @pytest.mark.parametrize("block", [8, 32])
+    def test_chain_across_flushes_matches_refits(self, block, monkeypatch):
+        # Phase II accepts more than three blocks of downdates, most of them
+        # into one feature cluster, so it applies several rank-k updates to
+        # K and recomputes its residual as often mid-chain.  Near-collinear
+        # column pairs give K large off-diagonal entries.  The block is
+        # shrunk so that the lstsq reference stays cheap; the scaling rows
+        # of tools/bench_scaling.py cover the module's own block.
+        monkeypatch.setattr(aggregation, "_DOWNDATE_BLOCK", block)
+        rng = np.random.default_rng(12)
+        D = 3 * block + 5
+        n = 3 * D
+        X = rng.standard_normal((n, D))
+        for k in range(0, 16, 2):
+            X[:, k + 1] = X[:, k] + 0.2 * rng.standard_normal(n)
+        X = centered(X)
+        y = centered(X @ (1.0 + 0.05 * rng.standard_normal(D))
+                     + 3.0 * rng.standard_normal(n))
+        ds, eps2 = Dataset(X, y[:, None]), 1e-3
+        result = nonlin_ctfa(ds, 0.0, eps2, seed=0)
+
+        model = aggregation._feature_merges(X, y, eps2, 0, None)
+        assert type(model).__name__ == "_FeatureRestrictions"
+        clusters = result.feature_partitions[0].clusters
+        assert 2 * max(map(len, clusters)) > D
+        got = [r for r in result.trace if r.phase == 2]
+        assert 3 * block <= sum(r.accepted for r in got) < len(got)
+        refits = aggregation._FeatureRefits(X, y, eps2, 0)
+        want_clusters, want = aggregation._greedy(list(range(D)), refits)
+        assert clusters == want_clusters
+        assert [(r.cluster_id, r.candidate, r.members, r.accepted) for r in got] == [
+            (r.cluster_id, r.candidate, r.members, r.accepted) for r in want
+        ]
+        assert_reevaluates(ds, result)
+
 
 class TestDriver:
+    def test_one_svd_per_run(self, monkeypatch):
+        # Phase I and every task cluster's phase II share one SVD of X.
+        build, eps1, eps2, seed = REEVALUATION_CASES["reference"]
+        ds = build()
+        svd, calls = np.linalg.svd, []
+
+        def counted(*args, **kw):
+            calls.append(args[0].shape)
+            return svd(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        result = nonlin_ctfa(ds, eps1, eps2, seed=seed)
+        assert result.task_partition.n_clusters > 1
+        assert calls == [ds.features.shape]
+
     def test_negative_epsilon1_keeps_singletons(self):
         ds = make_centered(seed=2)
         result = nonlin_ctfa(ds, -1e6, 1e-4, seed=0)

@@ -1,0 +1,156 @@
+"""Time ``nonlin_ctfa`` on the feature-scaling rows and write them to a BENCH_*.json file.
+
+    python3 tools/bench_scaling.py                      # D = 100, 200, 400, 800
+    python3 tools/bench_scaling.py --rows 100,200       # a quick smoke run
+    python3 tools/bench_scaling.py --src ../base-checkout/src --side base \\
+        --rows 100,200,400,800,1600 --out BENCH_11.json
+
+Each row runs ``nonlin_ctfa`` once on ``center(generate(SynthConfig(n_features=D,
+n_train=int(2.5*D)), 10)[0])`` with epsilon1 0, epsilon2 1e-4 and seed 10, and
+records its wall time, its comparison count, a SHA-256 digest of its
+decisions (the partitions and every record's phase, task cluster, cluster,
+candidate and decision), the smallest phase-II margin |r_gap - epsilon2| and
+the number of ``numpy.linalg.svd`` calls.  Neither data generation nor a
+first, untimed run of the smallest row is timed.
+D=1600 takes minutes, so it runs only when ``--rows`` names it.
+
+``--src`` picks the ``mtaggr`` source tree to import, so one script times a
+change and its base; ``--out`` stores the rows under ``scaling.<side>`` of
+the file, keeping everything else in it, and, once both sides are there,
+says for each row whether their digests agree.  Without ``--out`` the rows
+are printed as JSON lines.  Standard library only, besides ``mtaggr`` and
+numpy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ROWS = (100, 200, 400, 800, 1600)
+DEFAULT_ROWS = ROWS[:-1]
+EPSILON1, EPSILON2, SEED, DATA_SEED = 0.0, 1e-4, 10, 10
+THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def decisions_digest(result) -> str:
+    """SHA-256 of both partitions and every record's decision."""
+    doc = {
+        "task_clusters": result.task_partition.clusters,
+        "feature_clusters": [fp.clusters for fp in result.feature_partitions],
+        "decisions": [(r.phase, r.task_cluster, r.cluster_id, r.candidate, r.accepted)
+                      for r in result.trace],
+    }
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+def row(D: int) -> dict:
+    """Time one ``nonlin_ctfa`` run at D features and n = 2.5 D samples."""
+    import numpy as np
+    from mtaggr import aggregation
+    from mtaggr.data import center
+    from mtaggr.synth import SynthConfig, generate
+
+    n = int(2.5 * D)
+    dataset = center(generate(SynthConfig(n_features=D, n_train=n), DATA_SEED)[0]).dataset
+    svd, calls = np.linalg.svd, [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    np.linalg.svd = counted
+    try:
+        start = time.perf_counter()
+        result = aggregation.nonlin_ctfa(dataset, EPSILON1, EPSILON2, SEED)
+        seconds = time.perf_counter() - start
+    finally:
+        np.linalg.svd = svd
+    gaps = [abs(r.r_gap - EPSILON2) for r in result.trace
+            if r.phase == 2 and r.r_gap is not None]
+    return {
+        "D": D,
+        "n": n,
+        "seconds": seconds,
+        "comparisons": len(result.trace),
+        "phase2_comparisons": sum(r.phase == 2 for r in result.trace),
+        "decisions_sha256": decisions_digest(result),
+        "min_phase2_margin": min(gaps) if gaps else None,
+        "svd_calls": calls[0],
+    }
+
+
+def environment() -> dict:
+    import numpy as np
+
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "nproc": os.cpu_count(),
+            "thread_env": {k: os.environ.get(k) for k in THREAD_ENV}}
+
+
+def commit(tree: Path) -> str | None:
+    """The commit checked out in ``tree``, marked dirty if it has changes."""
+    done = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=tree,
+                          capture_output=True, text=True)
+    return done.stdout.strip() or None
+
+
+def compare_sides(scaling: dict) -> list[dict]:
+    """Per D timed on both sides: whether the decision digests agree."""
+    rows = {side: {r["D"]: r for r in scaling[side]["rows"]} for side in scaling}
+    if set(rows) != {"base", "change"}:
+        return []
+    return [{"D": D, "same_decisions": rows["base"][D]["decisions_sha256"]
+             == rows["change"][D]["decisions_sha256"]}
+            for D in sorted(set(rows["base"]) & set(rows["change"]))]
+
+
+def parse_rows(text: str) -> list[int]:
+    rows = [int(v) for v in text.split(",")]
+    unknown = sorted(set(rows) - set(ROWS))
+    if unknown:
+        raise argparse.ArgumentTypeError(f"no scaling row for D = {unknown}; rows are {ROWS}")
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rows", type=parse_rows,
+                        default=list(DEFAULT_ROWS), help="comma-separated D values")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the source tree whose mtaggr is timed")
+    parser.add_argument("--side", choices=("base", "change"), default="change")
+    parser.add_argument("--out", type=Path, help="BENCH_*.json file to add the rows to")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    row(ROWS[0])  # untimed: the first call's one-off set-up is not a row's cost
+    rows = []
+    for D in args.rows:
+        rows.append(row(D))
+        print(json.dumps(rows[-1]), flush=True)
+    if args.out is None:
+        return 0
+    doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
+    scaling = doc.setdefault("scaling", {})
+    scaling[args.side] = {"commit": commit(src.parent), "environment": environment(),
+                          "epsilon1": EPSILON1, "epsilon2": EPSILON2, "seed": SEED,
+                          "rows": rows}
+    doc["scaling_decisions"] = compare_sides(scaling)
+    args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    for entry in doc["scaling_decisions"]:
+        print(f"D={entry['D']}: decisions "
+              f"{'agree' if entry['same_decisions'] else 'DIFFER'}", flush=True)
+    return 0 if all(e["same_decisions"] for e in doc["scaling_decisions"]) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
