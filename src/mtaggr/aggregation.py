@@ -36,11 +36,17 @@ Both phases take their factors from one SVD of X, which :func:`nonlin_ctfa`
 computes once per run.
 
 The homogeneous model fits each task's slab once and each merged mean slab
-once per comparison, forming that slab from a running sum.  The threshold
-tests take fits, not arrays: every model calls one of them once per
-comparison with the fits it holds, so the report and its decision are built
-in one place.  Callers that hold arrays, such as
-standalone re-evaluation and the verification checks, fit first with lstsq
+once per comparison, forming that slab from a running sum.  Each slab has
+its own matrix, so nothing is shared between fits; a fit solves the normal
+equations X'X b = X'y where cond(X) is proven at most ``MAX_COND``, which
+keeps its error of order eps * cond(X)^2 within the replay tolerance, and
+falls back to lstsq for any other slab (n <= D, duplicate or zero columns,
+or worse conditioning).
+
+The threshold tests take fits, not arrays: every model calls one of them
+once per comparison with the fits it holds, so the report and its decision
+are built in one place.  Callers that hold arrays, such as standalone
+re-evaluation and the verification checks, fit first with lstsq
 (:func:`threshold_fit`), which serves as the reference.
 """
 
@@ -54,7 +60,7 @@ import numpy as np
 
 from .data import Dataset, FeaturePartition, TaskPartition, _cluster_means
 from .errors import ValidationError, ZeroVarianceError
-from .linstats import _core_fit
+from .linstats import _CoreFit, _core_fit, _gram_fit
 
 __all__ = [
     "ThresholdFit",
@@ -82,6 +88,16 @@ R2_TIE_TOL = 1e-12
 # Tolerance within which a replayed trace scalar must match the recorded one.
 REPLAY_RTOL = 1e-9
 REPLAY_ATOL = 1e-12
+
+# The largest cond(X) at which a fit from X'X or its inverse is used.  Such
+# a form carries a relative error of order eps * cond(X)^2 (Higham,
+# *Accuracy and Stability of Numerical Algorithms*, ch. 20; Bjorck,
+# *Numerical Methods for Least Squares Problems*), and the quantities it
+# feeds can lie near zero, where only REPLAY_ATOL applies; so this is where
+# eps * cond(X)^2 = REPLAY_ATOL, about 67.  Phase II's restriction identity
+# (see _feature_merges) and the homogeneous walk's Gram fits (_slab_fit)
+# gate on it.
+MAX_COND = float(np.sqrt(REPLAY_ATOL / np.finfo(float).eps))
 
 # Columns count as centered when |mean| <= this times (1 + rms).
 CENTERED_TOL = 1e-7
@@ -114,10 +130,18 @@ class _FitStats(NamedTuple):
     varf: float  # explained variance: var(y) - var_res, floored at zero
 
 
+def _threshold(core: _CoreFit) -> ThresholdFit:
+    return ThresholdFit(core.ss_res, core.target_variance, core.n, core.d, core.rank)
+
+
 def threshold_fit(X, y) -> ThresholdFit:
     """Fit ``y`` on the columns of ``X`` with lstsq, for the threshold tests."""
-    core = _core_fit(X, y)
-    return ThresholdFit(core.ss_res, core.target_variance, core.n, core.d, core.rank)
+    return _threshold(_core_fit(X, y))
+
+
+def _slab_fit(X, y) -> _CoreFit:
+    """Fit ``y`` on ``X`` from X'X where cond(X) <= MAX_COND, else with lstsq."""
+    return _gram_fit(X, y, MAX_COND) or _core_fit(X, y)
 
 
 def _target_variance(y: np.ndarray) -> float:
@@ -495,18 +519,16 @@ def _feature_merges(X: np.ndarray, y: np.ndarray, epsilon: float, task_cluster, 
     The identity works from (X'X)^-1, so its R^2 values carry a relative
     error of order eps * cond(X)^2.  Their gap can be near zero, where only
     the replay tolerance's absolute floor applies, so the identity is used
-    only when eps * cond(X)^2 <= REPLAY_ATOL (cond(X) up to about 67).  Such
-    an X has full column rank, and so has every working matrix (X times an
-    averaging matrix, at most sqrt(d) times worse conditioned) under
-    lstsq's cutoff.
+    only when cond(X) < MAX_COND.  Such an X has full column rank, and so
+    has every working matrix (X times an averaging matrix, at most sqrt(d)
+    times worse conditioned) under lstsq's cutoff.
     """
     if _target_variance(y) <= 0.0:
         return _ConstantTarget(X, y, epsilon, task_cluster)
     if svd is None:
         svd = np.linalg.svd(X, full_matrices=False)
     s = svd[1]
-    max_cond = np.sqrt(REPLAY_ATOL / np.finfo(float).eps)
-    if s.shape[0] == X.shape[1] and s[-1] * max_cond > s[0]:
+    if s.shape[0] == X.shape[1] and s[-1] * MAX_COND > s[0]:
         return _FeatureRestrictions(X, y, epsilon, task_cluster, svd)
     return _FeatureRefits(X, y, epsilon, task_cluster)
 
@@ -517,14 +539,18 @@ class _SlabMerges:
     A merged cluster's matrix is the mean of its members' slabs, so every
     fit has its own matrix.  Each task's own fit is made once; the fit of
     the merged mean is made once per comparison and, on an accept, becomes
-    the open cluster's fit.  The sum of the open cluster's slabs, added in
-    walk order, is kept, so a comparison forms its mean slab in O(n D)
-    however large the cluster grows.
+    the open cluster's fit.  Every fit solves the slab's normal equations
+    where cond(slab) <= MAX_COND, and falls back to lstsq elsewhere (see
+    :func:`_slab_fit`).  The sum of the open cluster's slabs, added in walk
+    order, is kept, so a comparison forms its mean slab in O(n D) however
+    large the cluster grows.
     """
 
     def __init__(self, slabs, Y: np.ndarray, epsilon: float):
         self.slabs, self.Y, self.epsilon = slabs, Y, epsilon
-        self.singles = [threshold_fit(slab, Y[:, t]) for t, slab in enumerate(slabs)]
+        self.singles = [
+            _threshold(_slab_fit(slab, Y[:, t])) for t, slab in enumerate(slabs)
+        ]
 
     def open(self, i: int) -> None:
         self.p_fit = self.singles[i]
@@ -533,9 +559,9 @@ class _SlabMerges:
     def compare(self, closed, members, visited, j: int) -> ThresholdReport:
         extended = members + (j,)
         self.ag_sum = self.slab_sum + self.slabs[j]
-        self.ag_fit = threshold_fit(
+        self.ag_fit = _threshold(_slab_fit(
             self.ag_sum / len(extended), self.Y[:, extended].mean(axis=1)
-        )
+        ))
         return compute_threshold_targets(
             self.p_fit, self.singles[j], self.ag_fit, self.epsilon,
             cluster_id=len(closed), candidate=j, members=members,

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import linstats
 from .aggregation import (
+    _slab_fit,
     apply_partition,
     nonlin_ctfa,
     nonlin_ctfa_homogeneous,
@@ -117,12 +118,16 @@ def _build_schema(header_targets: list[str], ignore: list[str], homogeneous: boo
 
 
 def _single_task_predictions(dataset) -> np.ndarray:
-    """In-sample OLS predictions of each target from its own features, by column."""
+    """In-sample OLS predictions of each target from its own features, by column.
+
+    Slabs are fitted as the homogeneous walk fits them (see
+    :func:`mtaggr.aggregation._slab_fit`).
+    """
     if dataset.per_task_features is None:
         coef, *_ = np.linalg.lstsq(dataset.features, dataset.targets, rcond=None)
         return dataset.features @ coef
     return np.column_stack([
-        slab @ np.linalg.lstsq(slab, dataset.targets[:, t], rcond=None)[0]
+        slab @ _slab_fit(slab, dataset.targets[:, t]).coefficients
         for t, slab in enumerate(dataset.per_task_features)
     ])
 

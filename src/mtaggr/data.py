@@ -202,9 +202,14 @@ class TaskPartition:
 
     @classmethod
     def from_clusters(cls, clusters, targets: np.ndarray) -> "TaskPartition":
+        """Validate ``clusters`` and build their mean columns once.
+
+        A partition constructed with ``_source=`` instead is checked against
+        a recomputation of its means; these are that computation.
+        """
         Y = np.asarray(targets, dtype=float)
         norm = _validate_partition(clusters, Y.shape[1], "task partition")
-        return cls(norm, _cluster_means(Y, norm), _source=Y)
+        return cls(norm, _cluster_means(Y, norm))
 
     @property
     def n_clusters(self) -> int:
@@ -238,9 +243,14 @@ class FeaturePartition:
 
     @classmethod
     def from_clusters(cls, clusters, features: np.ndarray) -> "FeaturePartition":
+        """Validate ``clusters`` and build their mean columns once.
+
+        A partition constructed with ``_source=`` instead is checked against
+        a recomputation of its means; these are that computation.
+        """
         X = np.asarray(features, dtype=float)
         norm = _validate_partition(clusters, X.shape[1], "feature partition")
-        return cls(norm, _cluster_means(X, norm), _source=X)
+        return cls(norm, _cluster_means(X, norm))
 
     @property
     def n_clusters(self) -> int:

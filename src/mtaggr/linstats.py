@@ -84,20 +84,53 @@ class _CoreFit(NamedTuple):
     rank: int
 
 
+def _fitted(A: np.ndarray, v: np.ndarray, coef: np.ndarray, rank: int) -> _CoreFit:
+    """The fit of ``v`` on ``A`` with coefficients ``coef``, its residual from the data."""
+    n, d = A.shape
+    resid = v - A @ coef
+    dev = v - v.mean()
+    ss_tot = float(dev @ dev)
+    return _CoreFit(coef, float(resid @ resid), ss_tot / (n - 1), n, d, rank)
+
+
 def _core_fit(X, y) -> _CoreFit:
     A = _as_matrix(X)
     v = _as_vector(y)
-    n, d = A.shape
+    n = A.shape[0]
     if v.shape[0] != n:
         raise ValidationError(f"X has {n} rows but y has {v.shape[0]} entries")
     if n < 2:
         raise ValidationError(f"need at least 2 samples, got {n}")
     coef, _, rank, _ = np.linalg.lstsq(A, v, rcond=None)
-    resid = v - A @ coef
-    ss_res = float(resid @ resid)
-    dev = v - v.mean()
-    ss_tot = float(dev @ dev)
-    return _CoreFit(coef, ss_res, ss_tot / (n - 1), n, d, int(rank))
+    return _fitted(A, v, coef, int(rank))
+
+
+def _gram_fit(X, y, max_cond: float) -> _CoreFit | None:
+    """The fit of ``y`` on ``X`` from the normal equations, where they are accurate.
+
+    Solving G b = X'y with G = X'X bounds the error of b by about
+    eps * cond(X)^2 (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 20), so this returns None, for the caller to fit with
+    lstsq, unless n > d and cond(X) <= ``max_cond`` is proven.  The proof
+    reads cond(X)^2 = cond(X'X) from the extreme eigenvalues of G, each
+    widened by ``slack``: forming G moves the eigenvalues of X'X by at most
+    about n * eps * trace(G), and ``eigvalsh`` returns those of G to within
+    a small multiple of d * eps * ||G|| (LAPACK Users' Guide, sec. 4.7).
+    Such an X has rank d under lstsq's cutoff too.  The residual sum of
+    squares is taken from y - X b, so its error is second order in the
+    error of b.
+    """
+    A = _as_matrix(X)
+    v = _as_vector(y)
+    n, d = A.shape
+    if n <= d or v.shape[0] != n:
+        return None
+    G = A.T @ A
+    eig = np.linalg.eigvalsh(G)
+    slack = 2.0 * (n + d) * np.finfo(float).eps * np.trace(G)
+    if not eig[-1] + slack <= max_cond * max_cond * (eig[0] - slack):
+        return None
+    return _fitted(A, v, np.linalg.solve(G, A.T @ v), d)
 
 
 def ols_fit(X, y) -> OlsFit:

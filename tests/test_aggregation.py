@@ -1138,6 +1138,62 @@ class TestSlabWalk:
                 assert got.accepted and got.threshold1 == got.threshold2 == 0.0
 
 
+def with_duplicate_slab_column(ds, k=3, source=1):
+    """A copy of a slab dataset whose every slab repeats column ``source`` at ``k``."""
+    slabs = []
+    for slab in ds.per_task_features:
+        slab = slab.copy()
+        slab[:, k] = slab[:, source]
+        slabs.append(slab)
+    return Dataset(ds.features, ds.targets, per_task_features=tuple(slabs))
+
+
+class TestSlabFits:
+    """The homogeneous walk fits from Gram matrices; lstsq only as fallback."""
+
+    @staticmethod
+    def count_lstsq(monkeypatch) -> list:
+        lstsq, calls = np.linalg.lstsq, []
+
+        def counted(*args, **kw):
+            calls.append(args[0].shape)
+            return lstsq(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        return calls
+
+    def walk(self, ds, epsilon, monkeypatch):
+        calls = self.count_lstsq(monkeypatch)
+        result = nonlin_ctfa_homogeneous(ds, epsilon, seed=1)
+        monkeypatch.undo()
+        assert 0 < sum(r.accepted for r in result.trace) < len(result.trace)
+        assert_reevaluates(ds, result)
+        return result, calls
+
+    def test_well_conditioned_slabs_make_no_lstsq_call(self, monkeypatch):
+        # Thresholds here lie near 1.2; this tolerance accepts 2 of 4.
+        _, calls = self.walk(make_homogeneous(seed=6), 1.2, monkeypatch)
+        assert calls == []
+
+    @pytest.mark.parametrize("cond, calls", [(0.999, 0), (1.001, 1)])
+    def test_slab_fit_gates_on_max_cond(self, cond, calls, monkeypatch):
+        # Orthonormal columns scaled from 1 to cond * MAX_COND.
+        rng = np.random.default_rng(8)
+        Q, _ = np.linalg.qr(rng.standard_normal((60, 8)))
+        X = Q * np.geomspace(1.0, cond * aggregation.MAX_COND, 8)
+        y = rng.standard_normal(60)
+        made = self.count_lstsq(monkeypatch)
+        aggregation._slab_fit(X, y)
+        assert len(made) == calls
+
+    def test_every_fit_of_rank_deficient_slabs_falls_back(self, monkeypatch):
+        ds = with_duplicate_slab_column(make_homogeneous(seed=6))
+        # This tolerance accepts 2 of 5.
+        result, calls = self.walk(ds, 0.7, monkeypatch)
+        # One fit per task, then one per comparison.
+        assert len(calls) == ds.n_tasks + len(result.trace)
+
+
 class TestComparisonBudget:
     def test_randomized_budget_bounds(self):
         rng = np.random.default_rng(30)

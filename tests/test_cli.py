@@ -7,7 +7,7 @@ import pytest
 
 from mtaggr import cli, linstats
 from mtaggr.checks import CheckResult
-from mtaggr.data import load_dataset, schema_for
+from mtaggr.data import Dataset, load_dataset, schema_for
 
 
 def run(*argv):
@@ -161,6 +161,25 @@ class TestAggregateCommand:
         doc = json.loads((out / "result.json").read_text())
         covered = sorted(t for c in doc["task_clusters"] for t in c)
         assert covered == [0, 1]
+
+
+@pytest.mark.parametrize("duplicate", [False, True])
+def test_single_task_predictions_match_lstsq_per_slab(duplicate):
+    # Well-conditioned slabs take the Gram fit; a duplicate column makes
+    # every slab rank-deficient, so each falls back to lstsq.
+    rng = np.random.default_rng(5)
+    n, D, L = 80, 4, 3
+    slabs = [rng.standard_normal((n, D)) for _ in range(L)]
+    if duplicate:
+        for slab in slabs:
+            slab[:, 2] = slab[:, 0]
+    Y = np.column_stack([s @ rng.uniform(-1, 1, D) + rng.standard_normal(n)
+                         for s in slabs])
+    ds = Dataset(np.mean(slabs, axis=0), Y, per_task_features=tuple(slabs))
+    got = cli._single_task_predictions(ds)
+    want = np.column_stack([s @ np.linalg.lstsq(s, Y[:, t], rcond=None)[0]
+                            for t, s in enumerate(slabs)])
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
 
 
 class TestSweepCommand:

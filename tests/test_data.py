@@ -458,6 +458,24 @@ class TestPartitions:
         with pytest.raises(ValidationError, match="deviates"):
             TaskPartition(((0, 1),), bad, _source=Y)
 
+    @pytest.mark.parametrize("kind", [TaskPartition, FeaturePartition])
+    def test_from_clusters_builds_the_means_once(self, kind, monkeypatch):
+        Y = np.random.default_rng(3).standard_normal((6, 4))
+        means, calls = data._cluster_means, []
+
+        def counted(*args):
+            calls.append(args)
+            return means(*args)
+
+        monkeypatch.setattr(data, "_cluster_means", counted)
+        part = kind.from_clusters([[2, 0], [1], [3]], Y)
+        assert len(calls) == 1
+        assert part.clusters == ((2, 0), (1,), (3,))
+        want = np.column_stack([Y[:, [2, 0]].mean(axis=1), Y[:, 1], Y[:, 3]])
+        got = (part.aggregated_targets if kind is TaskPartition
+               else part.aggregated_features)
+        assert np.array_equal(got, want)
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=12))

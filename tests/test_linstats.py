@@ -7,8 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtaggr.aggregation import MAX_COND, REPLAY_ATOL, REPLAY_RTOL
 from mtaggr.errors import ValidationError, ZeroVarianceError
-from mtaggr.linstats import Moments, moments, mse, nrmse, ols_fit, r2_score, var_res
+from mtaggr.linstats import (
+    Moments,
+    _core_fit,
+    _gram_fit,
+    moments,
+    mse,
+    nrmse,
+    ols_fit,
+    r2_score,
+    var_res,
+)
 
 
 def centered(a):
@@ -242,3 +253,73 @@ def test_var_res_identity_property(values, seed):
         return
     assert abs(var_res(X, y) - var_y * (1 - r2_score(X, y))) < 1e-10 * (1 + var_y)
     assert r2_score(X, y) <= 1.0
+
+
+def scaled_orthonormal(cond, n=125, d=50, seed=0):
+    """Orthonormal columns scaled geometrically from 1 to ``cond``, so cond(S) = cond."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, d)))
+    return Q * np.geomspace(1.0, cond, d)
+
+
+def slab(n=125, d=50, seed=1):
+    return np.random.default_rng(seed).standard_normal((n, d))
+
+
+def with_column(S, k, column):
+    S = S.copy()
+    S[:, k] = column
+    return S
+
+
+# name -> (X, whether the Gram fit may be used).  The orthonormal cases make
+# the gate's bound tight, so they sit just inside and just outside it.
+GRAM_CASES = {
+    "well_conditioned": (slab(), True),
+    "cond_just_below_max": (scaled_orthonormal(MAX_COND * (1 - 1e-3)), True),
+    "cond_just_above_max": (scaled_orthonormal(MAX_COND * (1 + 1e-3)), False),
+    "duplicate_column": (with_column(slab(), 7, slab()[:, 3]), False),
+    "zero_column": (with_column(slab(), 7, 0.0), False),
+    "n_equals_d": (slab(n=50), False),
+    "n_below_d": (slab(n=40), False),
+    "single_feature": (slab(d=1), True),
+}
+
+
+class TestGramFit:
+    @pytest.mark.parametrize("target", ["signal", "constant"])
+    @pytest.mark.parametrize("case", sorted(GRAM_CASES))
+    def test_matches_lstsq_where_taken_and_declines_elsewhere(self, case, target):
+        X, taken = GRAM_CASES[case]
+        rng = np.random.default_rng(2)
+        n, d = X.shape
+        if target == "constant":
+            y = np.full(n, 2.5)
+        else:
+            y = X @ rng.uniform(-1, 1, d) + rng.standard_normal(n)
+        fit = _gram_fit(X, y, MAX_COND)
+        assert (fit is not None) == taken
+        if fit is None:
+            return
+        want = _core_fit(X, y)
+        assert (fit.n, fit.d, fit.rank) == (want.n, want.d, want.rank)
+        for got, ref in ((fit.ss_res, want.ss_res),
+                         (fit.target_variance, want.target_variance)):
+            assert np.isclose(got, ref, rtol=REPLAY_RTOL, atol=REPLAY_ATOL)
+        np.testing.assert_allclose(X @ fit.coefficients, X @ want.coefficients,
+                                   rtol=1e-9, atol=1e-12)
+
+    def test_never_admits_a_matrix_past_max_cond(self):
+        # Columns on scales spread over 10^(+-a): the condition numbers run
+        # from a few to thousands, across the gate.
+        rng = np.random.default_rng(4)
+        taken = declined = 0
+        for a in np.linspace(0.0, 1.5, 16):
+            for n, d in ((60, 5), (125, 50)):
+                X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-a, a, d)
+                y = rng.standard_normal(n)
+                if _gram_fit(X, y, MAX_COND) is None:
+                    declined += 1
+                    continue
+                taken += 1
+                assert np.linalg.cond(X) <= MAX_COND
+        assert taken and declined
