@@ -204,8 +204,8 @@ class TaskPartition:
     def from_clusters(cls, clusters, targets: np.ndarray) -> "TaskPartition":
         """Validate ``clusters`` and build their mean columns once.
 
-        A partition constructed with ``_source=`` instead is checked against
-        a recomputation of its means; these are that computation.
+        The means come from the same computation that checks a partition
+        constructed with ``_source=``, so they are not checked again.
         """
         Y = np.asarray(targets, dtype=float)
         norm = _validate_partition(clusters, Y.shape[1], "task partition")
@@ -245,8 +245,8 @@ class FeaturePartition:
     def from_clusters(cls, clusters, features: np.ndarray) -> "FeaturePartition":
         """Validate ``clusters`` and build their mean columns once.
 
-        A partition constructed with ``_source=`` instead is checked against
-        a recomputation of its means; these are that computation.
+        The means come from the same computation that checks a partition
+        constructed with ``_source=``, so they are not checked again.
         """
         X = np.asarray(features, dtype=float)
         norm = _validate_partition(clusters, X.shape[1], "feature partition")

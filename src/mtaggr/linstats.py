@@ -85,7 +85,7 @@ class _CoreFit(NamedTuple):
 
 
 def _fitted(A: np.ndarray, v: np.ndarray, coef: np.ndarray, rank: int) -> _CoreFit:
-    """The fit of ``v`` on ``A`` with coefficients ``coef``, its residual from the data."""
+    """The fit of ``v`` on ``A`` with coefficients ``coef``; residual from the data."""
     n, d = A.shape
     resid = v - A @ coef
     dev = v - v.mean()

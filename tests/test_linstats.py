@@ -256,7 +256,7 @@ def test_var_res_identity_property(values, seed):
 
 
 def scaled_orthonormal(cond, n=125, d=50, seed=0):
-    """Orthonormal columns scaled geometrically from 1 to ``cond``, so cond(S) = cond."""
+    """Orthonormal columns scaled geometrically from 1 to ``cond``, so cond(X) = cond."""
     Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, d)))
     return Q * np.geomspace(1.0, cond, d)
 
@@ -271,8 +271,8 @@ def with_column(S, k, column):
     return S
 
 
-# name -> (X, whether the Gram fit may be used).  The orthonormal cases make
-# the gate's bound tight, so they sit just inside and just outside it.
+# name -> (X, whether the Gram fit may be used).  Scaled orthonormal columns
+# have a known cond(X), so two cases sit just inside and just outside the bound.
 GRAM_CASES = {
     "well_conditioned": (slab(), True),
     "cond_just_below_max": (scaled_orthonormal(MAX_COND * (1 - 1e-3)), True),
