@@ -38,10 +38,13 @@ computes once per run.
 The homogeneous model fits each task's slab once and each merged mean slab
 once per comparison, forming that slab from a running sum.  Each slab has
 its own matrix, so nothing is shared between fits; a fit solves the normal
-equations X'X b = X'y where cond(X) is proven at most ``MAX_COND``, which
-keeps its error of order eps * cond(X)^2 within the replay tolerance, and
+equations X'X b = X'y, with the columns scaled to unit norm, where the
+condition number of the scaled slab is proven at most ``MAX_COND``, which
+keeps its error of order eps * cond^2 within the replay tolerance, and
 falls back to lstsq for any other slab (n <= D, duplicate or zero columns,
-or worse conditioning).
+worse conditioning, or column norms spread so far that lstsq itself is no
+longer accurate to the replay tolerance; see
+:func:`mtaggr.linstats._gram_fit`).
 
 The threshold tests take fits, not arrays: every model calls one of them
 once per comparison with the fits it holds, so the report and its decision
@@ -60,7 +63,14 @@ import numpy as np
 
 from .data import Dataset, FeaturePartition, TaskPartition, _cluster_means
 from .errors import ValidationError, ZeroVarianceError
-from .linstats import _CoreFit, _core_fit, _gram_fit
+from .linstats import (  # the tolerances are re-exported from here
+    MAX_COND,
+    REPLAY_ATOL,
+    REPLAY_RTOL,
+    _CoreFit,
+    _core_fit,
+    _gram_fit,
+)
 
 __all__ = [
     "ThresholdFit",
@@ -84,20 +94,6 @@ __all__ = [
 # |R_sep - R_aggr| below this is rounding noise from refitting the same span
 # (exact-duplicate columns); snap to zero so ties accept at epsilon = 0.
 R2_TIE_TOL = 1e-12
-
-# Tolerance within which a replayed trace scalar must match the recorded one.
-REPLAY_RTOL = 1e-9
-REPLAY_ATOL = 1e-12
-
-# The largest cond(X) at which a fit from X'X or its inverse is used.  Such
-# a form carries a relative error of order eps * cond(X)^2 (Higham,
-# *Accuracy and Stability of Numerical Algorithms*, ch. 20; Bjorck,
-# *Numerical Methods for Least Squares Problems*), and the quantities it
-# feeds can lie near zero, where only REPLAY_ATOL applies; so this is where
-# eps * cond(X)^2 = REPLAY_ATOL, about 67.  Phase II's restriction identity
-# (see _feature_merges) and the homogeneous walk's Gram fits (_slab_fit)
-# gate on it.
-MAX_COND = float(np.sqrt(REPLAY_ATOL / np.finfo(float).eps))
 
 # Columns count as centered when |mean| <= this times (1 + rms).
 CENTERED_TOL = 1e-7
@@ -140,8 +136,8 @@ def threshold_fit(X, y) -> ThresholdFit:
 
 
 def _slab_fit(X, y) -> _CoreFit:
-    """Fit ``y`` on ``X`` from X'X where cond(X) <= MAX_COND, else with lstsq."""
-    return _gram_fit(X, y, MAX_COND) or _core_fit(X, y)
+    """Fit ``y`` on ``X`` from X'X where that matches lstsq, else with lstsq."""
+    return _gram_fit(X, y) or _core_fit(X, y)
 
 
 def _target_variance(y: np.ndarray) -> float:
@@ -540,7 +536,7 @@ class _SlabMerges:
     fit has its own matrix.  Each task's own fit is made once; the fit of
     the merged mean is made once per comparison and, on an accept, becomes
     the open cluster's fit.  Every fit solves the slab's normal equations
-    where cond(slab) <= MAX_COND, and falls back to lstsq elsewhere (see
+    where they match lstsq, and falls back to lstsq elsewhere (see
     :func:`_slab_fit`).  The sum of the open cluster's slabs, added in walk
     order, is kept, so a comparison forms its mean slab in O(n D) however
     large the cluster grows.

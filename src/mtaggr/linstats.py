@@ -30,6 +30,28 @@ __all__ = [
 ]
 
 
+_EPS = float(np.finfo(float).eps)
+
+# Tolerance within which a replayed trace scalar must match the recorded one.
+REPLAY_RTOL = 1e-9
+REPLAY_ATOL = 1e-12
+
+# The largest condition number at which a fit from X'X or its inverse is
+# used.  Such a form carries a relative error of order eps * cond^2 (Higham,
+# *Accuracy and Stability of Numerical Algorithms*, ch. 20; Bjorck,
+# *Numerical Methods for Least Squares Problems*), and the quantities it
+# feeds can lie near zero, where only REPLAY_ATOL applies; so this is where
+# eps * cond^2 = REPLAY_ATOL, about 67.  Phase II's restriction identity
+# (see mtaggr.aggregation._feature_merges) gates cond(X) on it, and the
+# slab fits (_gram_fit) the condition number of X with unit-norm columns.
+MAX_COND = float(np.sqrt(REPLAY_ATOL / _EPS))
+
+# The largest cond(X) at which lstsq's own fitted values, of relative error
+# of order eps * cond(X), are sure to lie within REPLAY_RTOL of the exact
+# ones, about 4.5e6.  A Gram fit stands in for lstsq only below it.
+MAX_LSTSQ_COND = REPLAY_RTOL / _EPS
+
+
 def _as_matrix(X, name: str = "X") -> np.ndarray:
     A = np.asarray(X, dtype=float)
     if A.ndim != 2:
@@ -105,20 +127,30 @@ def _core_fit(X, y) -> _CoreFit:
     return _fitted(A, v, coef, int(rank))
 
 
-def _gram_fit(X, y, max_cond: float) -> _CoreFit | None:
+def _gram_fit(X, y) -> _CoreFit | None:
     """The fit of ``y`` on ``X`` from the normal equations, where they are accurate.
 
-    Solving G b = X'y with G = X'X bounds the error of b by about
-    eps * cond(X)^2 (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 20), so this returns None, for the caller to fit with
-    lstsq, unless n > d and cond(X) <= ``max_cond`` is proven.  The proof
-    reads cond(X)^2 = cond(X'X) from the extreme eigenvalues of G, each
-    widened by ``slack``: forming G moves the eigenvalues of X'X by at most
-    about n * eps * trace(G), and ``eigvalsh`` returns those of G to within
-    a small multiple of d * eps * ||G|| (LAPACK Users' Guide, sec. 4.7).
-    Such an X has rank d under lstsq's cutoff too.  The residual sum of
-    squares is taken from y - X b, so its error is second order in the
-    error of b.
+    The normal equations are solved with the columns scaled to unit norm,
+    X = Xs S with S = diag(||x_j||): Gs c = Xs'y with Gs = Xs'Xs, and
+    b = S^-1 c.  The fitted values then carry an error of order eps * cond(Xs)^2
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 20), and
+    cond(Xs) is at most sqrt(d) times the least condition number over all
+    column scalings (van der Sluis), so features in different units do not
+    count against the gate.  lstsq, the reference this fit stands in for,
+    works on X itself: its fitted values carry a relative error of order
+    eps * cond(X), which must stay within REPLAY_RTOL for the two to agree.
+
+    So this returns None, for the caller to fit with lstsq, unless n > d,
+    cond(Xs) <= MAX_COND and cond(X) <= cond(Xs) * max_j ||x_j|| / min_j
+    ||x_j|| <= MAX_LSTSQ_COND are proven.  The proof reads cond(Xs)^2 =
+    cond(Gs) from the extreme eigenvalues of Gs, each widened by ``slack``:
+    forming and scaling Gs moves its eigenvalues by at most about n * eps *
+    trace(Gs), and ``eigvalsh`` returns them to within a small multiple of
+    d * eps * ||Gs|| (LAPACK Users' Guide, sec. 4.7).  Such an X has rank d
+    under lstsq's cutoff, cond(X) < 1 / (eps * max(n, d)), too.  The
+    residual sum of squares is taken from y - X b; by Pythagoras it exceeds
+    the least one by exactly the squared error of the fitted values, so its
+    error is second order in theirs.
     """
     A = _as_matrix(X)
     v = _as_vector(y)
@@ -126,11 +158,19 @@ def _gram_fit(X, y, max_cond: float) -> _CoreFit | None:
     if n <= d or v.shape[0] != n:
         return None
     G = A.T @ A
-    eig = np.linalg.eigvalsh(G)
-    slack = 2.0 * (n + d) * np.finfo(float).eps * np.trace(G)
-    if not eig[-1] + slack <= max_cond * max_cond * (eig[0] - slack):
+    norms = np.sqrt(np.diag(G))
+    # cond(Xs) >= 1, so a spread of norms past the bound alone declines.
+    if not norms.min() * MAX_LSTSQ_COND >= norms.max():
         return None
-    return _fitted(A, v, np.linalg.solve(G, A.T @ v), d)
+    spread = norms.max() / norms.min()
+    s = 1.0 / norms
+    Gs = s[:, None] * G * s
+    eig = np.linalg.eigvalsh(Gs)
+    slack = 2.0 * (n + d) * _EPS * d  # trace(Gs) = d
+    lo, hi = eig[0] - slack, eig[-1] + slack
+    if not (hi <= MAX_COND**2 * lo and hi * spread**2 <= MAX_LSTSQ_COND**2 * lo):
+        return None
+    return _fitted(A, v, s * np.linalg.solve(Gs, s * (A.T @ v)), d)
 
 
 def ols_fit(X, y) -> OlsFit:

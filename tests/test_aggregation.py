@@ -54,6 +54,18 @@ def centered(a):
     return a - a.mean(axis=0)
 
 
+def count_calls(monkeypatch, module, name) -> list:
+    """Patch ``module.name`` to record the shape of each call's first argument."""
+    function, calls = getattr(module, name), []
+
+    def counted(*args, **kw):
+        calls.append(args[0].shape)
+        return function(*args, **kw)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def make_centered(seed=0, n=120, D=6, L=4, sigma=1.0, shared_groups=True):
     cfg = SynthConfig(
         n_tasks=L, n_features=D, n_train=n, n_test=n, sigma=sigma, feature_std=1.0
@@ -394,13 +406,7 @@ class TestDriver:
         # Phase I and every task cluster's phase II share one SVD of X.
         build, eps1, eps2, seed = REEVALUATION_CASES["reference"]
         ds = build()
-        svd, calls = np.linalg.svd, []
-
-        def counted(*args, **kw):
-            calls.append(args[0].shape)
-            return svd(*args, **kw)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        calls = count_calls(monkeypatch, np.linalg, "svd")
         result = nonlin_ctfa(ds, eps1, eps2, seed=seed)
         assert result.task_partition.n_clusters > 1
         assert calls == [ds.features.shape]
@@ -1151,19 +1157,8 @@ def with_duplicate_slab_column(ds, k=3, source=1):
 class TestSlabFits:
     """The homogeneous walk fits from Gram matrices; lstsq only as fallback."""
 
-    @staticmethod
-    def count_lstsq(monkeypatch) -> list:
-        lstsq, calls = np.linalg.lstsq, []
-
-        def counted(*args, **kw):
-            calls.append(args[0].shape)
-            return lstsq(*args, **kw)
-
-        monkeypatch.setattr(np.linalg, "lstsq", counted)
-        return calls
-
     def walk(self, ds, epsilon, monkeypatch):
-        calls = self.count_lstsq(monkeypatch)
+        calls = count_calls(monkeypatch, np.linalg, "lstsq")
         result = nonlin_ctfa_homogeneous(ds, epsilon, seed=1)
         monkeypatch.undo()
         assert 0 < sum(r.accepted for r in result.trace) < len(result.trace)
@@ -1175,14 +1170,39 @@ class TestSlabFits:
         _, calls = self.walk(make_homogeneous(seed=6), 1.2, monkeypatch)
         assert calls == []
 
+    def test_slabs_in_mixed_units_make_no_lstsq_call(self, monkeypatch):
+        # Every task measures feature k in the same unit, 10^(+-3) apart
+        # across features.  Scaling a column changes no fit, so the walk
+        # records the decisions of the unscaled slabs.
+        ds = make_homogeneous(seed=6)
+        units = 10.0 ** np.linspace(-3, 3, ds.n_features)
+        slabs = tuple(slab * units for slab in ds.per_task_features)
+        scaled = Dataset(ds.features * units, ds.targets, per_task_features=slabs)
+        result, calls = self.walk(scaled, 1.2, monkeypatch)
+        assert calls == []
+        want = nonlin_ctfa_homogeneous(ds, 1.2, seed=1)
+        assert result.task_partition.clusters == want.task_partition.clusters
+        for r, w in zip(result.trace, want.trace, strict=True):
+            assert (r.candidate, r.accepted) == (w.candidate, w.accepted)
+            for f in TRACE_SCALARS:
+                a, b = getattr(r, f), getattr(w, f)
+                assert (a is None) == (b is None), f
+                if a is not None:
+                    assert np.isclose(a, b, rtol=REPLAY_RTOL, atol=REPLAY_ATOL), f
+
     @pytest.mark.parametrize("cond, calls", [(0.999, 0), (1.001, 1)])
     def test_slab_fit_gates_on_max_cond(self, cond, calls, monkeypatch):
-        # Orthonormal columns scaled from 1 to cond * MAX_COND.
+        # Unit-norm columns, orthogonal but for one pair whose correlation
+        # sets cond to cond * MAX_COND, then spread over 10^(+-2): the gate
+        # reads the former and is blind to the latter.
         rng = np.random.default_rng(8)
         Q, _ = np.linalg.qr(rng.standard_normal((60, 8)))
-        X = Q * np.geomspace(1.0, cond * aggregation.MAX_COND, 8)
+        k = cond * aggregation.MAX_COND
+        rho = (k**2 - 1) / (k**2 + 1)
+        Q[:, 1] = rho * Q[:, 0] + np.sqrt(1 - rho**2) * Q[:, 1]
+        X = Q * np.geomspace(1e-2, 1e2, 8)
         y = rng.standard_normal(60)
-        made = self.count_lstsq(monkeypatch)
+        made = count_calls(monkeypatch, np.linalg, "lstsq")
         aggregation._slab_fit(X, y)
         assert len(made) == calls
 

@@ -163,15 +163,18 @@ class TestAggregateCommand:
         assert covered == [0, 1]
 
 
-@pytest.mark.parametrize("duplicate", [False, True])
-def test_single_task_predictions_match_lstsq_per_slab(duplicate):
-    # Well-conditioned slabs take the Gram fit; a duplicate column makes
-    # every slab rank-deficient, so each falls back to lstsq.
+@pytest.mark.parametrize("kind", ["plain", "mixed_units", "duplicate"])
+def test_single_task_predictions_match_lstsq_per_slab(kind):
+    # Well-conditioned slabs take the Gram fit, whatever the units of their
+    # columns; a duplicate column makes every slab rank-deficient, so each
+    # falls back to lstsq.
     rng = np.random.default_rng(5)
     n, D, L = 80, 4, 3
     slabs = [rng.standard_normal((n, D)) for _ in range(L)]
-    if duplicate:
-        for slab in slabs:
+    for slab in slabs:
+        if kind == "mixed_units":
+            slab *= [1e-3, 1.0, 1e2, 1e3]
+        if kind == "duplicate":
             slab[:, 2] = slab[:, 0]
     Y = np.column_stack([s @ rng.uniform(-1, 1, D) + rng.standard_normal(n)
                          for s in slabs])

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtaggr.aggregation import MAX_COND, REPLAY_ATOL, REPLAY_RTOL
 from mtaggr.errors import ValidationError, ZeroVarianceError
 from mtaggr.linstats import (
+    MAX_COND,
+    MAX_LSTSQ_COND,
+    REPLAY_ATOL,
+    REPLAY_RTOL,
     Moments,
     _core_fit,
     _gram_fit,
@@ -261,6 +264,17 @@ def scaled_orthonormal(cond, n=125, d=50, seed=0):
     return Q * np.geomspace(1.0, cond, d)
 
 
+def correlated_pair(cond, n=125, d=50, seed=0):
+    """Unit-norm columns, orthogonal but for one pair, so cond(X) = ``cond``.
+
+    The pair's correlation rho gives X'X the eigenvalues 1 +- rho and 1.
+    """
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, d)))
+    rho = (cond**2 - 1) / (cond**2 + 1)
+    Q[:, 1] = rho * Q[:, 0] + np.sqrt(1 - rho**2) * Q[:, 1]
+    return Q
+
+
 def slab(n=125, d=50, seed=1):
     return np.random.default_rng(seed).standard_normal((n, d))
 
@@ -271,12 +285,30 @@ def with_column(S, k, column):
     return S
 
 
-# name -> (X, whether the Gram fit may be used).  Scaled orthonormal columns
-# have a known cond(X), so two cases sit just inside and just outside the bound.
+def unit_columns(X):
+    return X / np.linalg.norm(X, axis=0)
+
+
+# Column scales as of features in different units, spread over 10^(+-2).
+UNITS = 10.0 ** np.random.default_rng(3).uniform(-2, 2, 50)
+
+# name -> (X, whether the Gram fit may be used).  The gate reads the
+# condition number of X with unit-norm columns, so the cases at the bound
+# correlate a pair of columns, and column scales alone do not decline a fit
+# until they spread past MAX_LSTSQ_COND.
 GRAM_CASES = {
     "well_conditioned": (slab(), True),
-    "cond_just_below_max": (scaled_orthonormal(MAX_COND * (1 - 1e-3)), True),
-    "cond_just_above_max": (scaled_orthonormal(MAX_COND * (1 + 1e-3)), False),
+    "cond_just_below_max": (correlated_pair(MAX_COND * (1 - 1e-3)), True),
+    "cond_just_above_max": (correlated_pair(MAX_COND * (1 + 1e-3)), False),
+    "mixed_units": (slab() * UNITS, True),
+    "mixed_units_cond_just_below_max":
+        (correlated_pair(MAX_COND * (1 - 1e-3)) * UNITS, True),
+    "mixed_units_cond_just_above_max":
+        (correlated_pair(MAX_COND * (1 + 1e-3)) * UNITS, False),
+    "column_norms_just_inside_lstsq_bound":
+        (scaled_orthonormal(MAX_LSTSQ_COND * (1 - 1e-3)), True),
+    "column_norms_past_lstsq_bound":
+        (scaled_orthonormal(MAX_LSTSQ_COND * (1 + 1e-3)), False),
     "duplicate_column": (with_column(slab(), 7, slab()[:, 3]), False),
     "zero_column": (with_column(slab(), 7, 0.0), False),
     "n_equals_d": (slab(n=50), False),
@@ -295,8 +327,9 @@ class TestGramFit:
         if target == "constant":
             y = np.full(n, 2.5)
         else:
-            y = X @ rng.uniform(-1, 1, d) + rng.standard_normal(n)
-        fit = _gram_fit(X, y, MAX_COND)
+            signal = unit_columns(X) if np.all(X.any(axis=0)) else X
+            y = signal @ rng.uniform(-1, 1, d) * np.sqrt(n) + rng.standard_normal(n)
+        fit = _gram_fit(X, y)
         assert (fit is not None) == taken
         if fit is None:
             return
@@ -305,21 +338,28 @@ class TestGramFit:
         for got, ref in ((fit.ss_res, want.ss_res),
                          (fit.target_variance, want.target_variance)):
             assert np.isclose(got, ref, rtol=REPLAY_RTOL, atol=REPLAY_ATOL)
-        np.testing.assert_allclose(X @ fit.coefficients, X @ want.coefficients,
-                                   rtol=1e-9, atol=1e-12)
+        # lstsq's fitted values are good to about eps * cond(X) * ||y||, so
+        # they match within REPLAY_RTOL * ||y|| up to MAX_LSTSQ_COND.
+        gap = np.linalg.norm(X @ fit.coefficients - X @ want.coefficients)
+        assert gap <= REPLAY_RTOL * np.linalg.norm(y)
 
-    def test_never_admits_a_matrix_past_max_cond(self):
-        # Columns on scales spread over 10^(+-a): the condition numbers run
-        # from a few to thousands, across the gate.
+    def test_never_admits_a_matrix_past_the_bounds(self):
+        # A component shared by every column raises the condition number of
+        # the unit-norm columns from a few to thousands; column scales spread
+        # over 10^(+-a) take cond(X) from there past MAX_LSTSQ_COND.
         rng = np.random.default_rng(4)
         taken = declined = 0
-        for a in np.linspace(0.0, 1.5, 16):
-            for n, d in ((60, 5), (125, 50)):
-                X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-a, a, d)
-                y = rng.standard_normal(n)
-                if _gram_fit(X, y, MAX_COND) is None:
-                    declined += 1
-                    continue
-                taken += 1
-                assert np.linalg.cond(X) <= MAX_COND
+        for shared in np.linspace(0.0, 3.0, 7):
+            for a in (0.0, 2.0, 4.0):
+                for n, d in ((60, 5), (125, 50)):
+                    Z = rng.standard_normal((n, d))
+                    Z += shared * rng.standard_normal((n, 1))
+                    X = Z * 10.0 ** rng.uniform(-a, a, d)
+                    y = rng.standard_normal(n)
+                    if _gram_fit(X, y) is None:
+                        declined += 1
+                        continue
+                    taken += 1
+                    assert np.linalg.cond(unit_columns(X)) <= MAX_COND
+                    assert np.linalg.cond(X) <= MAX_LSTSQ_COND
         assert taken and declined
