@@ -61,7 +61,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, FeaturePartition, TaskPartition, _cluster_means
+from .data import (Dataset, FeaturePartition, TaskPartition, _cluster_means, _is_int,
+                   _is_real)
 from .errors import ValidationError, ZeroVarianceError
 from .linstats import (  # the tolerances are re-exported from here
     MAX_COND,
@@ -746,12 +747,13 @@ def nonlin_ctfa(
         order, 1, epsilon1, features=dataset.features, targets=dataset.targets,
         svd=svd,
     )
-    task_partition = TaskPartition.from_clusters(clusters, dataset.targets)
+    task_partition = TaskPartition(clusters, dataset.n_tasks)
 
     feature_partitions: list[FeaturePartition] = []
     full_trace = list(trace)
+    psis = _cluster_means(dataset.targets, task_partition.clusters)
     for ci in range(task_partition.n_clusters):
-        psi = task_partition.aggregated_targets[:, ci]
+        psi = psis[:, ci]
         fclusters, ftrace = aggregation_loop(
             range(dataset.n_features),
             2,
@@ -761,9 +763,7 @@ def nonlin_ctfa(
             task_cluster=ci,
             svd=svd,
         )
-        feature_partitions.append(
-            FeaturePartition.from_clusters(fclusters, dataset.features)
-        )
+        feature_partitions.append(FeaturePartition(fclusters, dataset.n_features))
         full_trace.extend(ftrace)
 
     return AggregationResult(
@@ -797,15 +797,12 @@ def nonlin_ctfa_homogeneous(
 
     order = [int(i) for i in _task_order(dataset.n_tasks, seed)]
     clusters, trace = _greedy(order, _SlabMerges(slabs, Y, epsilon))
-    task_partition = TaskPartition.from_clusters(clusters, Y)
-    identity = tuple((k,) for k in range(dataset.n_features))
-    feature_partitions = tuple(
-        FeaturePartition.from_clusters(identity, dataset.features)
-        for _ in range(task_partition.n_clusters)
-    )
+    task_partition = TaskPartition(clusters, dataset.n_tasks)
+    D = dataset.n_features
+    identity = FeaturePartition(tuple((k,) for k in range(D)), D)
     return AggregationResult(
         task_partition=task_partition,
-        feature_partitions=feature_partitions,
+        feature_partitions=(identity,) * task_partition.n_clusters,
         trace=tuple(trace),
         seed=seed,
         epsilon1=epsilon,
@@ -820,27 +817,25 @@ def apply_partition(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Reduce a dataset with a fitted result: one (mean target, reduced X) per cluster.
 
-    Works on any dataset with the same dimensions as the one the result was
-    fitted on (typically the test split).  When the dataset carries per-task
-    slabs, the reduced features of a cluster are the mean slab of its
-    members, aggregated by that cluster's feature partition.
+    The one place reduced columns are built.  The dataset must have the
+    numbers of tasks and features the result was fitted on (typically it is
+    the test split).  When it carries per-task slabs, the reduced features
+    of a cluster are the mean slab of its members, aggregated by that
+    cluster's feature partition.
     """
+    fitted = (result.task_partition.size, *{fp.size for fp in result.feature_partitions})
+    if fitted != (dataset.n_tasks, dataset.n_features):
+        raise ValidationError(f"the result partitions (tasks, features) {fitted}; the "
+                              f"dataset has {(dataset.n_tasks, dataset.n_features)}")
     clusters = result.task_partition.clusters
-    if max(max(c) for c in clusters) >= dataset.n_tasks:
-        raise ValidationError("task partition indexes beyond the dataset's tasks")
+    targets = _cluster_means(dataset.targets, clusters)
     out: list[tuple[np.ndarray, np.ndarray]] = []
-    for ci, cluster in enumerate(clusters):
-        y = dataset.targets[:, list(cluster)].mean(axis=1)
-        fpart = result.feature_partitions[ci]
-        if max(max(c) for c in fpart.clusters) >= dataset.n_features:
-            raise ValidationError(
-                "feature partition indexes beyond the dataset's features"
-            )
+    for ci, (cluster, fpart) in enumerate(zip(clusters, result.feature_partitions)):
         if dataset.per_task_features is not None:
             source = np.mean([dataset.per_task_features[k] for k in cluster], axis=0)
         else:
             source = dataset.features
-        out.append((y, _cluster_means(source, fpart.clusters)))
+        out.append((targets[:, ci], _cluster_means(source, fpart.clusters)))
     return out
 
 
@@ -906,10 +901,7 @@ def reevaluate_report(
     if (
         not members
         or len(set(extended)) < len(extended)
-        or not all(
-            isinstance(k, (int, np.integer)) and not isinstance(k, bool) and 0 <= k < size
-            for k in extended
-        )
+        or not all(_is_int(k) and 0 <= k < size for k in extended)
     ):
         raise ValidationError(
             f"phase-{report.phase} record compares {report.candidate} with members "
@@ -954,7 +946,7 @@ def reevaluate_report(
             "of clusters closed before it"
         )
     visited = taken.union(members)
-    y = result.task_partition.aggregated_targets[:, t]
+    y = _cluster_means(dataset.targets, [result.task_partition.clusters[t]])[:, 0]
     M, merged = _working_matrices(dataset.features, closed, members, visited,
                                   report.candidate)
     return compute_threshold_features(
@@ -984,9 +976,12 @@ def _report_to_dict(r: ThresholdReport) -> dict:
 
 
 def _report_from_dict(d: dict, members: tuple[int, ...]) -> ThresholdReport:
-    missing = [key for _, key in _DOC_KEYS if key not in d]
+    missing = [key for _, key in _DOC_KEYS if not isinstance(d, dict) or key not in d]
     if missing:
-        raise ValidationError(f"trace record is missing keys {missing}")
+        raise ValidationError(f"trace record {d!r} is missing keys {missing}")
+    if not all(_is_real(d[key]) or (key != "epsilon" and d[key] is None)
+               for key in ("epsilon", *TRACE_SCALARS)):
+        raise ValidationError(f"trace record {d!r} holds a statistic that is not a number")
     return ThresholdReport(members=members, **{name: d[key] for name, key in _DOC_KEYS})
 
 
@@ -1085,11 +1080,16 @@ def result_to_json(result: AggregationResult) -> str:
 def result_from_json(text: str, dataset: Dataset) -> AggregationResult:
     """Rebuild a result against the dataset it was fitted on.
 
-    Raises ValidationError when the document was written from other data,
-    for a variant the data does not fit, or with a trace that its
-    partitions cannot have produced.
+    Raises ValidationError when the text is not a result document, when the
+    document was written from other data, for a variant the data does not
+    fit, or with a trace that its partitions cannot have produced.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"result document is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError("result document is not a JSON object")
     version = doc.get("format_version", 1)
     if type(version) is not int or version not in (1, FORMAT_VERSION):
         raise ValidationError(f"unknown result format_version {version!r}")
@@ -1100,10 +1100,14 @@ def result_from_json(text: str, dataset: Dataset) -> AggregationResult:
     for key in keys:
         if key not in doc:
             raise ValidationError(f"result document is missing key {key!r}")
-    task_partition = TaskPartition.from_clusters(doc["task_clusters"], dataset.targets)
-    source = dataset.features
+    for key, ok in (("seed", _is_int), ("epsilon1", _is_real), ("epsilon2", _is_real)):
+        if not ok(doc[key]):
+            raise ValidationError(f"result document has a malformed {key!r}: {doc[key]!r}")
+    if not all(isinstance(doc[key], list) for key in ("feature_clusters", "trace")):
+        raise ValidationError("'feature_clusters' and 'trace' must be lists")
+    task_partition = TaskPartition(doc["task_clusters"], dataset.n_tasks)
     feature_partitions = tuple(
-        FeaturePartition.from_clusters(fc, source) for fc in doc["feature_clusters"]
+        FeaturePartition(fc, dataset.n_features) for fc in doc["feature_clusters"]
     )
     legacy = version == 1
     if legacy:
@@ -1129,7 +1133,7 @@ def result_from_json(text: str, dataset: Dataset) -> AggregationResult:
             f"result was written from data {fingerprint}, not {_fingerprint(dataset)}"
         )
 
-    seed = int(doc["seed"])
+    seed = doc["seed"]
     walks = [(1, None, [int(i) for i in _task_order(dataset.n_tasks, seed)],
               task_partition.clusters)]
     if not homogeneous:

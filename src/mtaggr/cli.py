@@ -55,17 +55,14 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args) -> SynthConfig:
     if getattr(args, "config", None):
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            doc = dict(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{args.config}: not a JSON object: {exc}") from None
         allowed = {f.name for f in dataclass_fields(SynthConfig)}
         unknown = sorted(set(doc) - allowed)
         if unknown:
             raise ValidationError(f"unknown config keys {unknown}")
-        if "noise_correlation" in doc and doc["noise_correlation"] is not None:
-            doc["noise_correlation"] = np.asarray(doc["noise_correlation"], float)
-        if "coefficient_intervals" in doc:
-            doc["coefficient_intervals"] = tuple(
-                tuple(pair) for pair in doc["coefficient_intervals"]
-            )
         return SynthConfig(**doc)
     return SynthConfig(
         n_tasks=args.tasks,

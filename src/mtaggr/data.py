@@ -14,9 +14,9 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -31,10 +31,6 @@ __all__ = [
     "save_dataset",
     "center",
 ]
-
-# Aggregated columns must match recomputed means this tightly.
-MEAN_CONSISTENCY_TOL = 1e-12
-
 
 def _locked(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
@@ -125,34 +121,23 @@ class Dataset:
         return self.targets.shape[1]
 
 
-def _validate_partition(clusters: Sequence[Sequence[int]], size: int, what: str):
-    """Disjointness and full cover over range(size), checked exactly."""
-    norm: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    for c in clusters:
-        members = tuple(int(i) for i in c)
-        if not members:
-            raise ValidationError(f"{what}: empty cluster")
-        for i in members:
-            if i < 0 or i >= size:
-                raise ValidationError(f"{what}: index {i} out of range [0, {size})")
-            if i in seen:
-                raise ValidationError(f"{what}: index {i} appears in two clusters")
-            seen.add(i)
-        norm.append(members)
-    if len(seen) != size:
-        missing = sorted(set(range(size)) - seen)
-        raise ValidationError(f"{what}: indices {missing} are not covered")
-    return tuple(norm)
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; ``bool`` is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer or float; ``bool`` is not one."""
+    return _is_int(value) or isinstance(value, (float, np.floating))
 
 
 def _cluster_means(matrix: np.ndarray, clusters) -> np.ndarray:
+    # ``clusters`` is a sequence of index tuples, as a partition stores them.
     # A one-member mean is 0.0 + member / 1 (the sum starts from +0.0, which
     # turns -0.0 into 0.0); adding 0.0 gives the same bits without a reduction.
     # The multi-member means are taken before the output is allocated: the
     # other order left a hole in the heap that raised the peak RSS of
     # `mtaggr verify --quick` by about 5 MB.
-    clusters = [tuple(c) for c in clusters]
     means = {
         i: matrix[:, list(c)].mean(axis=1) for i, c in enumerate(clusters) if len(c) > 1
     }
@@ -162,99 +147,58 @@ def _cluster_means(matrix: np.ndarray, clusters) -> np.ndarray:
     return out
 
 
-def _check_mean_consistency(stored: np.ndarray, matrix: np.ndarray, clusters, what: str):
-    recomputed = _cluster_means(matrix, clusters)
-    if stored.shape != recomputed.shape:
-        raise ValidationError(
-            f"{what}: aggregated columns have shape {stored.shape}, "
-            f"expected {recomputed.shape}"
-        )
-    err = np.max(np.abs(stored - recomputed))
-    scale = 1.0 + np.max(np.abs(recomputed), initial=0.0)
-    if err > MEAN_CONSISTENCY_TOL * scale:
-        raise ValidationError(
-            f"{what}: aggregated column deviates from recomputed mean by {err:g}"
-        )
-
-
 @dataclass(frozen=True)
-class TaskPartition:
-    """Disjoint cover of task indices with the mean target column per cluster."""
+class _Partition:
+    """Disjoint cover of ``range(size)`` by nonempty clusters of integer indices.
+
+    Every construction is validated.  A partition stores no column means:
+    a cluster's mean column is built where it is read (``apply_partition``).
+    """
 
     clusters: tuple[tuple[int, ...], ...]
-    aggregated_targets: np.ndarray
-    _source: np.ndarray | None = field(default=None, repr=False, compare=False)
+    size: int
+    _what: ClassVar[str]
 
     def __post_init__(self):
-        object.__setattr__(self, "aggregated_targets", _locked(self.aggregated_targets))
-        if self._source is not None:
-            size = self._source.shape[1]
-            norm = _validate_partition(self.clusters, size, "task partition")
-            object.__setattr__(self, "clusters", norm)
-            _check_mean_consistency(
-                self.aggregated_targets, self._source, norm, "task partition"
-            )
-            object.__setattr__(self, "_source", None)
-        else:
-            object.__setattr__(
-                self, "clusters", tuple(tuple(int(i) for i in c) for c in self.clusters)
-            )
-
-    @classmethod
-    def from_clusters(cls, clusters, targets: np.ndarray) -> "TaskPartition":
-        """Validate ``clusters`` and build their mean columns once.
-
-        The means come from the same computation that checks a partition
-        constructed with ``_source=``, so they are not checked again.
-        """
-        Y = np.asarray(targets, dtype=float)
-        norm = _validate_partition(clusters, Y.shape[1], "task partition")
-        return cls(norm, _cluster_means(Y, norm))
+        what, size = self._what, self.size
+        if not _is_int(size) or size < 1:
+            raise ValidationError(f"{what}: size must be an integer >= 1, got {size!r}")
+        try:
+            clusters = tuple(tuple(c) for c in self.clusters)
+        except TypeError:
+            raise ValidationError(f"{what}: clusters must be lists of indices") from None
+        if not all(clusters):
+            raise ValidationError(f"{what}: empty cluster")
+        seen: set[int] = set()
+        for i in (i for c in clusters for i in c):
+            if not _is_int(i):
+                raise ValidationError(f"{what}: index {i!r} is not an integer")
+            if not 0 <= i < size:
+                raise ValidationError(f"{what}: index {i} out of range [0, {size})")
+            if i in seen:
+                raise ValidationError(f"{what}: index {i} appears in two clusters")
+            seen.add(i)
+        if len(seen) != size:
+            missing = sorted(set(range(size)) - seen)
+            raise ValidationError(f"{what}: indices {missing} are not covered")
+        object.__setattr__(self, "clusters", tuple(tuple(map(int, c)) for c in clusters))
+        object.__setattr__(self, "size", int(size))
 
     @property
     def n_clusters(self) -> int:
         return len(self.clusters)
 
 
-@dataclass(frozen=True)
-class FeaturePartition:
-    """Disjoint cover of feature indices with the mean feature column per cluster."""
+class TaskPartition(_Partition):
+    """Partition of the task indices; a cluster's target is its members' mean."""
 
-    clusters: tuple[tuple[int, ...], ...]
-    aggregated_features: np.ndarray
-    _source: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _what = "task partition"
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "aggregated_features", _locked(self.aggregated_features)
-        )
-        if self._source is not None:
-            size = self._source.shape[1]
-            norm = _validate_partition(self.clusters, size, "feature partition")
-            object.__setattr__(self, "clusters", norm)
-            _check_mean_consistency(
-                self.aggregated_features, self._source, norm, "feature partition"
-            )
-            object.__setattr__(self, "_source", None)
-        else:
-            object.__setattr__(
-                self, "clusters", tuple(tuple(int(i) for i in c) for c in self.clusters)
-            )
 
-    @classmethod
-    def from_clusters(cls, clusters, features: np.ndarray) -> "FeaturePartition":
-        """Validate ``clusters`` and build their mean columns once.
+class FeaturePartition(_Partition):
+    """Partition of the feature indices; a cluster's feature is its members' mean."""
 
-        The means come from the same computation that checks a partition
-        constructed with ``_source=``, so they are not checked again.
-        """
-        X = np.asarray(features, dtype=float)
-        norm = _validate_partition(clusters, X.shape[1], "feature partition")
-        return cls(norm, _cluster_means(X, norm))
-
-    @property
-    def n_clusters(self) -> int:
-        return len(self.clusters)
+    _what = "feature partition"
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .data import _cluster_means, _validate_partition
+from .data import FeaturePartition, _cluster_means
 from .errors import ValidationError
 
 if TYPE_CHECKING:
@@ -224,7 +224,7 @@ def _checked_indices(task: "SyntheticTask", cluster, feature_clusters, task_inde
     for i in (*members, int(task_index)):
         if not 0 <= i < T:
             raise ValidationError(f"task index {i} out of range [0, {T})")
-    return members, _validate_partition(feature_clusters, D, "feature_clusters")
+    return members, FeaturePartition(feature_clusters, D).clusters
 
 
 # Batches of the fresh sample whose bias values give the standard error.

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linstats
 from .aggregation import apply_partition, nonlin_ctfa
-from .data import Dataset, center
+from .data import Dataset, _is_int, _is_real, center
 from .errors import ValidationError
 from .oracle import NoiseModel
 
@@ -73,9 +73,14 @@ class SynthConfig:
     epsilon2: float = 1e-4
 
     def __post_init__(self):
-        for name in ("n_tasks", "n_features", "n_train", "n_test"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1")
+        for name in ("n_tasks", "n_features", "n_train", "n_test", "n_repeats"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("sigma", "feature_std", "epsilon1", "epsilon2"):
+            value = getattr(self, name)
+            if not _is_real(value) or np.isnan(value):
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
         if self.sigma < 0:
             raise ValidationError("sigma must be nonnegative")
         if self.feature_std <= 0:
@@ -310,8 +315,13 @@ def sweep(
     field_name = SWEEP_AXES[axis]
     rows: list[dict] = []
     for value in values:
-        typed = int(value) if field_name.startswith("n_") else float(value)
-        config = replace(base, **{field_name: typed})
+        # Text is parsed here; SynthConfig checks the type of any other value.
+        if isinstance(value, str):
+            try:
+                value = (int if field_name.startswith("n_") else float)(value)
+            except ValueError:
+                raise ValidationError(f"sweep axis {axis}: bad value {value!r}") from None
+        config = replace(base, **{field_name: value})
         seeds = [base_seed + k for k in range(config.n_repeats)]
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -322,7 +332,7 @@ def sweep(
             samples = np.array([getattr(m, name) for m in metrics])
             rows.append(
                 {
-                    "value": typed,
+                    "value": value,
                     "metric": name,
                     "mean": float(samples.mean()),
                     "std": float(samples.std(ddof=1)) if len(samples) > 1 else 0.0,

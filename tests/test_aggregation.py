@@ -725,7 +725,7 @@ class TestDriver:
         assert records and fits.get(zero, 0) == 0
         assert fits[1 - zero] > 0
         # The same records as a walk that refits every working matrix.
-        psi = result.task_partition.aggregated_targets[:, zero]
+        psi = apply_partition(ds, result)[zero][0]
         refits = aggregation._FeatureRefits(ds.features, psi, 1e-3, zero)
         _, want = greedy(list(range(ds.n_features)), refits)
         assert records == want
@@ -958,6 +958,34 @@ class TestResultDocument:
         with pytest.raises(ValidationError, match="members"):
             result_from_json(json.dumps(doc), ds)
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: {**doc, "seed": 1.7},
+        lambda doc: {**doc, "seed": True},
+        lambda doc: {**doc, "seed": "x"},
+        lambda doc: {**doc, "epsilon1": "abc"},
+        lambda doc: {**doc, "task_clusters": 5},
+        lambda doc: {**doc, "feature_clusters": None},
+        lambda doc: {**doc, "trace": None},
+        lambda doc: [doc],
+        lambda doc: json.dumps(doc)[:-40],
+        lambda doc: {**doc, "task_clusters": [["0", 1], [2, 3]]},
+        lambda doc: {**doc, "trace": [5] * len(doc["trace"])},
+        lambda doc: {**doc, "trace": [{**doc["trace"][0], "r_p": "abc"},
+                                      *doc["trace"][1:]]},
+    ], ids=["fractional_seed", "boolean_seed", "text_seed", "text_epsilon",
+            "scalar_task_clusters", "null_feature_clusters", "null_trace",
+            "top_level_list", "not_json", "text_cluster_index",
+            "record_not_an_object", "text_trace_scalar"])
+    def test_rejects_a_malformed_document(self, edit):
+        ds = make_centered(seed=9)
+        doc = json.loads(result_to_json(nonlin_ctfa(ds, 0.0, 1e-4, seed=1)))
+        assert doc["task_clusters"] == [[0, 1], [2, 3]]
+        assert doc["trace"][0]["phase"] == 1
+        edited = edit(doc)
+        text = edited if isinstance(edited, str) else json.dumps(edited)
+        with pytest.raises(ValidationError):
+            result_from_json(text, ds)
+
 
 class TestApplyPartition:
     def test_identity_partitions_reproduce_columns(self):
@@ -993,6 +1021,15 @@ class TestApplyPartition:
         smaller = Dataset(ds.features, ds.targets[:, :2])
         with pytest.raises(ValidationError):
             apply_partition(smaller, result)
+
+    @pytest.mark.parametrize("L, D", [(4, 7), (4, 5), (3, 7), (2, 5), (3, 4)])
+    def test_dataset_of_another_shape_rejected(self, L, D):
+        ds = make_centered(seed=13, D=5, L=3)
+        result = nonlin_ctfa(ds, 0.0, 1e-4, seed=0)
+        assert len(apply_partition(ds, result)) == result.task_partition.n_clusters
+        want = rf"\(3, 5\); the dataset has \({L}, {D}\)"
+        with pytest.raises(ValidationError, match=want):
+            apply_partition(make_centered(seed=14, D=D, L=L), result)
 
 
 def make_homogeneous(seed=0, n=150, D=5, L=4, noise=0.5, shared_signal=True):
@@ -1043,6 +1080,19 @@ class TestHomogeneousVariant:
         reduced = apply_partition(ds, result)
         slab_mean = np.mean(ds.per_task_features, axis=0)
         assert np.max(np.abs(reduced[0][1] - slab_mean)) < 1e-10
+
+    def test_each_cluster_reduces_to_its_own_mean_slab(self):
+        ds = make_homogeneous(seed=6, L=8)
+        result = nonlin_ctfa_homogeneous(ds, 1.2, seed=1)
+        clusters = result.task_partition.clusters
+        assert 1 < len(clusters) < ds.n_tasks
+        identity = result.feature_partitions[0]
+        assert identity.clusters == tuple((k,) for k in range(ds.n_features))
+        assert all(fp is identity for fp in result.feature_partitions)
+        for (y, X), cluster in zip(apply_partition(ds, result), clusters):
+            slab = np.mean([ds.per_task_features[k] for k in cluster], axis=0)
+            assert np.array_equal(X, slab)
+            assert np.array_equal(y, ds.targets[:, list(cluster)].mean(axis=1))
 
     @pytest.mark.parametrize("epsilon", [0.0, 1e6, -1e6])
     def test_replayable(self, epsilon):

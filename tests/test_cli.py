@@ -8,6 +8,7 @@ import pytest
 from mtaggr import cli, linstats
 from mtaggr.checks import CheckResult
 from mtaggr.data import Dataset, load_dataset, schema_for
+from mtaggr.synth import SynthConfig, generate
 
 
 def run(*argv):
@@ -49,6 +50,22 @@ class TestSynthCommand:
                           {**{f"x{k}": "feature" for k in range(3)},
                            **{f"y{k}": "target" for k in range(2)}})
         assert ds.n_samples == 40
+
+    def test_config_file_with_list_values(self, tmp_path):
+        settings = {"n_tasks": 2, "n_features": 3, "n_train": 20, "n_test": 10,
+                    "noise_correlation": [[1.0, 0.5], [0.5, 1.0]],
+                    "coefficient_intervals": [[-1.0, -0.5], [0.5, 1.0]],
+                    "group_assignment": [1, 0]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        out = tmp_path / "out"
+        assert run("synth", "--config", str(cfg), "--seed", "2", "--out-dir", str(out),
+                   "--quiet") == 0
+        train, _, _ = generate(SynthConfig(**settings), 2)
+        got = load_dataset(out / "train.csv", schema_for(train))
+        assert np.array_equal(got.targets, train.targets)
+        # group_assignment puts task 0 in the positive interval.
+        assert min(json.loads((out / "truth.json").read_text())["coefficients"][0]) > 0
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -209,6 +226,34 @@ class TestSweepCommand:
         assert run("sweep", "--axis", "n_train", "--values", "60",
                    "--repeats", "1", "--jobs", "0", "--out", str(out)) == 1
         assert "jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, config", [
+        (["--axis", "sigma", "--values", "1", "--repeats", "0"], None),
+        (["--axis", "n_train", "--values", "2.5"], None),
+        (["--axis", "n_train", "--values", "60"], {"sigma": "1"}),
+        (["--axis", "n_train", "--values", "60"], {"n_tasks": 2.5}),
+        (["--axis", "n_train", "--values", "60"], "{not json"),
+        (["--axis", "n_train", "--values", "60"], ["n_tasks"]),
+    ], ids=["zero_repeats", "fractional_count", "text_sigma", "fractional_tasks",
+            "config_not_json", "config_not_an_object"])
+    def test_values_it_cannot_run_exit_1(self, tmp_path, capsys, argv, config):
+        out = tmp_path / "s.csv"
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+            argv = [*argv, "--config", str(cfg)]
+        assert run("sweep", *argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_synth_config_it_cannot_run_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_tasks": 2, "sigma": "1"}))
+        out = tmp_path / "out"
+        assert run("synth", "--config", str(cfg), "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err.startswith("validation error: sigma")
         assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Dataset construction, CSV ingestion, centering, and partition invariants."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -429,52 +430,60 @@ class TestCenter:
 
 
 class TestPartitions:
-    def test_from_clusters_valid(self):
-        Y = np.random.default_rng(1).standard_normal((10, 4))
-        part = TaskPartition.from_clusters([[0, 2], [1], [3]], Y)
+    def test_valid(self):
+        part = TaskPartition([[0, 2], [1], [3]], 4)
         assert part.n_clusters == 3
-        np.testing.assert_allclose(
-            part.aggregated_targets[:, 0], Y[:, [0, 2]].mean(axis=1), atol=1e-14
-        )
+        assert part.clusters == ((0, 2), (1,), (3,))
+        assert part.size == 4
 
     def test_overlap_rejected(self):
-        Y = np.ones((5, 3))
         with pytest.raises(ValidationError, match="two clusters"):
-            TaskPartition.from_clusters([[0, 1], [1, 2]], Y)
+            TaskPartition([[0, 1], [1, 2]], 3)
+
+    def test_repeated_index_rejected(self):
+        with pytest.raises(ValidationError, match="two clusters"):
+            TaskPartition(((0, 0),), 1)
 
     def test_incomplete_cover_rejected(self):
-        Y = np.ones((5, 3))
         with pytest.raises(ValidationError, match="not covered"):
-            TaskPartition.from_clusters([[0], [2]], Y)
+            TaskPartition([[0], [2]], 3)
 
     def test_out_of_range_rejected(self):
-        Y = np.ones((5, 3))
         with pytest.raises(ValidationError, match="out of range"):
-            FeaturePartition.from_clusters([[0, 1], [2, 3]], Y)
+            FeaturePartition([[0, 1], [2, 3]], 3)
 
-    def test_mean_consistency_enforced(self):
-        Y = np.random.default_rng(2).standard_normal((6, 2))
-        bad = Y.mean(axis=1, keepdims=True) + 1.0
-        with pytest.raises(ValidationError, match="deviates"):
-            TaskPartition(((0, 1),), bad, _source=Y)
+    def test_empty_cluster_rejected(self):
+        with pytest.raises(ValidationError, match="empty cluster"):
+            FeaturePartition([[0, 1], []], 2)
 
-    @pytest.mark.parametrize("kind", [TaskPartition, FeaturePartition])
-    def test_from_clusters_builds_the_means_once(self, kind, monkeypatch):
-        Y = np.random.default_rng(3).standard_normal((6, 4))
-        means, calls = data._cluster_means, []
+    @pytest.mark.parametrize("index", [True, "0", 0.0, None])
+    def test_non_integer_index_rejected(self, index):
+        with pytest.raises(ValidationError, match="not an integer"):
+            TaskPartition([[index], [1]], 2)
 
-        def counted(*args):
-            calls.append(args)
-            return means(*args)
+    @pytest.mark.parametrize("clusters", [5, None, [0, 1]])
+    def test_clusters_that_are_not_lists_rejected(self, clusters):
+        with pytest.raises(ValidationError, match="feature partition"):
+            FeaturePartition(clusters, 2)
 
-        monkeypatch.setattr(data, "_cluster_means", counted)
-        part = kind.from_clusters([[2, 0], [1], [3]], Y)
-        assert len(calls) == 1
-        assert part.clusters == ((2, 0), (1,), (3,))
-        want = np.column_stack([Y[:, [2, 0]].mean(axis=1), Y[:, 1], Y[:, 3]])
-        got = (part.aggregated_targets if kind is TaskPartition
-               else part.aggregated_features)
-        assert np.array_equal(got, want)
+    @pytest.mark.parametrize("size", [0, -1, 2.0, True, "2"])
+    def test_bad_size_rejected(self, size):
+        with pytest.raises(ValidationError, match="size"):
+            TaskPartition([[0]], size)
+
+    def test_numpy_integers_stored_as_ints(self):
+        part = FeaturePartition((tuple(np.array([2, 0])), (np.int32(1),)), np.int64(3))
+        assert part.clusters == ((2, 0), (1,)) and part.size == 3
+        assert all(type(i) is int for c in part.clusters for i in c)
+        assert type(part.size) is int
+
+    def test_kinds_share_one_implementation(self):
+        task, feature = TaskPartition([[0], [1]], 2), FeaturePartition([[0], [1]], 2)
+        assert type(task).__mro__[1] is type(feature).__mro__[1]
+        assert task != feature
+        assert task == TaskPartition(((0,), (1,)), 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            task.size = 3
 
 
 @settings(max_examples=30, deadline=None)
@@ -485,7 +494,7 @@ def test_partition_from_labels_property(labels):
         [i for i, lab in enumerate(labels) if lab == c]
         for c in sorted(set(labels))
     ]
-    Y = np.random.default_rng(0).standard_normal((5, size))
-    part = TaskPartition.from_clusters(clusters, Y)
+    part = TaskPartition(clusters, size)
     covered = sorted(i for c in part.clusters for i in c)
     assert covered == list(range(size))
+    assert part.clusters == tuple(map(tuple, clusters))

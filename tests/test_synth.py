@@ -91,6 +91,22 @@ class TestGenerate:
         with pytest.raises(ValidationError):
             SynthConfig(n_tasks=3, group_assignment=(0, 1))
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_tasks", 2.5), ("n_tasks", True), ("n_tasks", "3"), ("n_features", 0),
+        ("n_train", 60.0), ("n_test", None), ("n_repeats", 0), ("n_repeats", -1),
+        ("sigma", "1"), ("sigma", True), ("sigma", float("nan")),
+        ("feature_std", "2"), ("epsilon1", "abc"), ("epsilon2", None),
+    ])
+    def test_config_rejects_values_it_cannot_run(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            SynthConfig(**{field: value})
+
+    def test_config_accepts_numpy_numbers(self):
+        cfg = SynthConfig(n_tasks=np.int64(3), n_features=np.int32(4),
+                          sigma=np.float32(0.5), epsilon1=-1)
+        train, _, _ = generate(cfg, 0)
+        assert train.features.shape == (cfg.n_train, 4) and train.n_tasks == 3
+
     def test_reference_config_single_task_accuracy(self):
         # Default configuration: single-task out-of-sample R^2 near 0.48.
         values = [run_trial(SynthConfig(), seed).r2_single for seed in (10, 11, 12)]
@@ -120,6 +136,16 @@ class TestSweep:
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(ValidationError, match="jobs"):
             sweep(SMALL, "sigma", [1.0], jobs=jobs)
+
+    @pytest.mark.parametrize("axis, value, match", [
+        ("n_train", 2.5, "n_train"), ("n_train", "2.5", "axis n_train"),
+        ("n_train", True, "n_train"), ("D", "four", "axis D"),
+        ("sigma", "abc", "axis sigma"), ("sigma", None, "sigma"),
+        ("epsilon1", [0.0], "epsilon1"),
+    ])
+    def test_axis_value_of_the_wrong_type_rejected(self, axis, value, match):
+        with pytest.raises(ValidationError, match=match):
+            sweep(SMALL, axis, [value])
 
     def test_epsilon1_degenerate_endpoint(self):
         table = sweep(SMALL, "epsilon1", [-1e6])
