@@ -21,7 +21,12 @@ the models fit nothing per comparison:
 * Phase I projects every target off the column space of X once.  The fit
   of a target mean is the mean of the targets' fits, so running sums of the
   open cluster's targets and residuals give each comparison's three fits in
-  O(n).
+  O(n).  Of those fits only the merged mean's is new: each target's own fit
+  is made once, and the open cluster's fit is the last accepted merged fit.
+  A :class:`ThresholdFit` derives its statistics when it is made, so a
+  comparison costs two vector sums and scalings, one mean, two dot
+  products, the statistics of one fit and the record, with no statistic
+  recomputed.
 * Phase II keeps the restricted coefficients b and their unscaled
   covariance K = (X'X)^-1.  Merging candidate j into the cluster opened by s
   imposes b_s = b_j, which raises the residual sum of squares by
@@ -51,19 +56,25 @@ once per comparison with the fits it holds, so the report and its decision
 are built in one place.  Callers that hold arrays, such as standalone
 re-evaluation and the verification checks, fit first with lstsq
 (:func:`threshold_fit`), which serves as the reference.
+
+Every comparison is recorded as a :class:`ThresholdReport`, an immutable
+named tuple whose constructor checks the phase and the members; the tests
+build it positionally, and the result document takes its keys from the
+record's field list.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import (Dataset, FeaturePartition, TaskPartition, _cluster_means, _is_int,
                    _is_real)
-from .errors import ValidationError, ZeroVarianceError
+from .errors import ValidationError
 from .linstats import (  # the tolerances are re-exported from here
     MAX_COND,
     REPLAY_ATOL,
@@ -106,25 +117,63 @@ _SEED_MASK = (1 << 64) - 1
 # ran fastest at D = 800 and 1600 (n = 2.5 D) on one OpenBLAS thread.
 _DOWNDATE_BLOCK = 128
 
+# Builds a named tuple from its field values without the Python-level
+# constructor; only constructors that have checked those values use it.
+_new = tuple.__new__
 
-class ThresholdFit(NamedTuple):
-    """What the threshold statistics need from one least-squares fit.
 
-    ``d`` is the model matrix's column count and ``rank`` its rank; phase I
-    scales its thresholds by d / (n - 1).
-    """
-
+class _FitFields(NamedTuple):
     ss_res: float
     target_variance: float  # about the sample mean, divisor n-1
     n: int
     d: int
     rank: int
+    r2: float | None
+    var_res: float | None
+    varf: float | None  # explained variance: target variance - var_res, floored at 0
 
 
-class _FitStats(NamedTuple):
-    r2: float
-    var_res: float
-    varf: float  # explained variance: var(y) - var_res, floored at zero
+class ThresholdFit(_FitFields):
+    """What the threshold statistics need from one least-squares fit, and those statistics.
+
+    A fit is built from its first five fields; ``d`` is the model matrix's
+    column count and ``rank`` its rank, and phase I scales its thresholds by
+    d / (n - 1).  The statistics are derived once, where the fit is made, so
+    a threshold test reads them instead of recomputing them per comparison.
+
+    The asymptotic expressions are stated in population quantities, so the
+    residual variance ``var_res`` uses the degrees-of-freedom divisor
+    n - rank (the unbiased noise estimate) and ``r2`` is the matching
+    adjusted value.  At the sample sizes the thresholds run at (d comparable
+    to n), the plain n-1 statistics are optimistic enough to invert merge
+    decisions; the public r2_score / var_res operations keep the plain
+    definitions.  The explained variance ``varf`` is floored at zero (a
+    model that explains nothing contributes nothing).  All three are None
+    for a target of zero variance, whose R^2 is undefined.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ss_res, target_variance, n, d, rank):
+        if target_variance <= 0.0:
+            return _new(cls, (ss_res, target_variance, n, d, rank, None, None, None))
+        var_res = ss_res / max(n - rank, 1)
+        varf = max(0.0, target_variance - var_res)
+        return _new(cls, (ss_res, target_variance, n, d, rank,
+                          varf / target_variance, var_res, varf))
+
+    def __getnewargs__(self):
+        return self[:5]
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, /, **changes):
+        fit = self._make(map(changes.pop, _FitFields._fields[:5], self))
+        if changes:
+            raise ValueError(f"only the first five fields of a fit are set: {list(changes)}")
+        return fit
 
 
 def _threshold(core: _CoreFit) -> ThresholdFit:
@@ -142,72 +191,76 @@ def _slab_fit(X, y) -> _CoreFit:
 
 
 def _target_variance(y: np.ndarray) -> float:
-    dev = y - y.mean()
-    return float(dev @ dev) / (y.shape[0] - 1)
+    # ``float(y.sum()) / n`` is the bits of ``y.mean()``, which sums the same
+    # way and divides by n, without numpy's Python-level mean.
+    n = y.shape[0]
+    dev = y - float(y.sum()) / n
+    return float(dev @ dev) / (n - 1)
 
 
-def _fit_stats(fit: ThresholdFit) -> _FitStats:
-    """Threshold-test statistics of one fit.
-
-    The asymptotic expressions are stated in population quantities, so the
-    residual variance here uses the degrees-of-freedom divisor n - rank(X)
-    (the unbiased noise estimate) and the R^2 is the matching adjusted
-    value.  At the sample sizes the thresholds run at (d comparable to n),
-    the plain n-1 statistics are optimistic enough to invert merge
-    decisions; the public r2_score / var_res operations keep the plain
-    definitions.  The explained variance is floored at zero (a model that
-    explains nothing contributes nothing).
-    """
-    if fit.target_variance <= 0.0:
-        raise ZeroVarianceError("target has zero variance; R^2 is undefined")
-    dof = max(fit.n - fit.rank, 1)
-    var_res = fit.ss_res / dof
-    varf = max(0.0, fit.target_variance - var_res)
-    return _FitStats(varf / fit.target_variance, var_res, varf)
+_ZERO_VARIANCE = "target has zero variance; R^2 is undefined"
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
-    """One recorded accept/reject comparison.
-
-    Phase 1 populates the three-fit scalars and both thresholds; phase 2
-    populates the separated/aggregated pair (as ``r_p``/``r_ag``) and the
-    R^2 gap.  ``cluster_id`` is the open cluster's index in creation order
-    and ``members`` its membership at test time, in walk order.  The walk
-    hands every report of one cluster state the same tuple, which is kept
-    as given; any other sequence is copied to a tuple of ints.  A phase-2
-    record's working columns follow from the result's feature
-    partition of ``task_cluster``: the clusters before ``cluster_id``, the
-    members, and every feature not yet in either as a singleton, so any
-    record can be re-evaluated standalone.
-    """
-
+class _ReportFields(NamedTuple):
     phase: int
     cluster_id: int
     candidate: int
     members: tuple[int, ...]
     epsilon: float
     accepted: bool
-    r_p: float | None = None
-    r_j: float | None = None
-    r_ag: float | None = None
-    var_p: float | None = None
-    var_j: float | None = None
-    var_ag: float | None = None
-    varf_p: float | None = None
-    varf_j: float | None = None
-    varf_ag: float | None = None
-    threshold1: float | None = None
-    threshold2: float | None = None
-    r_gap: float | None = None
-    task_cluster: int | None = None
-    note: str | None = None
+    r_p: float | None
+    r_j: float | None
+    r_ag: float | None
+    var_p: float | None
+    var_j: float | None
+    var_ag: float | None
+    varf_p: float | None
+    varf_j: float | None
+    varf_ag: float | None
+    threshold1: float | None
+    threshold2: float | None
+    r_gap: float | None
+    task_cluster: int | None
+    note: str | None
 
-    def __post_init__(self):
-        if self.phase not in (1, 2):
-            raise ValidationError(f"phase must be 1 or 2, got {self.phase}")
-        if type(self.members) is not tuple:
-            object.__setattr__(self, "members", tuple(map(int, self.members)))
+
+class ThresholdReport(_ReportFields):
+    """One recorded accept/reject comparison, an immutable named tuple.
+
+    Phase 1 populates the three-fit scalars and both thresholds; phase 2
+    populates the separated/aggregated pair (as ``r_p``/``r_ag``) and the
+    R^2 gap; every field a phase does not populate is None.  ``cluster_id``
+    is the open cluster's index in creation order and ``members`` its
+    membership at test time, in walk order.  The walk hands every report of
+    one cluster state the same tuple, which is kept as given; any other
+    sequence is copied to a tuple of ints.  A phase-2 record's working
+    columns follow from the result's feature partition of ``task_cluster``:
+    the clusters before ``cluster_id``, the members, and every feature not
+    yet in either as a singleton, so any record can be re-evaluated
+    standalone.
+
+    Every construction, ``_make`` and ``_replace`` included, checks the
+    phase and applies the members rule.  The threshold tests build their
+    reports positionally, in under half the time of a keyword build.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, phase, cluster_id, candidate, members, epsilon, accepted,
+                r_p=None, r_j=None, r_ag=None, var_p=None, var_j=None, var_ag=None,
+                varf_p=None, varf_j=None, varf_ag=None, threshold1=None,
+                threshold2=None, r_gap=None, task_cluster=None, note=None):
+        if phase not in (1, 2):
+            raise ValidationError(f"phase must be 1 or 2, got {phase}")
+        if type(members) is not tuple:
+            members = tuple(map(int, members))
+        return _new(cls, (phase, cluster_id, candidate, members, epsilon, accepted,
+                          r_p, r_j, r_ag, var_p, var_j, var_ag, varf_p, varf_j, varf_ag,
+                          threshold1, threshold2, r_gap, task_cluster, note))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 # The recorded statistics a replay must reproduce.
@@ -236,36 +289,19 @@ def compute_threshold_targets(
     """
     if not p.d == j.d == ag.d:
         raise ValidationError("the three fits must share a column count")
-    base = dict(
-        phase=1,
-        cluster_id=cluster_id,
-        candidate=candidate,
-        members=members,
-        epsilon=float(epsilon),
-    )
-    try:
-        sp, sj, sag = _fit_stats(p), _fit_stats(j), _fit_stats(ag)
-    except ZeroVarianceError as exc:
-        return ThresholdReport(accepted=False, note=str(exc), **base)
+    epsilon = float(epsilon)
+    if p.r2 is None or j.r2 is None or ag.r2 is None:
+        return ThresholdReport(1, cluster_id, candidate, members, epsilon, False,
+                               note=_ZERO_VARIANCE)
 
     scale = ag.d / (ag.n - 1)
-    penalty = 0.5 * (sp.r2 * sp.varf + sj.r2 * sj.varf) - sag.r2 * sag.varf
-    t1 = scale * (sag.var_res - sp.var_res) + penalty
-    t2 = scale * (sag.var_res - sj.var_res) + penalty
+    penalty = 0.5 * (p.r2 * p.varf + j.r2 * j.varf) - ag.r2 * ag.varf
+    t1 = scale * (ag.var_res - p.var_res) + penalty
+    t2 = scale * (ag.var_res - j.var_res) + penalty
     return ThresholdReport(
-        accepted=bool(t1 <= epsilon and t2 <= epsilon),
-        r_p=sp.r2,
-        r_j=sj.r2,
-        r_ag=sag.r2,
-        var_p=sp.var_res,
-        var_j=sj.var_res,
-        var_ag=sag.var_res,
-        varf_p=sp.varf,
-        varf_j=sj.varf,
-        varf_ag=sag.varf,
-        threshold1=t1,
-        threshold2=t2,
-        **base,
+        1, cluster_id, candidate, members, epsilon, bool(t1 <= epsilon and t2 <= epsilon),
+        p.r2, j.r2, ag.r2, p.var_res, j.var_res, ag.var_res, p.varf, j.varf, ag.varf,
+        t1, t2, None, None, None,
     )
 
 
@@ -288,32 +324,18 @@ def compute_threshold_features(
     """
     if agg.d != sep.d - 1:
         raise ValidationError(f"a merge of {sep.d} columns cannot leave {agg.d}")
-    base = dict(
-        phase=2,
-        cluster_id=cluster_id,
-        candidate=candidate,
-        members=members,
-        epsilon=float(epsilon),
-        task_cluster=task_cluster,
-    )
-    try:
-        s_sep, s_agg = _fit_stats(sep), _fit_stats(agg)
-    except ZeroVarianceError as exc:
-        return ThresholdReport(accepted=False, note=str(exc), **base)
+    epsilon = float(epsilon)
+    if sep.r2 is None or agg.r2 is None:
+        return ThresholdReport(2, cluster_id, candidate, members, epsilon, False,
+                               task_cluster=task_cluster, note=_ZERO_VARIANCE)
 
-    gap = s_sep.r2 - s_agg.r2
+    gap = sep.r2 - agg.r2
     if abs(gap) < R2_TIE_TOL:
         gap = 0.0
     return ThresholdReport(
-        accepted=bool(gap <= epsilon),
-        r_p=s_sep.r2,
-        r_ag=s_agg.r2,
-        var_p=s_sep.var_res,
-        var_ag=s_agg.var_res,
-        varf_p=s_sep.varf,
-        varf_ag=s_agg.varf,
-        r_gap=gap,
-        **base,
+        2, cluster_id, candidate, members, epsilon, bool(gap <= epsilon),
+        sep.r2, None, agg.r2, sep.var_res, None, agg.var_res, sep.varf, None, agg.varf,
+        None, None, gap, task_cluster, None,
     )
 
 
@@ -355,12 +377,11 @@ class _TargetMerges:
         # column differently from an identical one, which would split the
         # exact ties between duplicate targets that the per-fit path keeps.
         self.E = [z - Q @ (Q.T @ z) for z in Z.T]
+        self.n = X.shape[0]
         self.singles = [self._fit(z, e) for z, e in zip(Z.T, self.E)]
 
     def _fit(self, z: np.ndarray, e: np.ndarray) -> ThresholdFit:
-        return ThresholdFit(
-            float(e @ e), _target_variance(z), z.shape[0], self.d, self.rank
-        )
+        return ThresholdFit(float(e @ e), _target_variance(z), self.n, self.d, self.rank)
 
     def open(self, i: int) -> None:
         self.size = 1
@@ -472,7 +493,8 @@ class _FeatureRestrictions(_FeatureRefits):
         k_sj = self.K0[s, j] - V[s] @ V[j]
         delta = diff * diff / (self.diag[s] - 2.0 * k_sj + self.diag[j])
         sep = self.sep_fit
-        return sep._replace(ss_res=sep.ss_res + delta, d=sep.d - 1, rank=sep.rank - 1)
+        return ThresholdFit(sep.ss_res + delta, sep.target_variance, sep.n, sep.d - 1,
+                            sep.rank - 1)
 
     def accept(self, members, j: int) -> None:
         s, V = members[0], self.V[:, : self.k]
@@ -623,7 +645,7 @@ def aggregation_loop(
     it, so that several walks on one matrix share it; when None, the walk
     computes it where it needs it.
     """
-    order = [int(i) for i in items]
+    order = list(items)
     if not order:
         raise ValidationError("items must be nonempty")
     if phase not in (1, 2):
@@ -649,8 +671,11 @@ def aggregation_loop(
             raise ValidationError(f"target of shape {y.shape} does not match {n} rows")
         size = X.shape[1]
     for i in order:
+        if not _is_int(i):
+            raise ValidationError(f"item index {i!r} is not an integer")
         if i < 0 or i >= size:
             raise ValidationError(f"item index {i} out of range [0, {size})")
+    order = [int(i) for i in order]
     if svd is not None:
         r = min(X.shape)
         want = [(n, r), (r,), (r, X.shape[1])]
@@ -690,6 +715,9 @@ class AggregationResult:
                 f"{len(self.feature_partitions)} feature partitions for "
                 f"{self.task_partition.n_clusters} task clusters"
             )
+        sizes = sorted({fp.size for fp in self.feature_partitions})
+        if len(sizes) > 1:
+            raise ValidationError(f"feature partitions of different sizes {sizes}")
         object.__setattr__(self, "feature_partitions", tuple(self.feature_partitions))
         object.__setattr__(self, "trace", tuple(self.trace))
         object.__setattr__(self, "seed", int(self.seed) & _SEED_MASK)
@@ -961,18 +989,20 @@ def reevaluate_report(
 
 FORMAT_VERSION = 2
 
-# (field name, document key) for every stored field of a trace record.  A
-# record's members are not stored: they follow from the partitions (see
-# :func:`_derived_trace`).
+# (field name, document key) for every stored field of a trace record, in
+# field order.  A record's members are not stored: they follow from the
+# partitions (see :func:`_derived_trace`).
 _DOC_KEYS = tuple(
-    (f.name, "cluster" if f.name == "cluster_id" else f.name)
-    for f in fields(ThresholdReport)
-    if f.name != "members"
+    (name, "cluster" if name == "cluster_id" else name)
+    for name in ThresholdReport._fields
+    if name != "members"
 )
+_stored_values = itemgetter(*(ThresholdReport._fields.index(name) for name, _ in _DOC_KEYS))
+_STORED_KEYS = tuple(key for _, key in _DOC_KEYS)
 
 
 def _report_to_dict(r: ThresholdReport) -> dict:
-    return {key: getattr(r, name) for name, key in _DOC_KEYS}
+    return dict(zip(_STORED_KEYS, _stored_values(r)))
 
 
 def _report_from_dict(d: dict, members: tuple[int, ...]) -> ThresholdReport:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .data import FeaturePartition, _cluster_means
+from .data import FeaturePartition, _cluster_means, _is_int
 from .errors import ValidationError
 
 if TYPE_CHECKING:
@@ -39,22 +39,37 @@ __all__ = [
 ]
 
 
-def _check_correlation(corr: np.ndarray) -> np.ndarray:
+def _check_correlation(corr: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The correlation matrix, checked, and whether it is exactly the identity."""
     C = np.asarray(corr, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValidationError(f"correlation must be square, got shape {C.shape}")
+    # k nonzero entries, all of them on a unit diagonal: the identity, which
+    # passes every check below, so none of them (an eigvalsh of k x k
+    # above all) is run.
+    if np.count_nonzero(C) == C.shape[0] and np.all(np.diagonal(C) == 1.0):
+        return C, True
     if not np.allclose(C, C.T, atol=1e-12):
         raise ValidationError("correlation matrix must be symmetric")
     if not np.allclose(np.diag(C), 1.0, atol=1e-12):
         raise ValidationError("correlation matrix must have unit diagonal")
     if np.linalg.eigvalsh(C).min() < -1e-8:
         raise ValidationError("correlation matrix must be positive semidefinite")
-    return C
+    return C, False
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-task noise standard deviations and their correlation matrix."""
+    """Per-task noise standard deviations and their correlation matrix.
+
+    Draws are ``z @ F.T`` for standard normal ``z`` and a factor F of the
+    covariance from ``eigh``.  Independent noise of one positive sigma, the
+    model of every generated dataset without a noise correlation, has the
+    factor sigma * I, which ``eigh`` returns exactly; it is held as its
+    diagonal, and a draw is ``z * sigmas``, the same bits as the product
+    without the k x k factorization.  (A zero sigma is left to ``eigh``:
+    ``z * 0`` keeps the signs of the zeros that the product drops.)
+    """
 
     sigmas: np.ndarray
     correlation: np.ndarray
@@ -64,7 +79,7 @@ class NoiseModel:
         s = np.atleast_1d(np.asarray(self.sigmas, dtype=float))
         if np.any(s < 0):
             raise ValidationError("noise standard deviations must be nonnegative")
-        C = _check_correlation(self.correlation)
+        C, identity = _check_correlation(self.correlation)
         if C.shape[0] != s.shape[0]:
             raise ValidationError(
                 f"{s.shape[0]} sigmas but correlation is {C.shape[0]}x{C.shape[0]}"
@@ -74,8 +89,12 @@ class NoiseModel:
         C.setflags(write=False)
         object.__setattr__(self, "sigmas", s)
         object.__setattr__(self, "correlation", C)
-        vals, vecs = np.linalg.eigh(self.covariance())
-        object.__setattr__(self, "_factor", vecs * np.sqrt(np.clip(vals, 0.0, None)))
+        if identity and np.all(s == s[:1]) and np.all(s > 0.0):
+            factor = s
+        else:
+            vals, vecs = np.linalg.eigh(self.covariance())
+            factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
+        object.__setattr__(self, "_factor", factor)
 
     @classmethod
     def independent(cls, sigma: float, k: int) -> "NoiseModel":
@@ -103,21 +122,31 @@ class NoiseModel:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n rows of correlated Gaussian noise, one column per task.
 
-        The covariance factor comes from one ``eigh`` in ``__post_init__``,
-        so repeated draws do not refactor it.
+        The covariance factor is made once in ``__post_init__``, so repeated
+        draws do not refactor it.
         """
         z = rng.standard_normal((n, self.n_tasks))
+        if self._factor.ndim == 1:
+            return z * self._factor
         return z @ self._factor.T
+
+
+def _task_indices(cluster, T: int) -> list[int]:
+    """The nonempty ``cluster`` as ints, each an integer index of T tasks."""
+    idx = list(cluster)
+    if not idx:
+        raise ValidationError("cluster must be nonempty")
+    for i in idx:
+        if not _is_int(i):
+            raise ValidationError(f"task index {i!r} is not an integer")
+        if not 0 <= i < T:
+            raise ValidationError(f"task index {i} out of range [0, {T})")
+    return [int(i) for i in idx]
 
 
 def aggregated_noise_variance(model: NoiseModel, cluster: Sequence[int]) -> float:
     """Exact variance of the mean of the cluster's noise variables."""
-    idx = [int(i) for i in cluster]
-    if not idx:
-        raise ValidationError("cluster must be nonempty")
-    for i in idx:
-        if i < 0 or i >= model.n_tasks:
-            raise ValidationError(f"task index {i} out of range [0, {model.n_tasks})")
+    idx = _task_indices(cluster, model.n_tasks)
     sub = model.covariance()[np.ix_(idx, idx)]
     k = len(idx)
     return max(0.0, float(sub.sum()) / (k * k))
@@ -218,12 +247,8 @@ def _partial_cov_terms(
 def _checked_indices(task: "SyntheticTask", cluster, feature_clusters, task_index):
     """Task cluster and feature partition, checked against the generator's shape."""
     T, D = task.coefficients.shape
-    members = [int(c) for c in cluster]
-    if not members:
-        raise ValidationError("cluster must be nonempty")
-    for i in (*members, int(task_index)):
-        if not 0 <= i < T:
-            raise ValidationError(f"task index {i} out of range [0, {T})")
+    members = _task_indices(cluster, T)
+    _task_indices([task_index], T)
     return members, FeaturePartition(feature_clusters, D).clusters
 
 

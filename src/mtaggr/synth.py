@@ -106,6 +106,9 @@ class SynthConfig:
             C.setflags(write=False)
             object.__setattr__(self, "noise_correlation", C)
         if self.group_assignment is not None:
+            for g in self.group_assignment:
+                if not _is_int(g):
+                    raise ValidationError(f"group_assignment entry {g!r} is not an integer")
             groups = tuple(int(g) for g in self.group_assignment)
             if len(groups) != self.n_tasks:
                 raise ValidationError(

@@ -1,8 +1,9 @@
 """Threshold tests, the greedy loop, the two-phase driver, and trace replay."""
 
-import dataclasses
 import json
+import pickle
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from mtaggr.aggregation import (
     REPLAY_ATOL,
     REPLAY_RTOL,
     TRACE_SCALARS,
+    AggregationResult,
+    ThresholdFit,
+    ThresholdReport,
     aggregation_loop,
     apply_partition,
     assert_replay,
@@ -26,8 +30,8 @@ from mtaggr.aggregation import (
     threshold_fit,
 )
 from mtaggr import aggregation
-from mtaggr.data import Dataset, center
-from mtaggr.errors import ValidationError
+from mtaggr.data import Dataset, FeaturePartition, TaskPartition, center
+from mtaggr.errors import ValidationError, ZeroVarianceError
 from mtaggr.synth import SynthConfig, generate
 
 
@@ -332,6 +336,17 @@ class TestAggregationLoop:
         with pytest.raises(ValidationError):
             aggregation_loop([0], 1, 0.0, features=ds.features)
 
+    def test_fractional_items_refused(self):
+        ds = make_centered()
+        with pytest.raises(ValidationError, match="1.7"):
+            aggregation_loop([0, 1.7], 1, 0.0, features=ds.features, targets=ds.targets)
+        with pytest.raises(ValidationError, match="2.0"):
+            aggregation_loop([2.0], 2, 0.0, features=ds.features, target=ds.targets[:, 0])
+        for items in (np.array([3, 0, 1]), range(3)):
+            clusters, _ = aggregation_loop(items, 1, 1e6, features=ds.features,
+                                           targets=ds.targets)
+            assert clusters == (tuple(sorted(int(i) for i in items)),)
+
     @staticmethod
     def walk_data(ds, phase):
         if phase == 1:
@@ -562,8 +577,8 @@ class TestDriver:
                 [list(c) for c in fp.clusters] for fp in result.feature_partitions
             ],
             "trace": [
-                {("cluster" if f.name == "cluster_id" else f.name): getattr(r, f.name)
-                 for f in dataclasses.fields(r) if f.name != "members"}
+                {("cluster" if name == "cluster_id" else name): getattr(r, name)
+                 for name in r._fields if name != "members"}
                 for r in result.trace
             ],
         }, indent=2)
@@ -622,7 +637,7 @@ class TestDriver:
             {"members": report.members + (clusters[0][0],)},
         ):
             with pytest.raises(ValidationError):
-                reevaluate_report(ds, result, dataclasses.replace(report, **change))
+                reevaluate_report(ds, result, report._replace(**change))
 
     @pytest.mark.parametrize("homogeneous", [False, True])
     @pytest.mark.parametrize(
@@ -651,7 +666,7 @@ class TestDriver:
             "fractional_member": {"members": report.members[:-1] + (0.5,)},
         }[change]
         with pytest.raises(ValidationError):
-            reevaluate_report(ds, result, dataclasses.replace(report, **fields))
+            reevaluate_report(ds, result, report._replace(**fields))
 
     @pytest.mark.parametrize("case", ["reference", "n_below_d", "homogeneous"])
     def test_one_threshold_call_per_recorded_comparison(self, case, monkeypatch):
@@ -1291,3 +1306,224 @@ class TestComparisonBudget:
                     if r.phase == 2 and r.task_cluster == ci
                 )
                 assert per <= D * (D - 1) // 2
+
+
+def test_result_refuses_feature_partitions_of_different_sizes():
+    tasks = TaskPartition([[0], [1]], 2)
+    with pytest.raises(ValidationError, match="different sizes"):
+        AggregationResult(tasks, (FeaturePartition([[0]], 1),
+                                  FeaturePartition([[0], [1]], 2)), (), 0, 0.0, 0.0)
+    same = (FeaturePartition([[0, 1]], 2), FeaturePartition([[0], [1]], 2))
+    assert AggregationResult(tasks, same, (), 0, 0.0, 0.0).feature_partitions == same
+
+
+class TestRecordTypes:
+    def test_fit_carries_the_statistics_of_its_fields(self):
+        fit = ThresholdFit(3.0, 2.0, 10, 4, 4)
+        assert fit.var_res == 3.0 / 6 and fit.varf == 1.5 and fit.r2 == 0.75
+        assert ThresholdFit(30.0, 2.0, 10, 4, 4).varf == 0.0  # floored
+        assert ThresholdFit(1.0, 0.0, 10, 4, 4)[5:] == (None, None, None)
+        moved = fit._replace(ss_res=6.0, d=3)
+        assert moved == ThresholdFit(6.0, 2.0, 10, 3, 4)
+        assert pickle.loads(pickle.dumps(fit)) == fit
+        with pytest.raises(ValueError):
+            fit._replace(r2=0.5)
+        with pytest.raises(AttributeError):
+            fit.r2 = 0.5
+
+    def test_report_checks_phase_and_members_on_every_construction(self):
+        report = ThresholdReport(phase=1, cluster_id=0, candidate=3, members=[np.int64(2)],
+                                 epsilon=0.0, accepted=True, threshold1=0.1)
+        assert report.members == (2,) and type(report.members[0]) is int
+        assert report.note is None and report.r_gap is None
+        shared = (4, 1)
+        assert report._replace(members=shared).members is shared
+        assert pickle.loads(pickle.dumps(report)) == report
+        with pytest.raises(ValidationError):
+            ThresholdReport(3, 0, 3, (2,), 0.0, True)
+        with pytest.raises(ValidationError):
+            report._replace(phase=0)
+        with pytest.raises(AttributeError):
+            report.accepted = False
+
+    def test_document_keys_follow_the_record_fields(self):
+        report = ThresholdReport(2, 1, 5, (0, 4), 1e-4, False, r_p=0.5, r_ag=0.25,
+                                 r_gap=0.25, task_cluster=0)
+        doc = aggregation._report_to_dict(report)
+        assert list(doc) == ["cluster" if f == "cluster_id" else f
+                             for f in ThresholdReport._fields if f != "members"]
+        assert doc["cluster"] == 1 and doc["r_gap"] == 0.25 and doc["r_j"] is None
+        assert aggregation._report_from_dict(doc, report.members) == report
+
+
+# The phase-I comparisons as they were made before each fit carried its
+# statistics: ``y.mean()`` in the target variance, every statistic
+# recomputed on every comparison, and the record built by keyword.  The
+# oracle for _TargetMerges and compute_threshold_targets, which must decide
+# the same and record the same bits.
+
+
+class LegacyFit(NamedTuple):
+    ss_res: float
+    target_variance: float
+    n: int
+    d: int
+    rank: int
+
+
+class LegacyStats(NamedTuple):
+    r2: float
+    var_res: float
+    varf: float
+
+
+def legacy_fit_stats(fit):
+    if fit.target_variance <= 0.0:
+        raise ZeroVarianceError("target has zero variance; R^2 is undefined")
+    dof = max(fit.n - fit.rank, 1)
+    var_res = fit.ss_res / dof
+    varf = max(0.0, fit.target_variance - var_res)
+    return LegacyStats(varf / fit.target_variance, var_res, varf)
+
+
+def legacy_threshold_targets(p, j, ag, epsilon, *, cluster_id, candidate, members):
+    base = dict(phase=1, cluster_id=cluster_id, candidate=candidate, members=members,
+                epsilon=float(epsilon))
+    try:
+        sp, sj, sag = legacy_fit_stats(p), legacy_fit_stats(j), legacy_fit_stats(ag)
+    except ZeroVarianceError as exc:
+        return ThresholdReport(accepted=False, note=str(exc), **base)
+    scale = ag.d / (ag.n - 1)
+    penalty = 0.5 * (sp.r2 * sp.varf + sj.r2 * sj.varf) - sag.r2 * sag.varf
+    t1 = scale * (sag.var_res - sp.var_res) + penalty
+    t2 = scale * (sag.var_res - sj.var_res) + penalty
+    return ThresholdReport(
+        accepted=bool(t1 <= epsilon and t2 <= epsilon),
+        r_p=sp.r2, r_j=sj.r2, r_ag=sag.r2,
+        var_p=sp.var_res, var_j=sj.var_res, var_ag=sag.var_res,
+        varf_p=sp.varf, varf_j=sj.varf, varf_ag=sag.varf,
+        threshold1=t1, threshold2=t2, **base,
+    )
+
+
+class LegacyTargetMerges:
+    def __init__(self, X, Z, epsilon):
+        U, s, _ = np.linalg.svd(X, full_matrices=False)
+        self.rank = int(np.count_nonzero(s > np.finfo(float).eps * max(X.shape) * s[0]))
+        Q = U[:, : self.rank]
+        self.d, self.Z, self.epsilon = X.shape[1], Z, epsilon
+        self.E = [z - Q @ (Q.T @ z) for z in Z.T]
+        self.singles = [self._fit(z, e) for z, e in zip(Z.T, self.E)]
+
+    def _fit(self, z, e):
+        dev = z - z.mean()
+        variance = float(dev @ dev) / (z.shape[0] - 1)
+        return LegacyFit(float(e @ e), variance, z.shape[0], self.d, self.rank)
+
+    def open(self, i):
+        self.size = 1
+        self.sum_z = self.Z[:, i].copy()
+        self.sum_e = self.E[i].copy()
+        self.p_fit = self.singles[i]
+
+    def compare(self, closed, members, visited, j):
+        z = self.Z[:, j]
+        size = self.size + 1
+        self.ag_fit = self._fit((self.sum_z + z) / size, (self.sum_e + self.E[j]) / size)
+        return legacy_threshold_targets(
+            self.p_fit, self.singles[j], self.ag_fit, self.epsilon,
+            cluster_id=len(closed), candidate=j, members=members,
+        )
+
+    def accept(self, members, j):
+        self.sum_z += self.Z[:, j]
+        self.sum_e += self.E[j]
+        self.size += 1
+        self.p_fit = self.ag_fit
+
+
+def bits(value):
+    return None if value is None else float(value).hex()
+
+
+def assert_walk_matches_legacy(X, Z, order, epsilon):
+    """The phase-I walk against the legacy one: same decisions, the same bits."""
+    got = aggregation._greedy(order, aggregation._TargetMerges(X, Z, epsilon, None))
+    want = aggregation._greedy(order, LegacyTargetMerges(X, Z, epsilon))
+    assert got[0] == want[0]
+    assert len(got[1]) == len(want[1])
+    for new, old in zip(*(trace for _, trace in (got, want))):
+        assert type(new) is ThresholdReport
+        assert new._replace(**{f: bits(getattr(new, f)) for f in TRACE_SCALARS}) == \
+            old._replace(**{f: bits(getattr(old, f)) for f in TRACE_SCALARS})
+    return got
+
+
+@st.composite
+def target_sets(draw):
+    """Targets on one feature matrix: copies of a few bases, noisy or exact, and zeros.
+
+    Returns X, the target matrix, a walk order, and each target's copy group
+    (exact copies share one; a noisy target and the constant one have their
+    own, -1 for the constant).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T = draw(st.integers(1, 40))
+    n, D = draw(st.integers(3, 30), label="n"), draw(st.integers(1, 6), label="D")
+    X = rng.standard_normal((n, D))
+    X -= X.mean(axis=0)
+    bases = [X @ rng.standard_normal(D) + rng.standard_normal(n)
+             for _ in range(draw(st.integers(1, 3)))]
+    noise = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    cols, groups = [], []
+    for t in range(T):
+        kind = draw(st.sampled_from(["copy", "copy", "noisy", "constant"]))
+        b = draw(st.integers(0, len(bases) - 1))
+        if kind == "constant":
+            cols.append(np.zeros(n))
+            groups.append(-1)
+        elif kind == "noisy" and noise:
+            cols.append(bases[b] + noise * rng.standard_normal(n))
+            groups.append(len(bases) + t)
+        else:
+            cols.append(bases[b].copy())
+            groups.append(b)
+    Z = np.column_stack(cols)
+    Z -= Z.mean(axis=0)
+    return X, Z, list(draw(st.permutations(range(T)))), groups
+
+
+class TestTargetMergesAgainstLegacy:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(target_sets(), st.sampled_from([0.0, 0.0, 0.05, 1.0, 1e6, -1e6, 1e300, -1e300]))
+    def test_same_decisions_and_bits(self, targets, epsilon):
+        X, Z, order, groups = targets
+        _, trace = assert_walk_matches_legacy(X, Z, order, epsilon)
+        for r in trace:
+            copies = {groups[k] for k in r.members + (r.candidate,)}
+            if -1 in copies:
+                assert not r.accepted and r.note is not None
+            elif len(copies) == 1:
+                # Exact copies tie up to the rounding of their mean.
+                assert abs(r.threshold1) < 1e-12 and abs(r.threshold2) < 1e-12
+
+    @pytest.mark.parametrize("case", ["duplicates", "constant", "single"])
+    def test_edge_cases(self, case):
+        rng = np.random.default_rng(21)
+        X = centered(rng.standard_normal((40, 3)))
+        y = centered(X @ [1.0, 0.5, 0.2] + rng.standard_normal(40))
+        Z = {"duplicates": np.column_stack([y, y, y, -y]),
+             "constant": np.column_stack([y, np.zeros(40), y]),
+             "single": y[:, None]}[case]
+        order = list(range(Z.shape[1]))
+        for epsilon in (0.0, 1e6, -1e6):
+            clusters, trace = assert_walk_matches_legacy(X, Z, order, epsilon)
+            if case == "duplicates" and epsilon == 0.0:
+                assert clusters == ((0, 1, 2), (3,))
+                assert all(r.note is None for r in trace)
+            if case == "constant":
+                # The zero target gets the note on every comparison it is in.
+                assert [r.note is not None for r in trace] == [
+                    1 in r.members + (r.candidate,) for r in trace]
+            if case == "single":
+                assert (clusters, trace) == (((0,),), [])

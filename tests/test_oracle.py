@@ -153,6 +153,9 @@ class TestNoiseModel:
             aggregated_noise_variance(model, [])
         with pytest.raises(ValidationError):
             aggregated_noise_variance(model, [5])
+        with pytest.raises(ValidationError, match="1.7"):
+            aggregated_noise_variance(model, [0, 1.7])
+        assert aggregated_noise_variance(model, np.array([0, 1])) == 0.5
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -175,6 +178,28 @@ class TestNoiseModel:
         restricted = model.restrict([model.n_tasks - 1])
         got = restricted.sample(9, np.random.default_rng(7))
         want = reference_noise_sample(restricted, 9, np.random.default_rng(7))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 10, 100, 1000])
+    @pytest.mark.parametrize("sigma", [1.0, 2.4, 0.3, 1e-3])
+    def test_scaled_identity_draws_the_bits_of_the_eigh_factor(self, k, sigma):
+        model = NoiseModel.independent(sigma, k)
+        assert model._factor.shape == (k,)  # no k x k factor was made
+        for seed in range(2):
+            got = model.sample(3, np.random.default_rng(seed))
+            want = reference_noise_sample(model, 3, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sigmas, corr", [
+        ([1.0, 2.0], np.eye(2)),
+        ([0.0, 0.0], np.eye(2)),
+        ([1.0, 1.0], np.array([[1.0, 0.1], [0.1, 1.0]])),
+    ], ids=["unequal_sigmas", "zero_sigma", "correlated"])
+    def test_other_models_keep_the_eigh_factor(self, sigmas, corr):
+        model = NoiseModel(np.array(sigmas), corr)
+        assert model._factor.shape == (2, 2)
+        got = model.sample(5, np.random.default_rng(4))
+        want = reference_noise_sample(model, 5, np.random.default_rng(4))
         assert got.tobytes() == want.tobytes()
 
     def test_sampling_matches_covariance(self):
@@ -499,8 +524,11 @@ class TestOracleInputValidation:
         ([0, 1], ((0,), (1, 3)), 0),
         ([0, 1], ((0, 1), (1, 2)), 0),
         ([0, 1], ((0,), (1,)), 0),
+        ([0, 0.9], ((0,), (1, 2)), 0),
+        ([0, 1], ((0,), (1, 2)), 1.2),
     ], ids=["empty_cluster", "task_out_of_range", "task_index_out_of_range",
-            "feature_out_of_range", "overlapping_features", "uncovered_feature"])
+            "feature_out_of_range", "overlapping_features", "uncovered_feature",
+            "fractional_task", "fractional_task_index"])
     def test_bad_indices_rejected(self, cluster, feature_clusters, task_index):
         task = make_task(np.ones((2, 3)), NoiseModel.independent(1.0, 2))
         with pytest.raises(ValidationError):

@@ -90,6 +90,9 @@ class TestGenerate:
             SynthConfig(coefficient_intervals=((1.0, 0.5),))
         with pytest.raises(ValidationError):
             SynthConfig(n_tasks=3, group_assignment=(0, 1))
+        with pytest.raises(ValidationError, match="0.9"):
+            SynthConfig(n_tasks=2, group_assignment=(0.9, 1.2))
+        assert SynthConfig(n_tasks=2, group_assignment=np.array([1, 0])).groups() == (1, 0)
 
     @pytest.mark.parametrize("field, value", [
         ("n_tasks", 2.5), ("n_tasks", True), ("n_tasks", "3"), ("n_features", 0),

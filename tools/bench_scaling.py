@@ -1,18 +1,23 @@
-"""Time ``nonlin_ctfa`` on the feature-scaling rows and write them to a BENCH_*.json file.
+"""Time ``nonlin_ctfa`` on the scaling rows and write them to a BENCH_*.json file.
 
     python3 tools/bench_scaling.py                      # D = 100, 200, 400, 800
     python3 tools/bench_scaling.py --rows 100,200       # a quick smoke run
+    python3 tools/bench_scaling.py --targets 1000,3000  # the target-count rows
     python3 tools/bench_scaling.py --src ../base-checkout/src --side base \\
         --rows 100,200,400,800,1600 --out BENCH_11.json
 
-Each row runs ``nonlin_ctfa`` once on ``center(generate(SynthConfig(n_features=D,
-n_train=int(2.5*D)), 10)[0])`` with epsilon1 0, epsilon2 1e-4 and seed 10, and
-records its wall time, its comparison count, a SHA-256 digest of its
-decisions (the partitions and every record's phase, task cluster, cluster,
-candidate and decision), the smallest phase-II margin |r_gap - epsilon2| and
-the number of ``numpy.linalg.svd`` calls.  Neither data generation nor a
-first, untimed run of the smallest row is timed.
-D=1600 takes minutes, so it runs only when ``--rows`` names it.
+Each feature row runs ``nonlin_ctfa`` once on ``center(generate(SynthConfig(
+n_features=D, n_train=int(2.5*D)), 10)[0])``; each target row (``--targets``)
+on ``SynthConfig(n_tasks=T, n_features=20, n_train=200)``, where phase I makes
+most of the comparisons.  Both run with epsilon1 0, epsilon2 1e-4 and seed
+10, and record the wall time, the comparison count of each phase, a SHA-256
+digest of the decisions (the partitions and every record's phase, task
+cluster, cluster, candidate and decision), the smallest phase-II margin
+|r_gap - epsilon2| and the number of ``numpy.linalg.svd`` calls.  Neither
+data generation nor a first, untimed run of the smallest feature row is
+timed.  D=1600 takes minutes, so it runs only when ``--rows`` names it; with
+``--targets`` alone only the target rows run.  T=10 000 is not a row: its
+data generation alone holds a T x T noise correlation.
 
 ``--src`` picks the ``mtaggr`` source tree to import, so one script times a
 change and its base; ``--out`` stores the rows under ``scaling.<side>`` of
@@ -37,6 +42,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ROWS = (100, 200, 400, 800, 1600)
 DEFAULT_ROWS = ROWS[:-1]
+TARGET_ROWS = (1000, 3000)
+TARGET_FEATURES, TARGET_SAMPLES = 20, 200
 EPSILON1, EPSILON2, SEED, DATA_SEED = 0.0, 1e-4, 10, 10
 THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -52,15 +59,21 @@ def decisions_digest(result) -> str:
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 
-def row(D: int) -> dict:
-    """Time one ``nonlin_ctfa`` run at D features and n = 2.5 D samples."""
+def row(D: int, T: int | None = None) -> dict:
+    """Time one ``nonlin_ctfa`` run: D features and n = 2.5 D samples, or T targets.
+
+    A target row (T given) has D = 20 features and n = 200 samples.
+    """
     import numpy as np
     from mtaggr import aggregation
     from mtaggr.data import center
     from mtaggr.synth import SynthConfig, generate
 
-    n = int(2.5 * D)
-    dataset = center(generate(SynthConfig(n_features=D, n_train=n), DATA_SEED)[0]).dataset
+    if T is None:
+        n, config = int(2.5 * D), SynthConfig(n_features=D, n_train=int(2.5 * D))
+    else:
+        n, config = TARGET_SAMPLES, SynthConfig(n_tasks=T, n_features=D, n_train=TARGET_SAMPLES)
+    dataset = center(generate(config, DATA_SEED)[0]).dataset
     svd, calls = np.linalg.svd, [0]
 
     def counted(*args, **kwargs):
@@ -76,16 +89,24 @@ def row(D: int) -> dict:
         np.linalg.svd = svd
     gaps = [abs(r.r_gap - EPSILON2) for r in result.trace
             if r.phase == 2 and r.r_gap is not None]
+    phase1 = sum(r.phase == 1 for r in result.trace)
     return {
+        **({} if T is None else {"T": T}),
         "D": D,
         "n": n,
         "seconds": seconds,
         "comparisons": len(result.trace),
-        "phase2_comparisons": sum(r.phase == 2 for r in result.trace),
+        "phase1_comparisons": phase1,
+        "phase2_comparisons": len(result.trace) - phase1,
         "decisions_sha256": decisions_digest(result),
         "min_phase2_margin": min(gaps) if gaps else None,
         "svd_calls": calls[0],
     }
+
+
+def row_key(r: dict) -> tuple[str, int]:
+    """A row's name: ("T", T) for a target row, else ("D", D)."""
+    return ("T", r["T"]) if "T" in r else ("D", r["D"])
 
 
 def environment() -> dict:
@@ -104,27 +125,39 @@ def commit(tree: Path) -> str | None:
 
 
 def compare_sides(scaling: dict) -> list[dict]:
-    """Per D timed on both sides: whether the decision digests agree."""
-    rows = {side: {r["D"]: r for r in scaling[side]["rows"]} for side in scaling}
+    """Per row timed on both sides: whether the decision digests agree."""
+    rows = {side: {row_key(r): r for r in scaling[side]["rows"]} for side in scaling}
     if set(rows) != {"base", "change"}:
         return []
-    return [{"D": D, "same_decisions": rows["base"][D]["decisions_sha256"]
-             == rows["change"][D]["decisions_sha256"]}
-            for D in sorted(set(rows["base"]) & set(rows["change"]))]
+    return [{key[0]: key[1], "same_decisions": rows["base"][key]["decisions_sha256"]
+             == rows["change"][key]["decisions_sha256"]}
+            for key in sorted(set(rows["base"]) & set(rows["change"]))]
+
+
+def parse_values(text: str, known: tuple[int, ...], name: str) -> list[int]:
+    values = [int(v) for v in text.split(",")]
+    unknown = sorted(set(values) - set(known))
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"no scaling row for {name} = {unknown}; rows are {known}")
+    return values
 
 
 def parse_rows(text: str) -> list[int]:
-    rows = [int(v) for v in text.split(",")]
-    unknown = sorted(set(rows) - set(ROWS))
-    if unknown:
-        raise argparse.ArgumentTypeError(f"no scaling row for D = {unknown}; rows are {ROWS}")
-    return rows
+    return parse_values(text, ROWS, "D")
+
+
+def parse_targets(text: str) -> list[int]:
+    return parse_values(text, TARGET_ROWS, "T")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rows", type=parse_rows,
-                        default=list(DEFAULT_ROWS), help="comma-separated D values")
+                        help="comma-separated D values (default 100,200,400,800 "
+                             "unless --targets is given)")
+    parser.add_argument("--targets", type=parse_targets, default=[],
+                        help="comma-separated T values of the target rows (1000,3000)")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the source tree whose mtaggr is timed")
     parser.add_argument("--side", choices=("base", "change"), default="change")
@@ -132,10 +165,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     src = args.src.resolve()
     sys.path.insert(0, str(src))
+    if args.rows is None:
+        args.rows = [] if args.targets else list(DEFAULT_ROWS)
     row(ROWS[0])  # untimed: the first call's one-off set-up is not a row's cost
     rows = []
-    for D in args.rows:
-        rows.append(row(D))
+    for D, T in [(D, None) for D in args.rows] + [(TARGET_FEATURES, T) for T in args.targets]:
+        rows.append(row(D, T))
         print(json.dumps(rows[-1]), flush=True)
     if args.out is None:
         return 0
@@ -147,7 +182,8 @@ def main(argv=None) -> int:
     doc["scaling_decisions"] = compare_sides(scaling)
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     for entry in doc["scaling_decisions"]:
-        print(f"D={entry['D']}: decisions "
+        name = "T" if "T" in entry else "D"
+        print(f"{name}={entry[name]}: decisions "
               f"{'agree' if entry['same_decisions'] else 'DIFFER'}", flush=True)
     return 0 if all(e["same_decisions"] for e in doc["scaling_decisions"]) else 1
 
