@@ -172,7 +172,7 @@ class ThresholdFit(_FitFields):
     def _replace(self, /, **changes):
         fit = self._make(map(changes.pop, _FitFields._fields[:5], self))
         if changes:
-            raise ValueError(f"only the first five fields of a fit are set: {list(changes)}")
+            raise ValueError(f"a fit sets only its first five fields, not {list(changes)}")
         return fit
 
 

@@ -70,9 +70,11 @@ def row(D: int, T: int | None = None) -> dict:
     from mtaggr.synth import SynthConfig, generate
 
     if T is None:
-        n, config = int(2.5 * D), SynthConfig(n_features=D, n_train=int(2.5 * D))
+        n = int(2.5 * D)
+        config = SynthConfig(n_features=D, n_train=n)
     else:
-        n, config = TARGET_SAMPLES, SynthConfig(n_tasks=T, n_features=D, n_train=TARGET_SAMPLES)
+        n = TARGET_SAMPLES
+        config = SynthConfig(n_tasks=T, n_features=D, n_train=n)
     dataset = center(generate(config, DATA_SEED)[0]).dataset
     svd, calls = np.linalg.svd, [0]
 
@@ -169,7 +171,8 @@ def main(argv=None) -> int:
         args.rows = [] if args.targets else list(DEFAULT_ROWS)
     row(ROWS[0])  # untimed: the first call's one-off set-up is not a row's cost
     rows = []
-    for D, T in [(D, None) for D in args.rows] + [(TARGET_FEATURES, T) for T in args.targets]:
+    runs = [(D, None) for D in args.rows] + [(TARGET_FEATURES, T) for T in args.targets]
+    for D, T in runs:
         rows.append(row(D, T))
         print(json.dumps(rows[-1]), flush=True)
     if args.out is None:
