@@ -140,6 +140,8 @@ class ThresholdFit(_FitFields):
     column count and ``rank`` its rank, and phase I scales its thresholds by
     d / (n - 1).  The statistics are derived once, where the fit is made, so
     a threshold test reads them instead of recomputing them per comparison.
+    ``_make`` takes those five values and ``_replace`` changes only them, so
+    the statistics always follow from the other fields.
 
     The asymptotic expressions are stated in population quantities, so the
     residual variance ``var_res`` uses the degrees-of-freedom divisor
