@@ -17,8 +17,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .aggregation import compute_threshold_features, compute_threshold_targets, threshold_fit
+from .data import _is_int
 from .errors import ValidationError
 from .oracle import (
+    MIN_N_EVAL,
+    MIN_N_POP,
+    MIN_REPLICATES,
     NoiseModel,
     aggregated_noise_variance,
     coefficient_covariance_check,
@@ -61,7 +65,15 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerifyBudget:
-    """Sampling budgets; defaults match the acceptance tolerances."""
+    """Sampling budgets; defaults match the acceptance tolerances.
+
+    Every budget is an integer, checked when the budget is built, so a
+    budget no check can run with fails before any check runs:
+    ``replicates``, ``n_eval`` and ``n_pop`` at least the estimators' own
+    minima, ``bootstrap`` at least 0 (below 2 resamples it adds no error),
+    ``coefficient_replicates`` at least 2 (one covariance needs two), and
+    the draw and case counts at least 1 (a rate needs one draw).
+    """
 
     replicates: int = 500
     n_eval: int = 10_000
@@ -71,6 +83,19 @@ class VerifyBudget:
     coefficient_replicates: int = 2000
     bias_generators: int = 10
     bias_partitions: int = 5
+
+    def __post_init__(self):
+        minima = {
+            "replicates": MIN_REPLICATES, "n_eval": MIN_N_EVAL, "n_pop": MIN_N_POP,
+            "draws": 1, "bootstrap": 0, "coefficient_replicates": 2,
+            "bias_generators": 1, "bias_partitions": 1,
+        }
+        for name, least in minima.items():
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValidationError(f"budget {name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValidationError(f"budget {name} must be >= {least}, got {value}")
 
     @classmethod
     def quick(cls) -> "VerifyBudget":

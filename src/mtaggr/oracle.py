@@ -6,6 +6,10 @@ aggregated target (noise-mean variance times d/(n-1)), the single-task bias
 its partial-covariance correction.  The Monte-Carlo side estimates the
 variance / bias / noise split of the expected squared error by training many
 replicate models and averaging their predictions on a fixed evaluation set.
+A prediction is linear in the model's coefficients, so those averages are
+taken in coefficient space, from the replicates' coefficients and the
+evaluation set's Gram matrix, without a replicates x points prediction
+matrix.
 
 These estimators only run on synthetic generators: the bias terms need the
 noise-free signal, which real data never exposes.
@@ -58,9 +62,14 @@ def _check_correlation(corr: np.ndarray) -> tuple[np.ndarray, bool]:
     return C, False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NoiseModel:
     """Per-task noise standard deviations and their correlation matrix.
+
+    ``NoiseModel(sigmas)``, with no correlation, is independent noise: its
+    identity correlation is not stored, and ``correlation``,
+    ``covariance()`` and ``restrict`` build what they return from the
+    sigmas alone, so a model of many tasks holds no k x k array.
 
     Draws are ``z @ F.T`` for standard normal ``z`` and a factor F of the
     covariance from ``eigh``.  Independent noise of one positive sigma, the
@@ -72,23 +81,25 @@ class NoiseModel:
     """
 
     sigmas: np.ndarray
-    correlation: np.ndarray
-    _factor: np.ndarray = field(init=False, repr=False, compare=False)
+    _correlation: np.ndarray | None = field(repr=False)
+    _factor: np.ndarray = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        s = np.atleast_1d(np.asarray(self.sigmas, dtype=float))
+    def __init__(self, sigmas, correlation=None):
+        s = np.atleast_1d(np.asarray(sigmas, dtype=float))
         if np.any(s < 0):
             raise ValidationError("noise standard deviations must be nonnegative")
-        C, identity = _check_correlation(self.correlation)
-        if C.shape[0] != s.shape[0]:
-            raise ValidationError(
-                f"{s.shape[0]} sigmas but correlation is {C.shape[0]}x{C.shape[0]}"
-            )
+        C, identity = None, True
+        if correlation is not None:
+            C, identity = _check_correlation(correlation)
+            if C.shape[0] != s.shape[0]:
+                raise ValidationError(
+                    f"{s.shape[0]} sigmas but correlation is {C.shape[0]}x{C.shape[0]}"
+                )
+            C = C.copy()
+            C.setflags(write=False)
         s.setflags(write=False)
-        C = C.copy()
-        C.setflags(write=False)
         object.__setattr__(self, "sigmas", s)
-        object.__setattr__(self, "correlation", C)
+        object.__setattr__(self, "_correlation", C)
         if identity and np.all(s == s[:1]) and np.all(s > 0.0):
             factor = s
         else:
@@ -98,7 +109,7 @@ class NoiseModel:
 
     @classmethod
     def independent(cls, sigma: float, k: int) -> "NoiseModel":
-        return cls(np.full(k, float(sigma)), np.eye(k))
+        return cls(np.full(k, float(sigma)))
 
     @classmethod
     def equicorrelated(cls, sigma: float, k: int, rho: float) -> "NoiseModel":
@@ -110,20 +121,33 @@ class NoiseModel:
     def n_tasks(self) -> int:
         return self.sigmas.shape[0]
 
+    @property
+    def correlation(self) -> np.ndarray:
+        """The k x k correlation matrix, read-only; built here for independent noise."""
+        if self._correlation is not None:
+            return self._correlation
+        C = np.eye(self.n_tasks)
+        C.setflags(write=False)
+        return C
+
+    def _correlation_block(self, idx: list[int]) -> np.ndarray:
+        """The correlations among the tasks ``idx``, a repeated task included."""
+        if self._correlation is None:
+            return np.equal.outer(idx, idx).astype(float)
+        return self._correlation[np.ix_(idx, idx)]
+
     def covariance(self) -> np.ndarray:
         return np.outer(self.sigmas, self.sigmas) * self.correlation
 
     def restrict(self, indices: Sequence[int]) -> "NoiseModel":
         idx = list(indices)
-        return NoiseModel(
-            self.sigmas[idx], self.correlation[np.ix_(idx, idx)]
-        )
+        return NoiseModel(self.sigmas[idx], self._correlation_block(idx))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n rows of correlated Gaussian noise, one column per task.
 
-        The covariance factor is made once in ``__post_init__``, so repeated
-        draws do not refactor it.
+        The covariance factor is made once when the model is built, so
+        repeated draws do not refactor it.
         """
         z = rng.standard_normal((n, self.n_tasks))
         if self._factor.ndim == 1:
@@ -147,7 +171,8 @@ def _task_indices(cluster, T: int) -> list[int]:
 def aggregated_noise_variance(model: NoiseModel, cluster: Sequence[int]) -> float:
     """Exact variance of the mean of the cluster's noise variables."""
     idx = _task_indices(cluster, model.n_tasks)
-    sub = model.covariance()[np.ix_(idx, idx)]
+    s = model.sigmas[idx]
+    sub = np.outer(s, s) * model._correlation_block(idx)  # the covariance's block
     k = len(idx)
     return max(0.0, float(sub.sum()) / (k * k))
 
@@ -215,7 +240,8 @@ def _centered(a: np.ndarray) -> np.ndarray:
 
 def _draw_features(task: "SyntheticTask", n: int, rng: np.random.Generator):
     X = rng.standard_normal((n, task.coefficients.shape[1]))
-    X *= task.feature_std
+    if task.feature_std != 1.0:  # x * 1.0 is x, so unit features skip the pass
+        X *= task.feature_std
     return X
 
 
@@ -254,6 +280,8 @@ def _checked_indices(task: "SyntheticTask", cluster, feature_clusters, task_inde
 
 # Batches of the fresh sample whose bias values give the standard error.
 _BIAS_BATCHES = 10
+# The smallest budgets the estimators accept.
+MIN_REPLICATES, MIN_N_EVAL, MIN_N_POP = 100, 10_000, 10_000
 
 
 def population_bias_decomposition(
@@ -272,8 +300,8 @@ def population_bias_decomposition(
     estimate avoids extra sampling noise.  The standard error comes from
     batch means over the fresh sample.
     """
-    if n_pop < 10_000:
-        raise ValidationError(f"need n_pop >= 10000, got {n_pop}")
+    if n_pop < MIN_N_POP:
+        raise ValidationError(f"need n_pop >= {MIN_N_POP}, got {n_pop}")
     cluster, feature_clusters = _checked_indices(
         task, cluster, feature_clusters, task_index
     )
@@ -375,16 +403,19 @@ def monte_carlo_bias_variance(
 
     Each replicate reduces its training set to the normal equations
     (phi'phi, phi'psi); one stacked ``solve`` gives every replicate's
-    coefficients and one product gives every evaluation prediction.  That
-    needs ``n_train`` above the number of feature clusters and nonsingular
-    phi'phi in every replicate; otherwise ``ValidationError`` is raised, as
-    it is for an empty ``cluster``, an index out of range, or
-    ``feature_clusters`` that is not a partition of the features.
+    coefficients.  The variance and bias statistics are then taken in
+    coefficient space (see :func:`_bootstrap_ses`): a prediction is linear
+    in the coefficients, so no replicates x ``n_eval`` prediction matrix is
+    formed except for the total.  The stacked solve needs ``n_train`` above
+    the number of feature clusters and nonsingular phi'phi in every
+    replicate; otherwise ``ValidationError`` is raised, as it is for an
+    empty ``cluster``, an index out of range, or ``feature_clusters`` that
+    is not a partition of the features.
     """
-    if replicates < 100:
-        raise ValidationError(f"need replicates >= 100, got {replicates}")
-    if n_eval < 10_000:
-        raise ValidationError(f"need n_eval >= 10000, got {n_eval}")
+    if replicates < MIN_REPLICATES:
+        raise ValidationError(f"need replicates >= {MIN_REPLICATES}, got {replicates}")
+    if n_eval < MIN_N_EVAL:
+        raise ValidationError(f"need n_eval >= {MIN_N_EVAL}, got {n_eval}")
     cluster, feature_clusters = _checked_indices(
         task, cluster, feature_clusters, task_index
     )
@@ -401,6 +432,13 @@ def monte_carlo_bias_variance(
     sub_noise = noise_model.restrict(cluster)
     sigma_i = float(noise_model.sigmas[task_index])
     weights = np.mean([task.coefficients[k] for k in cluster], axis=0)
+    # Under the identity partition ((0,), (1,), ...) the cluster means are
+    # the features themselves, so X is read as it is, not copied.
+    D = task.coefficients.shape[1]
+    own_features = feature_clusters == tuple((j,) for j in range(D))
+
+    def features(X: np.ndarray) -> np.ndarray:
+        return X if own_features else _cluster_means(X, feature_clusters)
 
     ss = np.random.SeedSequence(seed)
     eval_seed, noise_seed, *rep_seeds = ss.spawn(replicates + 2)
@@ -408,19 +446,21 @@ def monte_carlo_bias_variance(
     rng_eval = np.random.default_rng(eval_seed)
     X_eval = _draw_features(task, n_eval, rng_eval)
     f_eval = task.signal(X_eval, task_index)
-    phi_eval = _cluster_means(X_eval, feature_clusters)
+    phi_eval = features(X_eval)
 
     # Each replicate keeps its own stream (features, then noise) and is
     # reduced to its normal equations; one stacked solve fits them all.
-    L = len(feature_clusters)
+    # np.add.reduce(eps, axis=1) / k is eps.mean(axis=1), the same bits
+    # without numpy's Python-level mean.
+    L, k = len(feature_clusters), len(cluster)
     grams = np.empty((replicates, L, L))
     moments = np.empty((replicates, L))
     for r, rep_seed in enumerate(rep_seeds):
         rng = np.random.default_rng(rep_seed)
         X_tr = _draw_features(task, n_train, rng)
         eps = sub_noise.sample(n_train, rng)
-        psi_tr = X_tr @ weights + eps.mean(axis=1)
-        phi_tr = _cluster_means(X_tr, feature_clusters)
+        psi_tr = X_tr @ weights + np.add.reduce(eps, axis=1) / k
+        phi_tr = features(X_tr)
         grams[r] = phi_tr.T @ phi_tr
         moments[r] = phi_tr.T @ psi_tr
     try:
@@ -430,12 +470,19 @@ def monte_carlo_bias_variance(
             "a replicate's cluster-mean features are collinear, so its "
             "least-squares fit is not unique"
         ) from None
-    preds = coefs @ phi_eval.T
 
-    mean_pred = preds.mean(axis=0)
-    point_var = preds.var(axis=0, ddof=1)
+    # The signal split as f = phi_eval b_f + r_f, r_f orthogonal to phi_eval.
+    gram_eval = phi_eval.T @ phi_eval / n_eval
+    b_f = _solve_or_pinv(gram_eval, phi_eval.T @ f_eval / n_eval)[0]
+    r_f = f_eval - phi_eval @ b_f
+    mean_coef = coefs.mean(axis=0)
+    dev = coefs - mean_coef
+    # A prediction's variance over the replicates is x' S x at features x,
+    # with S the coefficients' covariance; the mean prediction misses the
+    # signal by phi_eval (mean_coef - b_f) - r_f.
+    point_var = _forms(phi_eval, dev.T @ dev / (replicates - 1))
     variance_term = float(point_var.mean())
-    point_bias = (mean_pred - f_eval) ** 2 - point_var / replicates
+    point_bias = (phi_eval @ (mean_coef - b_f) - r_f) ** 2 - point_var / replicates
     bias_term = max(0.0, float(point_bias.mean()))
     noise_term = sigma_i**2
 
@@ -446,8 +493,9 @@ def monte_carlo_bias_variance(
         )
         eps_eval *= sigma_i
         # ((preds - f) - eps)^2 in one buffer, in that order so the bits
-        # stay those of the plain expression; freed before the bootstrap.
-        sq_err = preds - f_eval[None, :]
+        # stay those of the plain expression.
+        sq_err = coefs @ phi_eval.T
+        sq_err -= f_eval[None, :]
         sq_err -= eps_eval
         del eps_eval
         sq_err **= 2
@@ -457,7 +505,8 @@ def monte_carlo_bias_variance(
         del sq_err
 
     var_se, bias_se, total_se = _bootstrap_ses(
-        preds, f_eval, per_rep_total, bootstrap, rep_seed=ss.spawn(1)[0]
+        dev, gram_eval, mean_coef - b_f, per_rep_total, bootstrap,
+        rep_seed=ss.spawn(1)[0],
     )
     # The bootstrap resamples replicates only; fold in the independent
     # evaluation-sample error of each mean-over-x term.
@@ -490,31 +539,41 @@ def monte_carlo_bias_variance(
     )
 
 
-def _row_square_means(a: np.ndarray) -> np.ndarray:
-    """Mean of the squares of each row, as a row dot product with no squared copy."""
-    return np.einsum("ij,ij->i", a, a) / a.shape[1]
+def _forms(a: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """The quadratic form a_i' gram a_i of each row a_i."""
+    return np.einsum("ij,ij->i", a @ gram, a)
 
 
-def _bootstrap_ses(preds, f_eval, per_rep_total, n_boot, rep_seed):
-    """Bootstrap over replicates, vectorized through multinomial count matrices.
+def _bootstrap_ses(dev, gram, shift, per_rep_total, n_boot, rep_seed):
+    """Bootstrap over replicates, in coefficient space, through multinomial counts.
 
-    Row b of ``counts`` holds resampling weights over the R replicates.  The
-    variance term only enters through its mean over x, so the resampled
-    prediction variance is taken in moment form,
-    (mean_x of weighted E[pred^2] - mean_x of (weighted E[pred])^2) * R/(R-1),
-    and the second moment needs only the matvec ``counts @ mean_x(preds^2)``.
-    The total's standard error is ``None`` when ``per_rep_total`` is.
+    Row b of ``counts`` holds resampling weights w_b over the R replicates.
+    ``dev`` holds each replicate's coefficients minus their mean c, ``gram``
+    is the evaluation Gram G = phi'phi / n_eval, and the signal splits as
+    f = phi b_f + r_f, r_f orthogonal to phi, with ``shift`` = c - b_f.  A
+    resample's mean coefficients are c + e_b with e_b = ``counts @ dev``, so,
+    as means over the evaluation points,
+
+    * its prediction variance is (sum_r w_br dev_r' G dev_r - e_b' G e_b)
+      * R/(R-1), that is sum_r w_br (dev_r - e_b)' G (dev_r - e_b) * R/(R-1);
+    * its squared bias is (e_b + shift)' G (e_b + shift) + |r_f|^2 / n_eval.
+      The last term is the same in every resample, so it does not move a
+      standard error and is left out.
+
+    Every form is taken on a difference from the mean coefficients or from
+    b_f, never as a difference of two forms of whole predictions: where the
+    model is well specified the bias is near zero while the predictions are
+    not, and such a difference would leave only rounding.  The total's
+    standard error is ``None`` when ``per_rep_total`` is.
     """
     if n_boot < 2:
         return 0.0, 0.0, None if per_rep_total is None else 0.0
-    R = preds.shape[0]
+    R = dev.shape[0]
     rng = np.random.default_rng(rep_seed)
     counts = rng.multinomial(R, np.full(R, 1.0 / R), size=n_boot) / R  # (B, R)
-    m1 = counts @ preds  # bootstrap means, (B, n_eval)
-    m2 = counts @ _row_square_means(preds)  # bootstrap second moments, mean over x
-    var_terms = (m2 - _row_square_means(m1)) * (R / (R - 1))
-    m1 -= f_eval
-    bias_terms = _row_square_means(m1) - var_terms / R
+    e = counts @ dev
+    var_terms = (counts @ _forms(dev, gram) - _forms(e, gram)) * (R / (R - 1))
+    bias_terms = _forms(e + shift, gram) - var_terms / R
     total_se = None
     if per_rep_total is not None:
         total_se = float(np.std(counts @ per_rep_total, ddof=1))

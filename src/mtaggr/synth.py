@@ -131,12 +131,8 @@ class SynthConfig:
         return tuple(out)
 
     def noise_model(self) -> NoiseModel:
-        corr = (
-            np.eye(self.n_tasks)
-            if self.noise_correlation is None
-            else self.noise_correlation
-        )
-        return NoiseModel(np.full(self.n_tasks, self.sigma), corr)
+        """Independent noise (no correlation matrix) unless one is configured."""
+        return NoiseModel(np.full(self.n_tasks, self.sigma), self.noise_correlation)
 
 
 @dataclass(frozen=True)

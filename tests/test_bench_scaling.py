@@ -71,4 +71,4 @@ def test_unknown_rows_are_rejected():
     with pytest.raises(SystemExit):
         bench_scaling.main(["--rows", "100,300"])
     with pytest.raises(SystemExit):
-        bench_scaling.main(["--targets", "10000"])
+        bench_scaling.main(["--targets", "5000"])

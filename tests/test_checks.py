@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,24 @@ def test_run_checks_rejects_unknown_names():
 def test_run_checks_rejects_jobs_below_one(jobs):
     with pytest.raises(ValidationError, match="jobs"):
         run_checks(["noise_variance"], VerifyBudget.quick(), jobs=jobs)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("draws", 0), ("draws", -1), ("draws", 2.0), ("draws", True), ("bootstrap", -1),
+    ("replicates", 99), ("n_eval", 9_999), ("n_pop", 9_999), ("n_eval", 1e4),
+    ("coefficient_replicates", 1), ("bias_generators", 0), ("bias_partitions", 0),
+])
+def test_budget_rejects_what_no_check_can_run_with(field, value):
+    with pytest.raises(ValidationError, match=field):
+        replace(VerifyBudget.quick(), **{field: value})
+
+
+def test_budget_accepts_the_smallest_runnable_budget():
+    smallest = VerifyBudget(100, 10_000, 10_000, draws=1, bootstrap=0,
+                            coefficient_replicates=2, bias_generators=1,
+                            bias_partitions=1)
+    (result,) = run_checks(["merge_guarantee_features"], smallest)
+    assert result.replicates == 1
 
 
 def test_registry_names_are_stable():

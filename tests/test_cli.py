@@ -283,6 +283,24 @@ class TestVerifyCommand:
         assert "jobs" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, field", [
+        (("--draws", "0"), "draws"),
+        (("--draws", "-1"), "draws"),
+        (("--n-eval", "9999"), "n_eval"),
+        (("--replicates", "99"), "replicates"),
+        (("--n-pop", "9999"), "n_pop"),
+    ])
+    def test_budget_no_check_can_run_with_exits_1(self, tmp_path, monkeypatch, capsys,
+                                                   flags, field):
+        ran = []
+        monkeypatch.setattr(cli, "run_checks", lambda *a, **k: ran.append(a) or [])
+        out = tmp_path / "r.json"
+        assert run("verify", "--quick", *flags, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and field in err
+        assert "Traceback" not in err
+        assert ran == [] and not out.exists()
+
     def test_failed_check_exits_3(self, tmp_path, monkeypatch):
         def failing(budget, seed=0):
             return CheckResult("noise_variance", False, 1.0, 2.0, 0.0, 1)

@@ -106,6 +106,8 @@ def reference_monte_carlo(task, cluster, feature_clusters, task_index, n_train,
     var_terms = ((m2 - m1**2) * (R / (R - 1))).mean(axis=1)
     bias_terms = ((m1 - f_eval[None, :]) ** 2).mean(axis=1) - var_terms / R
     total_terms = counts @ per_rep_total
+    if bootstrap < 2:  # fewer than two resamples add no spread
+        var_terms = bias_terms = total_terms = np.zeros(2)
 
     root_n = np.sqrt(n_eval)
     return BiasVarianceEstimate(
@@ -201,6 +203,25 @@ class TestNoiseModel:
         got = model.sample(5, np.random.default_rng(4))
         want = reference_noise_sample(model, 5, np.random.default_rng(4))
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sigmas", [[1.5, 1.5, 1.5], [0.5, 0.0, 2.0]])
+    def test_independent_noise_stores_no_correlation(self, sigmas):
+        model = NoiseModel(np.array(sigmas))
+        explicit = NoiseModel(np.array(sigmas), np.eye(3))
+        assert model._correlation is None
+        assert model.correlation.tobytes() == explicit.correlation.tobytes()
+        assert not model.correlation.flags.writeable
+        assert model.covariance().tobytes() == explicit.covariance().tobytes()
+        assert model._factor.tobytes() == explicit._factor.tobytes()
+        for idx in ([2, 0], [1, 1], [0, 2, 0]):
+            got, want = model.restrict(idx), explicit.restrict(idx)
+            assert got.correlation.tobytes() == want.correlation.tobytes()
+            assert got.covariance().tobytes() == want.covariance().tobytes()
+            # The old formula: the cluster's block of the full covariance.
+            full = explicit.covariance()[np.ix_(idx, idx)]
+            assert aggregated_noise_variance(model, idx) == max(
+                0.0, float(full.sum()) / len(idx) ** 2)
+        assert NoiseModel.independent(2.0, 1000)._correlation is None
 
     def test_sampling_matches_covariance(self):
         model = NoiseModel.equicorrelated(1.5, 3, 0.4)
@@ -360,8 +381,32 @@ def partition_from_labels(labels):
     return tuple(tuple(g) for g in groups.values())
 
 
+NON_TOTAL_FIELDS = ("variance_term", "bias_term", "noise_term", "variance_se",
+                    "bias_se", "noise_se", "replicates")
+TOTAL_FIELDS = ("total_mse", "total_se")
+
+
+def assert_matches_reference(task, cluster, partition, task_index, n_train, seed,
+                             bootstrap, total):
+    """The estimator against ``reference_monte_carlo`` within the replay tolerance."""
+    args = (task, cluster, partition, task_index, n_train, 100, 10_000)
+    got = monte_carlo_bias_variance(*args, seed=seed, bootstrap=bootstrap, total=total)
+    want = reference_monte_carlo(*args, seed=seed, bootstrap=bootstrap)
+    assert got.replicates == want.replicates
+    assert got.warning is None
+    names = NON_TOTAL_FIELDS
+    if total:
+        names += TOTAL_FIELDS
+    else:
+        assert got.total_mse is None and got.total_se is None
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.isclose(a, b, rtol=REPLAY_RTOL, atol=REPLAY_ATOL), (name, a, b)
+    return got
+
+
 class TestStackedSolve:
-    """The stacked normal-equation path against the per-replicate lstsq reference."""
+    """The stacked solve and coefficient-space statistics against the lstsq reference."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -371,30 +416,70 @@ class TestStackedSolve:
         sigma=st.sampled_from([0.0, 0.5, 2.0]),
         feature_std=st.sampled_from([1.0, 3.0]),
         labels=st.lists(st.integers(0, 3), min_size=1, max_size=7),
+        kind=st.sampled_from(["labels", "identity", "permuted"]),
+        bootstrap=st.sampled_from([0, 1, 2, 20]),
+        total=st.booleans(),
         data=st.data(),
     )
     def test_matches_lstsq_reference(
-        self, k, extra_tasks, rho, sigma, feature_std, labels, data
+        self, k, extra_tasks, rho, sigma, feature_std, labels, kind, bootstrap, total,
+        data,
     ):
-        partition = partition_from_labels(labels)
+        D = len(labels)
+        partition = {
+            "labels": partition_from_labels(labels),
+            "identity": identity(D),
+            "permuted": tuple((j,) for j in np.random.default_rng(D).permutation(D)),
+        }[kind]
         n_train = data.draw(st.integers(len(partition) + 2, 500), label="n_train")
         seed = data.draw(st.integers(0, 2**16), label="seed")
         T = k + extra_tasks
         rng = np.random.default_rng(seed)
-        coefficients = rng.uniform(-1.0, 1.0, (T, len(labels)))
+        coefficients = rng.uniform(-1.0, 1.0, (T, D))
         task = make_task(coefficients, NoiseModel.equicorrelated(sigma, T, rho),
                          feature_std)
-        cluster = list(range(extra_tasks, T))
-        task_index = int(rng.integers(T))
-        args = (task, cluster, partition, task_index, n_train, 100, 10_000)
-        got = monte_carlo_bias_variance(*args, seed=seed, bootstrap=20)
-        want = reference_monte_carlo(*args, seed=seed, bootstrap=20)
-        assert got.replicates == want.replicates
-        assert got.warning is None
-        for name in ("variance_term", "bias_term", "noise_term", "total_mse",
-                     "variance_se", "bias_se", "noise_se", "total_se"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert np.isclose(a, b, rtol=REPLAY_RTOL, atol=REPLAY_ATOL), (name, a, b)
+        assert_matches_reference(task, list(range(extra_tasks, T)), partition,
+                                 int(rng.integers(T)), n_train, seed, bootstrap, total)
+
+    CASES = {
+        # A permuted identity is not read as the features themselves.
+        "permuted_identity": (np.array([[0.7, -0.2, 0.4, 1.1], [0.3, 0.9, -0.5, 0.2]]),
+                              NoiseModel.equicorrelated(1.0, 2, 0.3), [0, 1],
+                              ((2,), (0,), (3,), (1,)), 1.0),
+        "single_feature": (np.array([[0.8], [-0.4]]),
+                           NoiseModel.independent(0.5, 2), [0, 1], ((0,),), 2.0),
+        # Well specified and noiseless: bias and variance are rounding only.
+        "sigma0_identity_one_task": (np.array([[1.0, -0.5, 0.25]]),
+                                     NoiseModel.independent(0.0, 1), [0],
+                                     identity(3), 1.0),
+    }
+
+    @pytest.mark.parametrize("total", [False, True])
+    @pytest.mark.parametrize("bootstrap", [0, 1, 2])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_edge_cases_match_reference(self, case, bootstrap, total):
+        coefficients, noise, cluster, partition, feature_std = self.CASES[case]
+        task = make_task(coefficients, noise, feature_std)
+        got = assert_matches_reference(task, cluster, partition, 0, 50, 5, bootstrap,
+                                       total)
+        if case.startswith("sigma0"):
+            assert got.bias_term < 1e-20 and got.variance_term < 1e-20
+
+    @pytest.mark.parametrize("replicates", [100, 137])
+    def test_one_noise_draw_per_replicate(self, monkeypatch, replicates):
+        sample, sizes = NoiseModel.sample, []
+
+        def counted(model, n, rng):
+            sizes.append(n)
+            return sample(model, n, rng)
+
+        monkeypatch.setattr(NoiseModel, "sample", counted)
+        task = make_task(np.ones((2, 3)), NoiseModel.equicorrelated(1.0, 2, 0.5))
+        for total in (False, True):
+            sizes.clear()
+            monte_carlo_bias_variance(task, [0, 1], ((0, 2), (1,)), 0, 40, replicates,
+                                      10_000, seed=1, bootstrap=2, total=total)
+            assert sizes == [40] * replicates
 
     @pytest.mark.parametrize("clusters", [
         ((0,), (1,), (2,), (3,), (4,)),
@@ -416,7 +501,7 @@ class TestStackedSolve:
 
 
 def previous_bootstrap_ses(preds, f_eval, per_rep_total, n_boot, rep_seed):
-    """The bootstrap as it was before its means over x became row dot products."""
+    """The bootstrap over the replicates x n_eval prediction matrix."""
     R = preds.shape[0]
     rng = np.random.default_rng(rep_seed)
     counts = rng.multinomial(R, np.full(R, 1.0 / R), size=n_boot) / R
@@ -430,10 +515,6 @@ def previous_bootstrap_ses(preds, f_eval, per_rep_total, n_boot, rep_seed):
         float(np.std(bias_terms, ddof=1)),
         float(np.std(total_terms, ddof=1)),
     )
-
-
-NON_TOTAL_FIELDS = ("variance_term", "bias_term", "noise_term", "variance_se",
-                    "bias_se", "noise_se", "replicates")
 
 
 class TestTotalOptional:
@@ -503,17 +584,22 @@ class TestTotalOptional:
     @pytest.mark.parametrize("seed", range(6))
     def test_bootstrap_matches_previous_expression(self, seed):
         rng = np.random.default_rng(seed)
-        R, n_eval = [(100, 10_000), (137, 2_000), (2, 50)][seed % 3]
+        R, n_eval, L = [(100, 10_000, 5), (137, 2_000, 1), (2, 50, 3)][seed % 3]
         scale = [1.0, 1e-3, 50.0][seed // 2]
-        f_eval = rng.standard_normal(n_eval) * scale
-        preds = f_eval + rng.standard_normal((R, n_eval)) * scale * 0.1
-        preds += rng.standard_normal(n_eval) * scale * 0.05
+        phi = rng.standard_normal((n_eval, L))
+        f_eval = phi @ rng.standard_normal(L) + rng.standard_normal(n_eval) * 0.3
+        f_eval *= scale
+        coefs = (rng.standard_normal(L) + rng.standard_normal((R, L)) * 0.1) * scale
         per_rep_total = rng.uniform(0.5, 1.5, R)
         rep_seed = np.random.SeedSequence(seed)
-        got = oracle._bootstrap_ses(preds, f_eval, per_rep_total, 60, rep_seed)
-        want = previous_bootstrap_ses(preds, f_eval, per_rep_total, 60, rep_seed)
+        b_f = np.linalg.lstsq(phi, f_eval, rcond=None)[0]
+        mean = coefs.mean(axis=0)
+        args = (coefs - mean, phi.T @ phi / n_eval, mean - b_f)
+        got = oracle._bootstrap_ses(*args, per_rep_total, 60, rep_seed)
+        want = previous_bootstrap_ses(coefs @ phi.T, f_eval, per_rep_total, 60,
+                                      rep_seed)
         np.testing.assert_allclose(got, want, rtol=REPLAY_RTOL, atol=REPLAY_ATOL)
-        assert oracle._bootstrap_ses(preds, f_eval, None, 60, rep_seed)[2] is None
+        assert oracle._bootstrap_ses(*args, None, 60, rep_seed)[2] is None
 
 
 class TestOracleInputValidation:

@@ -1,5 +1,8 @@
 """Generator determinism, distributional anchors, and the sweep harness."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -57,6 +60,25 @@ class TestGenerate:
                     assert abs(emp[i, j]) < 0.05 * 4.0
                 else:
                     assert abs(emp[i, j] - expected[i, j]) < 0.05 * abs(expected[i, j])
+
+    def test_independent_noise_holds_no_task_by_task_array(self):
+        cfg = SynthConfig(n_tasks=3000, n_features=20, n_train=200, n_test=50)
+        model = cfg.noise_model()
+        assert model._correlation is None and model._factor.shape == (3000,)
+        tracemalloc.start()
+        try:
+            generate(cfg, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3000 * 3000 * 8 / 2  # half of one dense 3000 x 3000 array
+
+    def test_generate_draws_the_bits_of_an_explicit_identity(self):
+        cfg = SynthConfig(n_tasks=4, n_features=6, n_train=80, n_test=80)
+        explicit = replace(cfg, noise_correlation=np.eye(4))
+        for got, want in zip(generate(cfg, 5)[:2], generate(explicit, 5)[:2]):
+            assert got.features.tobytes() == want.features.tobytes()
+            assert got.targets.tobytes() == want.targets.tobytes()
 
     def test_group_structure_of_coefficients(self):
         _, _, truth = generate(SynthConfig(), 0)

@@ -2,7 +2,7 @@
 
     python3 tools/bench_scaling.py                      # D = 100, 200, 400, 800
     python3 tools/bench_scaling.py --rows 100,200       # a quick smoke run
-    python3 tools/bench_scaling.py --targets 1000,3000  # the target-count rows
+    python3 tools/bench_scaling.py --targets 1000,3000,10000  # the target rows
     python3 tools/bench_scaling.py --src ../base-checkout/src --side base \\
         --rows 100,200,400,800,1600 --out BENCH_11.json
 
@@ -16,8 +16,7 @@ cluster, cluster, candidate and decision), the smallest phase-II margin
 |r_gap - epsilon2| and the number of ``numpy.linalg.svd`` calls.  Neither
 data generation nor a first, untimed run of the smallest feature row is
 timed.  D=1600 takes minutes, so it runs only when ``--rows`` names it; with
-``--targets`` alone only the target rows run.  T=10 000 is not a row: its
-data generation alone holds a T x T noise correlation.
+``--targets`` alone only the target rows run.
 
 ``--src`` picks the ``mtaggr`` source tree to import, so one script times a
 change and its base; ``--out`` stores the rows under ``scaling.<side>`` of
@@ -42,7 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ROWS = (100, 200, 400, 800, 1600)
 DEFAULT_ROWS = ROWS[:-1]
-TARGET_ROWS = (1000, 3000)
+TARGET_ROWS = (1000, 3000, 10000)
 TARGET_FEATURES, TARGET_SAMPLES = 20, 200
 EPSILON1, EPSILON2, SEED, DATA_SEED = 0.0, 1e-4, 10, 10
 THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -159,7 +158,8 @@ def main(argv=None) -> int:
                         help="comma-separated D values (default 100,200,400,800 "
                              "unless --targets is given)")
     parser.add_argument("--targets", type=parse_targets, default=[],
-                        help="comma-separated T values of the target rows (1000,3000)")
+                        help="comma-separated T values of the target rows "
+                             "(1000,3000,10000)")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the source tree whose mtaggr is timed")
     parser.add_argument("--side", choices=("base", "change"), default="change")
