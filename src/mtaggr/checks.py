@@ -10,7 +10,7 @@ functions at their full budgets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -109,16 +109,6 @@ class VerifyBudget:
             bias_generators=2,
             bias_partitions=2,
         )
-
-
-def _make_task(coefficients: np.ndarray, noise: NoiseModel) -> SyntheticTask:
-    return SyntheticTask(
-        coefficients=coefficients,
-        noise_train=None,
-        noise_test=None,
-        feature_std=1.0,
-        noise=noise,
-    )
 
 
 def _identity_partition(d: int) -> tuple[tuple[int, ...], ...]:
@@ -220,7 +210,7 @@ def check_variance_formula(budget: VerifyBudget, seed: int = 0) -> CheckResult:
         rng = np.random.default_rng(ss.spawn(1)[0])
         coeffs = rng.uniform(0.5, 1.0, size=(k, d))
         noise = NoiseModel.equicorrelated(1.0, k, rho)
-        task = _make_task(coeffs, noise)
+        task = SyntheticTask(coeffs, 1.0, noise)
         est = monte_carlo_bias_variance(
             task,
             cluster=range(k),
@@ -279,7 +269,7 @@ def check_bias_single_task(budget: VerifyBudget, seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(0.5, 1.0, size=(1, D)) * rng.choice([-1.0, 1.0], size=(1, D))
     noise = NoiseModel.independent(1.0, 1)
-    task = _make_task(coeffs, noise)
+    task = SyntheticTask(coeffs, 1.0, noise)
     cases = []
     for _ in range(budget.bias_partitions):
         partition = _random_partition(D, rng)
@@ -305,7 +295,7 @@ def check_bias_aggregated(budget: VerifyBudget, seed: int = 0) -> CheckResult:
         sigma = float(rng.uniform(0.5, 1.5))
         rho = float(rng.choice([0.0, 0.3]))
         noise = NoiseModel.equicorrelated(sigma, 2, rho)
-        task = _make_task(coeffs, noise)
+        task = SyntheticTask(coeffs, 1.0, noise)
         partition = _random_partition(D, rng)
         cases.append(_bias_case(
             task, [0, 1], partition, budget, rng,
@@ -327,7 +317,7 @@ def check_closure(budget: VerifyBudget, seed: int = 0) -> CheckResult:
     for k, d, rho, sigma in configs:
         coeffs = rng.uniform(-1.0, 1.0, size=(k, d))
         noise = NoiseModel.equicorrelated(sigma, k, rho)
-        task = _make_task(coeffs, noise)
+        task = SyntheticTask(coeffs, 1.0, noise)
         partition = _random_partition(d, rng) if d > 2 else _identity_partition(d)
         est = monte_carlo_bias_variance(
             task, range(k), partition, 0,
@@ -343,13 +333,6 @@ def check_closure(budget: VerifyBudget, seed: int = 0) -> CheckResult:
             K=k, d=d, rho=rho, sigma=sigma,
         ))
     return _summary("closure", cases, budget.replicates, margin=_se_margin)
-
-
-# DeltaMseReport fields in the order a delta_mse case lists them.
-_DELTA_FIELDS = (
-    "dvar_theoretical", "dvar_empirical", "dvar_se",
-    "dbias_theoretical", "dbias_empirical", "dbias_se", "passed",
-)
 
 
 def check_delta_mse(budget: VerifyBudget, seed: int = 0) -> CheckResult:
@@ -369,13 +352,12 @@ def check_delta_mse(budget: VerifyBudget, seed: int = 0) -> CheckResult:
     ]
     cases = []
     for label, coeffs, noise in setups:
-        task = _make_task(coeffs, noise)
         report = delta_mse_check(
-            task, [0, 1], 0, n_train, budget.replicates,
+            SyntheticTask(coeffs, 1.0, noise), [0, 1], 0, n_train, budget.replicates,
             n_eval=budget.n_eval, seed=int(rng.integers(2**32)),
             n_pop=budget.n_pop,
         )
-        cases.append({"case": label, **{k: getattr(report, k) for k in _DELTA_FIELDS}})
+        cases.append({"case": label, **asdict(report)})
     return _summary(
         "delta_mse", cases, budget.replicates,
         margin=lambda c: abs(c["dvar_empirical"] - c["dvar_theoretical"])

@@ -17,7 +17,7 @@ noise-free signal, which real data never exposes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -86,8 +86,8 @@ class NoiseModel:
 
     def __init__(self, sigmas, correlation=None):
         s = np.atleast_1d(np.asarray(sigmas, dtype=float))
-        if np.any(s < 0):
-            raise ValidationError("noise standard deviations must be nonnegative")
+        if not np.all(np.isfinite(s) & (s >= 0)):
+            raise ValidationError("noise standard deviations must be finite and nonnegative")
         C, identity = None, True
         if correlation is not None:
             C, identity = _check_correlation(correlation)
@@ -193,45 +193,27 @@ def theoretical_bias_single(var_f: float, r2: float) -> float:
 
 @dataclass(frozen=True)
 class BiasDecomposition:
-    """Scalar ingredients of the aggregated-target asymptotic bias.
-
-    ``bias_value`` is assembled definitionally as
-    var_f_i - var_psi * r2_d_iota + 2 * (partial_cov - plain_cov).
-    """
+    """Scalar ingredients of the aggregated-target asymptotic bias."""
 
     var_f_i: float
     var_psi: float
     r2_d_iota: float
     partial_cov: float
     plain_cov: float
-    bias_value: float
     standard_error: float = 0.0
-    used_pinv: bool = False
 
-    @classmethod
-    def assemble(
-        cls,
-        var_f_i: float,
-        var_psi: float,
-        r2_d_iota: float,
-        partial_cov: float,
-        plain_cov: float,
-        standard_error: float = 0.0,
-        used_pinv: bool = False,
-    ) -> "BiasDecomposition":
-        value = var_f_i - var_psi * r2_d_iota + 2.0 * (partial_cov - plain_cov)
-        return cls(
-            var_f_i, var_psi, r2_d_iota, partial_cov, plain_cov,
-            value, standard_error, used_pinv,
+    @property
+    def bias_value(self) -> float:
+        """var_f_i - var_psi * r2_d_iota + 2 * (partial_cov - plain_cov)."""
+        return (
+            self.var_f_i - self.var_psi * self.r2_d_iota
+            + 2.0 * (self.partial_cov - self.plain_cov)
         )
 
 
 def theoretical_bias_multi(decomp: BiasDecomposition) -> float:
-    """Aggregated-target asymptotic bias assembled from its decomposition."""
-    return BiasDecomposition.assemble(
-        decomp.var_f_i, decomp.var_psi, decomp.r2_d_iota,
-        decomp.partial_cov, decomp.plain_cov,
-    ).bias_value
+    """Aggregated-target asymptotic bias from its decomposition."""
+    return decomp.bias_value
 
 
 def _centered(a: np.ndarray) -> np.ndarray:
@@ -245,18 +227,16 @@ def _draw_features(task: "SyntheticTask", n: int, rng: np.random.Generator):
     return X
 
 
-def _solve_or_pinv(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
-    """gram^{-1} rhs, through the pseudo-inverse when gram is singular (flagged)."""
+def _solve_or_pinv(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """gram^{-1} rhs, through the pseudo-inverse when gram is singular."""
     try:
-        return np.linalg.solve(gram, rhs), False
+        return np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
-        return np.linalg.pinv(gram) @ rhs, True
+        return np.linalg.pinv(gram) @ rhs
 
 
-def _partial_cov_terms(
-    a: np.ndarray, b: np.ndarray, phi: np.ndarray
-) -> tuple[float, float, bool]:
-    """(plain covariance, partial covariance given phi, pinv fallback flag)."""
+def _partial_cov_terms(a: np.ndarray, b: np.ndarray, phi: np.ndarray) -> tuple[float, float]:
+    """(plain covariance, partial covariance given phi)."""
     n = a.shape[0]
     ac = a - a.mean()
     bc = b - b.mean()
@@ -265,9 +245,8 @@ def _partial_cov_terms(
     cov_pp = pc.T @ pc / (n - 1)
     cov_pa = pc.T @ ac / (n - 1)
     cov_pb = pc.T @ bc / (n - 1)
-    solved, used_pinv = _solve_or_pinv(cov_pp, cov_pb)
-    partial = plain - float(cov_pa @ solved)
-    return plain, partial, used_pinv
+    partial = plain - float(cov_pa @ _solve_or_pinv(cov_pp, cov_pb))
+    return plain, partial
 
 
 def _checked_indices(task: "SyntheticTask", cluster, feature_clusters, task_index):
@@ -296,7 +275,7 @@ def population_bias_decomposition(
 
     The aggregated target is evaluated on the noise-free signals: the noise
     contributions to the explained-variance product and to the covariance
-    difference cancel exactly, so the assembled bias is unchanged while the
+    difference cancel exactly, so the bias value is unchanged while the
     estimate avoids extra sampling noise.  The standard error comes from
     batch means over the fresh sample.
     """
@@ -319,14 +298,11 @@ def population_bias_decomposition(
         # Explained variance of psi from phi, via the population projection.
         pc = _centered(phis)
         psc = ps - ps.mean()
-        coef, pinv_used = _solve_or_pinv(pc.T @ pc, pc.T @ psc)
-        fitted = pc @ coef
+        fitted = pc @ _solve_or_pinv(pc.T @ pc, pc.T @ psc)
         explained = float(fitted @ fitted) / (n - 1)
         r2 = explained / var_psi if var_psi > 0 else 0.0
-        plain, partial, pinv2 = _partial_cov_terms(ps, fs - ps, phis)
-        return BiasDecomposition.assemble(
-            var_f, var_psi, r2, partial, plain, used_pinv=pinv_used or pinv2
-        )
+        plain, partial = _partial_cov_terms(ps, fs - ps, phis)
+        return BiasDecomposition(var_f, var_psi, r2, partial, plain)
 
     full = decompose(slice(None))
     batch = n_pop // _BIAS_BATCHES
@@ -335,15 +311,7 @@ def population_bias_decomposition(
         for b in range(_BIAS_BATCHES)
     ]
     se = float(np.std(values, ddof=1) / np.sqrt(_BIAS_BATCHES))
-    return BiasDecomposition.assemble(
-        full.var_f_i,
-        full.var_psi,
-        full.r2_d_iota,
-        full.partial_cov,
-        full.plain_cov,
-        standard_error=se,
-        used_pinv=full.used_pinv,
-    )
+    return replace(full, standard_error=se)
 
 
 @dataclass(frozen=True)
@@ -353,8 +321,7 @@ class BiasVarianceEstimate:
     The bias term is debiased by the replicate-mean variance; standard
     errors come from a bootstrap over replicates.  ``total_mse`` and
     ``total_se`` are ``None`` when the estimate was made with
-    ``total=False``.  ``warning`` is set when a requested standard-error
-    target was not met.
+    ``total=False``.
     """
 
     variance_term: float
@@ -363,10 +330,8 @@ class BiasVarianceEstimate:
     total_mse: float | None
     variance_se: float
     bias_se: float
-    noise_se: float
     total_se: float | None
     replicates: int
-    warning: str | None = None
 
 
 def monte_carlo_bias_variance(
@@ -377,11 +342,9 @@ def monte_carlo_bias_variance(
     n_train: int,
     replicates: int,
     n_eval: int,
-    seed: int = 0,
-    noise: NoiseModel | None = None,
-    bootstrap: int = 100,
-    se_target: float | None = None,
     *,
+    seed: int = 0,
+    bootstrap: int = 100,
     total: bool = True,
 ) -> BiasVarianceEstimate:
     """Train replicate models on fresh draws and split their error on task ``task_index``.
@@ -396,8 +359,7 @@ def monte_carlo_bias_variance(
 
     That total is the largest single draw (replicates x ``n_eval`` normals)
     and only the closure check reads it.  With ``total=False`` it is not
-    drawn, ``total_mse`` and ``total_se`` are ``None``, and ``se_target`` is
-    compared with the standard errors that were computed.  Every other
+    drawn and ``total_mse`` and ``total_se`` are ``None``.  Every other
     field is bit-identical to ``total=True``: the evaluation noise has its
     own stream, apart from the replicate and bootstrap streams.
 
@@ -423,14 +385,8 @@ def monte_carlo_bias_variance(
         raise ValidationError(
             f"need n_train > {len(feature_clusters)} feature clusters, got {n_train}"
         )
-    noise_model = noise if noise is not None else task.noise
-    if noise_model.n_tasks != task.coefficients.shape[0]:
-        raise ValidationError(
-            f"noise model has {noise_model.n_tasks} tasks, "
-            f"generator has {task.coefficients.shape[0]}"
-        )
-    sub_noise = noise_model.restrict(cluster)
-    sigma_i = float(noise_model.sigmas[task_index])
+    sub_noise = task.noise.restrict(cluster)
+    sigma_i = float(task.noise.sigmas[task_index])
     weights = np.mean([task.coefficients[k] for k in cluster], axis=0)
     # Under the identity partition ((0,), (1,), ...) the cluster means are
     # the features themselves, so X is read as it is, not copied.
@@ -441,7 +397,7 @@ def monte_carlo_bias_variance(
         return X if own_features else _cluster_means(X, feature_clusters)
 
     ss = np.random.SeedSequence(seed)
-    eval_seed, noise_seed, *rep_seeds = ss.spawn(replicates + 2)
+    eval_seed, eps_eval_seed, *rep_seeds = ss.spawn(replicates + 2)
 
     rng_eval = np.random.default_rng(eval_seed)
     X_eval = _draw_features(task, n_eval, rng_eval)
@@ -473,7 +429,7 @@ def monte_carlo_bias_variance(
 
     # The signal split as f = phi_eval b_f + r_f, r_f orthogonal to phi_eval.
     gram_eval = phi_eval.T @ phi_eval / n_eval
-    b_f = _solve_or_pinv(gram_eval, phi_eval.T @ f_eval / n_eval)[0]
+    b_f = _solve_or_pinv(gram_eval, phi_eval.T @ f_eval / n_eval)
     r_f = f_eval - phi_eval @ b_f
     mean_coef = coefs.mean(axis=0)
     dev = coefs - mean_coef
@@ -488,7 +444,7 @@ def monte_carlo_bias_variance(
 
     total_mse = per_rep_total = None
     if total:
-        eps_eval = np.random.default_rng(noise_seed).standard_normal(
+        eps_eval = np.random.default_rng(eps_eval_seed).standard_normal(
             (replicates, n_eval)
         )
         eps_eval *= sigma_i
@@ -516,15 +472,6 @@ def monte_carlo_bias_variance(
     if total:
         total_se = float(np.hypot(total_se, point_total_sd / root_n))
 
-    warning = None
-    if se_target is not None:
-        worst = max(se for se in (var_se, bias_se, total_se) if se is not None)
-        if worst > se_target:
-            warning = (
-                f"replicate budget too small: worst standard error {worst:g} "
-                f"exceeds target {se_target:g}"
-            )
-
     return BiasVarianceEstimate(
         variance_term=variance_term,
         bias_term=bias_term,
@@ -532,10 +479,8 @@ def monte_carlo_bias_variance(
         total_mse=total_mse,
         variance_se=var_se,
         bias_se=bias_se,
-        noise_se=0.0,
         total_se=total_se,
         replicates=replicates,
-        warning=warning,
     )
 
 
@@ -606,8 +551,14 @@ def coefficient_covariance_check(
     The design matrix is column-centered, so the closed form
     sigma^2 / (n - 1) times the inverse sample covariance equals
     sigma^2 (X'X)^{-1} exactly.  Relative deviations are taken over entries
-    whose theoretical magnitude exceeds 1e-6.
+    whose theoretical magnitude exceeds 1e-6.  ``sigma`` must be finite and
+    positive (a zero sigma leaves no entry to compare) and ``replicates`` at
+    least 2 (one covariance needs two).
     """
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValidationError(f"sigma must be finite and positive, got {sigma!r}")
+    if replicates < 2:
+        raise ValidationError(f"need replicates >= 2, got {replicates}")
     A = np.asarray(X, dtype=float)
     if A.ndim != 2:
         raise ValidationError("X must be 2-D")
@@ -644,11 +595,11 @@ def coefficient_covariance_check(
 class DeltaMseReport:
     """Aggregated-vs-single variance drop and bias rise against closed forms."""
 
-    dvar_empirical: float
     dvar_theoretical: float
+    dvar_empirical: float
     dvar_se: float
-    dbias_empirical: float
     dbias_theoretical: float
+    dbias_empirical: float
     dbias_se: float
     passed: bool
 
@@ -701,11 +652,5 @@ def delta_mse_check(
         dbias_emp - dbias_theory
     ) <= 3 * max(dbias_se, 1e-12)
     return DeltaMseReport(
-        dvar_empirical=dvar_emp,
-        dvar_theoretical=dvar_theory,
-        dvar_se=dvar_se,
-        dbias_empirical=dbias_emp,
-        dbias_theoretical=dbias_theory,
-        dbias_se=dbias_se,
-        passed=passed,
+        dvar_theory, dvar_emp, dvar_se, dbias_theory, dbias_emp, dbias_se, passed
     )

@@ -137,18 +137,23 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class SyntheticTask:
-    """Ground truth behind a generated dataset pair."""
+    """Ground truth behind a generated dataset pair.
+
+    A split's noise is its targets minus the signal, ``Y - X @ coefficients.T``.
+    """
 
     coefficients: np.ndarray  # (L, D)
-    noise_train: np.ndarray | None
-    noise_test: np.ndarray | None
     feature_std: float
-    noise: NoiseModel
+    noise: NoiseModel  # one task per coefficient row
 
     def __post_init__(self):
         W = np.asarray(self.coefficients, dtype=float)
         if W.ndim == 1:
             W = W[None, :]
+        if self.noise.n_tasks != W.shape[0]:
+            raise ValidationError(
+                f"noise model has {self.noise.n_tasks} tasks, generator has {W.shape[0]}"
+            )
         W = W.copy()
         W.setflags(write=False)
         object.__setattr__(self, "coefficients", W)
@@ -171,25 +176,17 @@ def generate(
 
     noise_model = config.noise_model()
 
-    def draw_split(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def draw_split(n: int) -> tuple[np.ndarray, np.ndarray]:
         X = rng.standard_normal((n, D)) * config.feature_std
-        eps = noise_model.sample(n, rng)
-        return X, X @ coeffs.T + eps, eps
+        return X, X @ coeffs.T + noise_model.sample(n, rng)
 
-    X_tr, Y_tr, eps_tr = draw_split(config.n_train)
-    X_te, Y_te, eps_te = draw_split(config.n_test)
+    X_tr, Y_tr = draw_split(config.n_train)
+    X_te, Y_te = draw_split(config.n_test)
 
     names = tuple(f"x{k}" for k in range(D)), tuple(f"y{k}" for k in range(L))
     train = Dataset(X_tr, Y_tr, feature_names=names[0], target_names=names[1])
     test = Dataset(X_te, Y_te, feature_names=names[0], target_names=names[1])
-    truth = SyntheticTask(
-        coefficients=coeffs,
-        noise_train=eps_tr,
-        noise_test=eps_te,
-        feature_std=config.feature_std,
-        noise=noise_model,
-    )
-    return train, test, truth
+    return train, test, SyntheticTask(coeffs, config.feature_std, noise_model)
 
 
 @dataclass(frozen=True)

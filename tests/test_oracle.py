@@ -26,13 +26,7 @@ from mtaggr.synth import SyntheticTask
 
 
 def make_task(coefficients, noise, feature_std=1.0):
-    return SyntheticTask(
-        coefficients=np.atleast_2d(coefficients),
-        noise_train=None,
-        noise_test=None,
-        feature_std=feature_std,
-        noise=noise,
-    )
+    return SyntheticTask(np.atleast_2d(coefficients), feature_std, noise)
 
 
 def identity(d):
@@ -119,7 +113,6 @@ def reference_monte_carlo(task, cluster, feature_clusters, task_index, n_train,
                                    point_var.std(ddof=1) / root_n)),
         bias_se=float(np.hypot(np.std(bias_terms, ddof=1),
                                point_bias.std(ddof=1) / root_n)),
-        noise_se=0.0,
         total_se=float(np.hypot(np.std(total_terms, ddof=1),
                                 sq_err.mean(axis=0).std(ddof=1) / root_n)),
         replicates=replicates,
@@ -164,6 +157,13 @@ class TestNoiseModel:
             NoiseModel(np.array([-1.0]), np.eye(1))
         with pytest.raises(ValidationError):
             NoiseModel(np.ones(2), np.array([[1.0, 0.2], [0.3, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sigma_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            NoiseModel(np.array([1.0, bad]), np.array([[1.0, 0.5], [0.5, 1.0]]))
+        with pytest.raises(ValidationError, match="finite"):
+            NoiseModel.independent(bad, 3)
 
     @pytest.mark.parametrize("model", [
         NoiseModel.independent(1.0, 1),
@@ -245,7 +245,7 @@ class TestClosedForms:
         assert abs(theoretical_bias_single(2.0, 0.75) - 0.5) < 1e-15
 
     def test_bias_decomposition_identity(self):
-        d = BiasDecomposition.assemble(2.0, 1.5, 0.8, 0.3, 0.1)
+        d = BiasDecomposition(2.0, 1.5, 0.8, 0.3, 0.1)
         assert d.bias_value == 2.0 - 1.5 * 0.8 + 2 * (0.3 - 0.1)
         assert theoretical_bias_multi(d) == d.bias_value
 
@@ -364,13 +364,10 @@ class TestMonteCarloBiasVariance:
         with pytest.raises(ValidationError):
             monte_carlo_bias_variance(task, [0], identity(2), 0, 100, 100, 100)
 
-    def test_se_target_warning(self):
+    def test_options_after_n_eval_are_keyword_only(self):
         task = make_task(np.ones(3), NoiseModel.independent(1.0, 1))
-        est = monte_carlo_bias_variance(
-            task, [0], identity(3), 0, n_train=100, replicates=100, n_eval=10_000,
-            seed=0, se_target=1e-9,
-        )
-        assert est.warning is not None
+        with pytest.raises(TypeError):
+            monte_carlo_bias_variance(task, [0], identity(3), 0, 100, 100, 10_000, 0)
 
 
 def partition_from_labels(labels):
@@ -382,7 +379,7 @@ def partition_from_labels(labels):
 
 
 NON_TOTAL_FIELDS = ("variance_term", "bias_term", "noise_term", "variance_se",
-                    "bias_se", "noise_se", "replicates")
+                    "bias_se", "replicates")
 TOTAL_FIELDS = ("total_mse", "total_se")
 
 
@@ -393,7 +390,6 @@ def assert_matches_reference(task, cluster, partition, task_index, n_train, seed
     got = monte_carlo_bias_variance(*args, seed=seed, bootstrap=bootstrap, total=total)
     want = reference_monte_carlo(*args, seed=seed, bootstrap=bootstrap)
     assert got.replicates == want.replicates
-    assert got.warning is None
     names = NON_TOTAL_FIELDS
     if total:
         names += TOTAL_FIELDS
@@ -547,29 +543,6 @@ class TestTotalOptional:
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
         assert full.total_mse is not None and full.total_se is not None
         assert part.total_mse is None and part.total_se is None
-        # The warning weighs only the standard errors that were computed.
-        computed = max(part.variance_se, part.bias_se)
-        for se_target in (computed, 0.5 * computed):
-            full = monte_carlo_bias_variance(*args, seed=seed, bootstrap=20,
-                                             se_target=se_target)
-            part = monte_carlo_bias_variance(*args, seed=seed, bootstrap=20,
-                                             se_target=se_target, total=False)
-            assert (part.warning is not None) == (computed > se_target)
-            assert (full.warning is not None) == (
-                max(computed, full.total_se) > se_target
-            )
-
-    def test_warning_ignores_the_skipped_total(self):
-        task = make_task(np.ones(3), NoiseModel.independent(1.0, 1))
-        args = (task, [0], identity(3), 0, 100, 100, 10_000)
-        part = monte_carlo_bias_variance(*args, seed=0, total=False)
-        se_target = max(part.variance_se, part.bias_se)
-        full = monte_carlo_bias_variance(*args, seed=0, se_target=se_target)
-        assert full.total_se > se_target
-        assert full.warning is not None
-        assert monte_carlo_bias_variance(
-            *args, seed=0, se_target=se_target, total=False
-        ).warning is None
 
     @pytest.mark.parametrize("n_boot", [0, 1])
     def test_no_bootstrap(self, n_boot):
@@ -637,10 +610,10 @@ class TestOracleInputValidation:
             monte_carlo_bias_variance(task, [0], identity(3), 0, 20, 100, 10_000)
 
     def test_noise_model_size_must_match_generator(self):
-        task = make_task(np.ones((2, 3)), NoiseModel.independent(1.0, 2))
-        with pytest.raises(ValidationError, match="noise model"):
-            monte_carlo_bias_variance(task, [0, 1], identity(3), 0, 20, 100, 10_000,
-                                      noise=NoiseModel.independent(1.0, 1))
+        with pytest.raises(ValidationError, match="noise model has 1 tasks, generator has 2"):
+            make_task(np.ones((2, 3)), NoiseModel.independent(1.0, 1))
+        with pytest.raises(ValidationError, match="noise model has 3 tasks, generator has 1"):
+            make_task(np.ones(3), NoiseModel.independent(1.0, 3))
 
 
 class TestCoefficientCovariance:
@@ -664,12 +637,20 @@ class TestCoefficientCovariance:
         assert report.theoretical[0, 1] < 0
         assert report.empirical[0, 1] < 0
 
-    def test_zero_noise_is_exact(self):
-        rng = np.random.default_rng(9)
-        X = rng.standard_normal((100, 3))
-        report = coefficient_covariance_check(X, sigma=0.0, replicates=200, seed=3)
-        assert report.max_rel_dev == 0.0
-        assert np.allclose(report.empirical, 0.0)
+    # A zero sigma makes every theoretical entry zero, so none is compared
+    # and the deviation would read 0.0 whatever the estimate.
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+    def test_sigma_must_be_finite_and_positive(self, sigma):
+        X = np.random.default_rng(9).standard_normal((100, 3))
+        with pytest.raises(ValidationError, match="sigma"):
+            coefficient_covariance_check(X, sigma=sigma, replicates=200, seed=3)
+
+    @pytest.mark.parametrize("replicates", [1, 0])
+    def test_one_covariance_needs_two_replicates(self, replicates):
+        X = np.random.default_rng(9).standard_normal((100, 3))
+        with pytest.raises(ValidationError, match="replicates"):
+            coefficient_covariance_check(X, sigma=1.0, replicates=replicates)
+        assert coefficient_covariance_check(X, sigma=1.0, replicates=2).replicates == 2
 
 
 class TestDeltaMse:

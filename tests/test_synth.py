@@ -51,8 +51,9 @@ class TestGenerate:
             n_tasks=3, n_features=2, n_train=100_000, n_test=2, sigma=2.0,
             noise_correlation=corr,
         )
-        _, _, truth = generate(cfg, 5)
-        emp = np.cov(truth.noise_train.T, ddof=1)
+        train, _, truth = generate(cfg, 5)
+        noise = train.targets - train.features @ truth.coefficients.T
+        emp = np.cov(noise.T, ddof=1)
         expected = 4.0 * corr
         for i in range(3):
             for j in range(3):
