@@ -37,25 +37,23 @@ the models fit nothing per comparison:
   within the replay tolerance, each comparison refits its working matrix
   instead.
 
-Both phases take their factors from one SVD of X, which :func:`nonlin_ctfa`
-computes once per run.
+Both phases read one factorization of X, which :func:`nonlin_ctfa` makes
+once per run; it also says which phase-II path is allowed (see
+:func:`mtaggr.linstats._factor`).
 
 The homogeneous model fits each task's slab once and each merged mean slab
 once per comparison, forming that slab from a running sum.  Each slab has
-its own matrix, so nothing is shared between fits; a fit solves the normal
-equations X'X b = X'y, with the columns scaled to unit norm, where the
-condition number of the scaled slab is proven at most ``MAX_COND``, which
-keeps its error of order eps * cond^2 within the replay tolerance, and
-falls back to lstsq for any other slab (n <= D, duplicate or zero columns,
-worse conditioning, or column norms spread so far that lstsq itself is no
-longer accurate to the replay tolerance; see
-:func:`mtaggr.linstats._gram_fit`).
+its own matrix, so nothing is shared between fits; each is fitted from its
+column-scaled normal equations where they are proven to match lstsq, and
+with lstsq elsewhere (see :func:`mtaggr.linstats._gram_fit`).
+
+Every fit is made in :mod:`mtaggr.linstats`.
 
 The threshold tests take fits, not arrays: every model calls one of them
 once per comparison with the fits it holds, so the report and its decision
 are built in one place.  Callers that hold arrays, such as standalone
 re-evaluation and the verification checks, fit first with lstsq
-(:func:`threshold_fit`), which serves as the reference.
+(:func:`mtaggr.linstats.threshold_fit`), which serves as the reference.
 
 Every comparison is recorded as a :class:`ThresholdReport`, an immutable
 named tuple whose constructor checks the phase and the members; the tests
@@ -75,13 +73,14 @@ import numpy as np
 from .data import (Dataset, FeaturePartition, TaskPartition, _cluster_means, _is_int,
                    _is_real)
 from .errors import ValidationError
-from .linstats import (  # the tolerances are re-exported from here
-    MAX_COND,
+from .linstats import (  # the tolerances and the fit record are re-exported from here
     REPLAY_ATOL,
     REPLAY_RTOL,
-    _CoreFit,
-    _core_fit,
-    _gram_fit,
+    ThresholdFit,
+    _factor,
+    _slab_fit,
+    _target_variance,
+    threshold_fit,
 )
 
 __all__ = [
@@ -120,84 +119,6 @@ _DOWNDATE_BLOCK = 128
 # Builds a named tuple from its field values without the Python-level
 # constructor; only constructors that have checked those values use it.
 _new = tuple.__new__
-
-
-class _FitFields(NamedTuple):
-    ss_res: float
-    target_variance: float  # about the sample mean, divisor n-1
-    n: int
-    d: int
-    rank: int
-    r2: float | None
-    var_res: float | None
-    varf: float | None  # explained variance: target variance - var_res, floored at 0
-
-
-class ThresholdFit(_FitFields):
-    """What the threshold statistics need from one least-squares fit, and those statistics.
-
-    A fit is built from its first five fields; ``d`` is the model matrix's
-    column count and ``rank`` its rank, and phase I scales its thresholds by
-    d / (n - 1).  The statistics are derived once, where the fit is made, so
-    a threshold test reads them instead of recomputing them per comparison.
-    ``_make`` takes those five values and ``_replace`` changes only them, so
-    the statistics always follow from the other fields.
-
-    The asymptotic expressions are stated in population quantities, so the
-    residual variance ``var_res`` uses the degrees-of-freedom divisor
-    n - rank (the unbiased noise estimate) and ``r2`` is the matching
-    adjusted value.  At the sample sizes the thresholds run at (d comparable
-    to n), the plain n-1 statistics are optimistic enough to invert merge
-    decisions; the public r2_score / var_res operations keep the plain
-    definitions.  The explained variance ``varf`` is floored at zero (a
-    model that explains nothing contributes nothing).  All three are None
-    for a target of zero variance, whose R^2 is undefined.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, ss_res, target_variance, n, d, rank):
-        if target_variance <= 0.0:
-            return _new(cls, (ss_res, target_variance, n, d, rank, None, None, None))
-        var_res = ss_res / max(n - rank, 1)
-        varf = max(0.0, target_variance - var_res)
-        return _new(cls, (ss_res, target_variance, n, d, rank,
-                          varf / target_variance, var_res, varf))
-
-    def __getnewargs__(self):
-        return self[:5]
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    def _replace(self, /, **changes):
-        fit = self._make(map(changes.pop, _FitFields._fields[:5], self))
-        if changes:
-            raise ValueError(f"a fit sets only its first five fields, not {list(changes)}")
-        return fit
-
-
-def _threshold(core: _CoreFit) -> ThresholdFit:
-    return ThresholdFit(core.ss_res, core.target_variance, core.n, core.d, core.rank)
-
-
-def threshold_fit(X, y) -> ThresholdFit:
-    """Fit ``y`` on the columns of ``X`` with lstsq, for the threshold tests."""
-    return _threshold(_core_fit(X, y))
-
-
-def _slab_fit(X, y) -> _CoreFit:
-    """Fit ``y`` on ``X`` from X'X where that matches lstsq, else with lstsq."""
-    return _gram_fit(X, y) or _core_fit(X, y)
-
-
-def _target_variance(y: np.ndarray) -> float:
-    # ``float(y.sum()) / n`` is the bits of ``y.mean()``, which sums the same
-    # way and divides by n, without numpy's Python-level mean.
-    n = y.shape[0]
-    dev = y - float(y.sum()) / n
-    return float(dev @ dev) / (n - 1)
 
 
 _ZERO_VARIANCE = "target has zero variance; R^2 is undefined"
@@ -369,12 +290,9 @@ class _TargetMerges:
     comparison O(n) however large the cluster grows.
     """
 
-    def __init__(self, X: np.ndarray, Z: np.ndarray, epsilon: float, svd):
-        U, s, _ = np.linalg.svd(X, full_matrices=False) if svd is None else svd
-        # lstsq's default cutoff for singular values that count as zero.
-        self.rank = int(np.count_nonzero(s > np.finfo(float).eps * max(X.shape) * s[0]))
-        Q = U[:, : self.rank]
-        self.d, self.Z, self.epsilon = X.shape[1], Z, epsilon
+    def __init__(self, X: np.ndarray, Z: np.ndarray, epsilon: float, factors):
+        Q = factors.basis
+        self.rank, self.d, self.Z, self.epsilon = Q.shape[1], X.shape[1], Z, epsilon
         # One target at a time: a blocked multi-column product can round a
         # column differently from an identical one, which would split the
         # exact ties between duplicate targets that the per-fit path keeps.
@@ -469,11 +387,10 @@ class _FeatureRestrictions(_FeatureRefits):
     so their rounding builds up over one block at most.
     """
 
-    def __init__(self, X, y, epsilon, task_cluster, svd):
+    def __init__(self, X, y, epsilon, task_cluster, factors):
         super().__init__(X, y, epsilon, task_cluster)
-        U, s, Vt = svd
-        W = Vt.T / s
-        self.beta = W @ (U.T @ y)
+        W = factors.W
+        self.beta = W @ (factors.basis.T @ y)
         self.K0 = W @ W.T
         self.diag = np.diagonal(self.K0).copy()
         # A walk over d features accepts at most d - 1 merges.
@@ -529,28 +446,18 @@ class _ConstantTarget(_FeatureRefits):
         return self.sep_fit._replace(d=d - 1, rank=d - 1)
 
 
-def _feature_merges(X: np.ndarray, y: np.ndarray, epsilon: float, task_cluster, svd):
+def _feature_merges(X: np.ndarray, y: np.ndarray, epsilon: float, task_cluster, factors):
     """The restriction identity where it matches a refit; otherwise refits.
 
-    ``svd`` is the thin SVD of X, or None to compute it here.
-
-    A target of zero variance rejects every merge on the target alone, so
-    it takes neither path (see :class:`_ConstantTarget`).
-
-    The identity works from (X'X)^-1, so its R^2 values carry a relative
-    error of order eps * cond(X)^2.  Their gap can be near zero, where only
-    the replay tolerance's absolute floor applies, so the identity is used
-    only when cond(X) < MAX_COND.  Such an X has full column rank, and so
-    has every working matrix (X times an averaging matrix, at most sqrt(d)
-    times worse conditioned) under lstsq's cutoff.
+    ``factors`` are X's (see :func:`mtaggr.linstats._factor`), which carry
+    the restriction identity's factor exactly where it is allowed.  A
+    target of zero variance rejects every merge on the target alone, so it
+    takes neither path (see :class:`_ConstantTarget`).
     """
     if _target_variance(y) <= 0.0:
         return _ConstantTarget(X, y, epsilon, task_cluster)
-    if svd is None:
-        svd = np.linalg.svd(X, full_matrices=False)
-    s = svd[1]
-    if s.shape[0] == X.shape[1] and s[-1] * MAX_COND > s[0]:
-        return _FeatureRestrictions(X, y, epsilon, task_cluster, svd)
+    if factors.W is not None:
+        return _FeatureRestrictions(X, y, epsilon, task_cluster, factors)
     return _FeatureRefits(X, y, epsilon, task_cluster)
 
 
@@ -562,15 +469,15 @@ class _SlabMerges:
     the merged mean is made once per comparison and, on an accept, becomes
     the open cluster's fit.  Every fit solves the slab's normal equations
     where they match lstsq, and falls back to lstsq elsewhere (see
-    :func:`_slab_fit`).  The sum of the open cluster's slabs, added in walk
-    order, is kept, so a comparison forms its mean slab in O(n D) however
-    large the cluster grows.
+    :func:`mtaggr.linstats._slab_fit`).  The sum of the open cluster's
+    slabs, added in walk order, is kept, so a comparison forms its mean slab
+    in O(n D) however large the cluster grows.
     """
 
     def __init__(self, slabs, Y: np.ndarray, epsilon: float):
         self.slabs, self.Y, self.epsilon = slabs, Y, epsilon
         self.singles = [
-            _threshold(_slab_fit(slab, Y[:, t])) for t, slab in enumerate(slabs)
+            _slab_fit(slab, Y[:, t])[1] for t, slab in enumerate(slabs)
         ]
 
     def open(self, i: int) -> None:
@@ -580,9 +487,9 @@ class _SlabMerges:
     def compare(self, closed, members, visited, j: int) -> ThresholdReport:
         extended = members + (j,)
         self.ag_sum = self.slab_sum + self.slabs[j]
-        self.ag_fit = _threshold(_slab_fit(
+        self.ag_fit = _slab_fit(
             self.ag_sum / len(extended), self.Y[:, extended].mean(axis=1)
-        ))
+        )[1]
         return compute_threshold_targets(
             self.p_fit, self.singles[j], self.ag_fit, self.epsilon,
             cluster_id=len(closed), candidate=j, members=members,
@@ -636,16 +543,15 @@ def aggregation_loop(
     targets=None,
     target=None,
     task_cluster: int | None = None,
-    svd=None,
+    factors=None,
 ) -> tuple[tuple[tuple[int, ...], ...], list[ThresholdReport]]:
     """Greedy single-pass aggregation of ``items`` on shared features.
 
     Phase 1 merges target columns of ``targets``; phase 2 merges feature
     columns against the single ``target``.  Items are walked in the given
-    order (see :func:`_greedy`).  ``svd`` is the thin SVD ``(U, s, Vt)`` of
-    ``features`` as ``np.linalg.svd(features, full_matrices=False)`` returns
-    it, so that several walks on one matrix share it; when None, the walk
-    computes it where it needs it.
+    order (see :func:`_greedy`).  ``factors`` are those of ``features``
+    from :func:`mtaggr.linstats._factor`, so that several walks on one
+    matrix share one factorization; when None, the walk makes its own.
     """
     order = list(items)
     if not order:
@@ -678,19 +584,15 @@ def aggregation_loop(
         if i < 0 or i >= size:
             raise ValidationError(f"item index {i} out of range [0, {size})")
     order = [int(i) for i in order]
-    if svd is not None:
-        r = min(X.shape)
-        want = [(n, r), (r,), (r, X.shape[1])]
-        got = [np.shape(f) for f in svd]
-        if got != want:
-            raise ValidationError(
-                f"SVD factors of shapes {got} do not fit features of shape "
-                f"{X.shape}; expected {want}"
-            )
+    if factors is None:
+        factors = _factor(X)
+    elif factors.shape != X.shape:
+        raise ValidationError(f"SVD factors of a {factors.shape} matrix do not fit "
+                              f"features of shape {X.shape}")
 
     if phase == 1:
-        return _greedy(order, _TargetMerges(X, Z, epsilon, svd))
-    return _greedy(order, _feature_merges(X, y, epsilon, task_cluster, svd))
+        return _greedy(order, _TargetMerges(X, Z, epsilon, factors))
+    return _greedy(order, _feature_merges(X, y, epsilon, task_cluster, factors))
 
 
 @dataclass(frozen=True)
@@ -771,11 +673,11 @@ def nonlin_ctfa(
     _check_centered(dataset.features, "feature")
     _check_centered(dataset.targets, "target")
 
-    svd = np.linalg.svd(dataset.features, full_matrices=False)
+    factors = _factor(dataset.features)
     order = _task_order(dataset.n_tasks, seed)
     clusters, trace = aggregation_loop(
         order, 1, epsilon1, features=dataset.features, targets=dataset.targets,
-        svd=svd,
+        factors=factors,
     )
     task_partition = TaskPartition(clusters, dataset.n_tasks)
 
@@ -791,7 +693,7 @@ def nonlin_ctfa(
             features=dataset.features,
             target=psi,
             task_cluster=ci,
-            svd=svd,
+            factors=factors,
         )
         feature_partitions.append(FeaturePartition(fclusters, dataset.n_features))
         full_trace.extend(ftrace)

@@ -19,6 +19,7 @@ import numpy as np
 from .aggregation import compute_threshold_features, compute_threshold_targets, threshold_fit
 from .data import _is_int
 from .errors import ValidationError
+from .linstats import _core_fit
 from .oracle import (
     MIN_N_EVAL,
     MIN_N_POP,
@@ -456,13 +457,10 @@ def check_merge_guarantee_targets(budget: VerifyBudget, seed: int = 0) -> CheckR
         f = Xc @ w
         y0 = f + e0 - (f + e0).mean()
         y1 = f + e1 - (f + e1).mean()
-        fits = [threshold_fit(Xc, y) for y in (y0, y1, 0.5 * (y0 + y1))]
+        (w0, w1, wag), fits = zip(*(_core_fit(Xc, y) for y in (y0, y1, 0.5 * (y0 + y1))))
         report = compute_threshold_targets(*fits, 0.0)
         ok = report.accepted
         if ok:
-            w0, *_ = np.linalg.lstsq(Xc, y0, rcond=None)
-            w1, *_ = np.linalg.lstsq(Xc, y1, rcond=None)
-            wag, *_ = np.linalg.lstsq(Xc, 0.5 * (y0 + y1), rcond=None)
             X_pop = rng.standard_normal((n_pop, D))
             f_pop = X_pop @ w
             pred_ag = X_pop @ wag
@@ -511,12 +509,10 @@ def check_merge_guarantee_features(budget: VerifyBudget, seed: int = 0) -> Check
         Xc = X - X.mean(axis=0)
         yc = y - y.mean()
         merged = _merge_columns_1_and_3(Xc)
-        fits = threshold_fit(Xc, yc), threshold_fit(merged, yc)
+        (w_full, w_red), fits = zip(_core_fit(Xc, yc), _core_fit(merged, yc))
         report = compute_threshold_features(*fits, 0.0)
         ok = report.accepted
         if ok:
-            w_full, *_ = np.linalg.lstsq(Xc, yc, rcond=None)
-            w_red, *_ = np.linalg.lstsq(merged, yc, rcond=None)
             X_pop = rng.standard_normal((n_pop, D))
             X_pop[:, 3] = X_pop[:, 1]
             f_pop = X_pop @ w

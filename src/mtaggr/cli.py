@@ -18,13 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linstats
-from .aggregation import (
-    _slab_fit,
-    apply_partition,
-    nonlin_ctfa,
-    nonlin_ctfa_homogeneous,
-    result_to_json,
-)
+from .aggregation import apply_partition, nonlin_ctfa, nonlin_ctfa_homogeneous, result_to_json
 from .checks import VerifyBudget, run_checks
 from .data import center, load_dataset, save_dataset, _read_header
 from .errors import NumericalError, ValidationError
@@ -118,13 +112,13 @@ def _single_task_predictions(dataset) -> np.ndarray:
     """In-sample OLS predictions of each target from its own features, by column.
 
     Slabs are fitted as the homogeneous walk fits them (see
-    :func:`mtaggr.aggregation._slab_fit`).
+    :func:`mtaggr.linstats._slab_fit`).
     """
     if dataset.per_task_features is None:
         coef, *_ = np.linalg.lstsq(dataset.features, dataset.targets, rcond=None)
         return dataset.features @ coef
     return np.column_stack([
-        slab @ _slab_fit(slab, dataset.targets[:, t]).coefficients
+        slab @ linstats._slab_fit(slab, dataset.targets[:, t])[0]
         for t, slab in enumerate(dataset.per_task_features)
     ])
 

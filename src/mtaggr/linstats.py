@@ -1,5 +1,10 @@
 """Ordinary least squares and the scalar statistics the threshold tests consume.
 
+Every least-squares fit of the package is made here, and returns its
+coefficients with a :class:`ThresholdFit`, the record the threshold tests
+read.  :func:`_factor` makes the one SVD that the walks on a shared feature
+matrix read, and decides where phase II's restriction identity is allowed.
+
 All fits are intercept-free: callers are expected to center columns first
 (see :func:`mtaggr.data.center`).  Rank-deficient systems are not an error;
 the solver returns the minimum-norm coefficient vector, so predictions (and
@@ -20,10 +25,12 @@ from .errors import ValidationError, ZeroVarianceError
 
 __all__ = [
     "OlsFit",
+    "ThresholdFit",
     "Moments",
     "ols_fit",
     "r2_score",
     "var_res",
+    "threshold_fit",
     "moments",
     "mse",
     "nrmse",
@@ -42,8 +49,8 @@ REPLAY_ATOL = 1e-12
 # *Numerical Methods for Least Squares Problems*), and the quantities it
 # feeds can lie near zero, where only REPLAY_ATOL applies; so this is where
 # eps * cond^2 = REPLAY_ATOL, about 67.  Phase II's restriction identity
-# (see mtaggr.aggregation._feature_merges) gates cond(X) on it, and the
-# slab fits (_gram_fit) the condition number of X with unit-norm columns.
+# (see _factor) gates cond(X) on it, and the slab fits (_gram_fit) the
+# condition number of X with unit-norm columns.
 MAX_COND = float(np.sqrt(REPLAY_ATOL / _EPS))
 
 # The largest cond(X) at which lstsq's own fitted values, of relative error
@@ -97,25 +104,83 @@ class OlsFit:
         return _as_matrix(X) @ self.coefficients
 
 
-class _CoreFit(NamedTuple):
-    coefficients: np.ndarray
+# Builds a named tuple from its field values without the Python-level constructor.
+_new = tuple.__new__
+
+
+class _FitFields(NamedTuple):
     ss_res: float
     target_variance: float  # about the sample mean, divisor n-1
     n: int
     d: int
     rank: int
+    r2: float | None
+    var_res: float | None
+    varf: float | None  # explained variance: target variance - var_res, floored at 0
 
 
-def _fitted(A: np.ndarray, v: np.ndarray, coef: np.ndarray, rank: int) -> _CoreFit:
-    """The fit of ``v`` on ``A`` with coefficients ``coef``; residual from the data."""
+class ThresholdFit(_FitFields):
+    """What the threshold statistics need from one least-squares fit, and those statistics.
+
+    A fit is built from its first five fields; ``d`` is the model matrix's
+    column count and ``rank`` its rank, and phase I scales its thresholds by
+    d / (n - 1).  The statistics are derived once, where the fit is made, so
+    a threshold test reads them instead of recomputing them per comparison.
+    ``_make`` takes those five values and ``_replace`` changes only them, so
+    the statistics always follow from the other fields.
+
+    The asymptotic expressions are stated in population quantities, so the
+    residual variance ``var_res`` uses the degrees-of-freedom divisor
+    n - rank (the unbiased noise estimate) and ``r2`` is the matching
+    adjusted value.  At the sample sizes the thresholds run at (d comparable
+    to n), the plain n-1 statistics are optimistic enough to invert merge
+    decisions; the public r2_score / var_res operations keep the plain
+    definitions.  The explained variance ``varf`` is floored at zero (a
+    model that explains nothing contributes nothing).  All three are None
+    for a target of zero variance, whose R^2 is undefined.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ss_res, target_variance, n, d, rank):
+        if target_variance <= 0.0:
+            return _new(cls, (ss_res, target_variance, n, d, rank, None, None, None))
+        var_res = ss_res / max(n - rank, 1)
+        varf = max(0.0, target_variance - var_res)
+        return _new(cls, (ss_res, target_variance, n, d, rank,
+                          varf / target_variance, var_res, varf))
+
+    def __getnewargs__(self):
+        return self[:5]
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, /, **changes):
+        fit = self._make(map(changes.pop, _FitFields._fields[:5], self))
+        if changes:
+            raise ValueError(f"a fit sets only its first five fields, not {list(changes)}")
+        return fit
+
+
+def _target_variance(y: np.ndarray) -> float:
+    # ``float(y.sum()) / n`` is the bits of ``y.mean()``, which sums the same
+    # way and divides by n, without numpy's Python-level mean.
+    n = y.shape[0]
+    dev = y - float(y.sum()) / n
+    return float(dev @ dev) / (n - 1)
+
+
+def _fitted(A, v, coef, rank: int) -> tuple[np.ndarray, ThresholdFit]:
+    """``coef`` and the fit of ``v`` on ``A`` it makes; residual from the data."""
     n, d = A.shape
     resid = v - A @ coef
-    dev = v - v.mean()
-    ss_tot = float(dev @ dev)
-    return _CoreFit(coef, float(resid @ resid), ss_tot / (n - 1), n, d, rank)
+    return coef, ThresholdFit(float(resid @ resid), _target_variance(v), n, d, rank)
 
 
-def _core_fit(X, y) -> _CoreFit:
+def _core_fit(X, y) -> tuple[np.ndarray, ThresholdFit]:
+    """The minimum-norm coefficients of ``y`` on ``X`` from lstsq, and their fit."""
     A = _as_matrix(X)
     v = _as_vector(y)
     n = A.shape[0]
@@ -127,8 +192,13 @@ def _core_fit(X, y) -> _CoreFit:
     return _fitted(A, v, coef, int(rank))
 
 
-def _gram_fit(X, y) -> _CoreFit | None:
-    """The fit of ``y`` on ``X`` from the normal equations, where they are accurate.
+def threshold_fit(X, y) -> ThresholdFit:
+    """Fit ``y`` on the columns of ``X`` with lstsq, for the threshold tests."""
+    return _core_fit(X, y)[1]
+
+
+def _gram_fit(X, y) -> tuple[np.ndarray, ThresholdFit] | None:
+    """``y`` fitted on ``X`` from the normal equations, where they are accurate.
 
     The normal equations are solved with the columns scaled to unit norm,
     X = Xs S with S = diag(||x_j||): Gs c = Xs'y with Gs = Xs'Xs, and
@@ -173,6 +243,33 @@ def _gram_fit(X, y) -> _CoreFit | None:
     return _fitted(A, v, s * np.linalg.solve(Gs, s * (A.T @ v)), d)
 
 
+def _slab_fit(X, y) -> tuple[np.ndarray, ThresholdFit]:
+    """Fit ``y`` on ``X`` from X'X where that matches lstsq, else with lstsq."""
+    return _gram_fit(X, y) or _core_fit(X, y)
+
+
+class _Factors(NamedTuple):
+    basis: np.ndarray  # U's columns above lstsq's cutoff: the width is the rank
+    W: np.ndarray | None  # V diag(1/s), where the restriction identity is allowed
+    shape: tuple[int, int]  # of the factored matrix
+
+
+def _factor(X: np.ndarray) -> _Factors:
+    """The thin SVD of ``X`` as every walk on it reads it.
+
+    The restriction identity works from (X'X)^-1 = W W', so its R^2 values
+    carry a relative error of order eps * cond(X)^2.  Their gap can be near
+    zero, where only REPLAY_ATOL applies, so W is made only when X has full
+    column rank and cond(X) < MAX_COND.  Every working matrix of such an X
+    (X times an averaging matrix, at most sqrt(d) times worse conditioned)
+    has full column rank under lstsq's cutoff too.
+    """
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    rank = int(np.count_nonzero(s > _EPS * max(X.shape) * s[0]))
+    restrict = s.shape[0] == X.shape[1] and s[-1] * MAX_COND > s[0]
+    return _Factors(U[:, :rank], Vt.T / s if restrict else None, X.shape)
+
+
 def ols_fit(X, y) -> OlsFit:
     """Least-squares fit of y on the columns of X, without intercept.
 
@@ -180,18 +277,18 @@ def ols_fit(X, y) -> OlsFit:
         ValidationError: on shape mismatch or n < 2.
         ZeroVarianceError: when y has zero sample variance (R^2 undefined).
     """
-    core = _core_fit(X, y)
-    if core.target_variance <= 0.0:
+    coef, fit = _core_fit(X, y)
+    if fit.target_variance <= 0.0:
         raise ZeroVarianceError("target has zero variance; R^2 is undefined")
-    residual_variance = core.ss_res / (core.n - 1)
-    r2 = 1.0 - residual_variance / core.target_variance
+    residual_variance = fit.ss_res / (fit.n - 1)
+    r2 = 1.0 - residual_variance / fit.target_variance
     return OlsFit(
-        coefficients=core.coefficients,
+        coefficients=coef,
         r2=r2,
         residual_variance=residual_variance,
-        mse=core.ss_res / core.n,
-        n=core.n,
-        d=core.d,
+        mse=fit.ss_res / fit.n,
+        n=fit.n,
+        d=fit.d,
     )
 
 
@@ -206,8 +303,8 @@ def var_res(X, y) -> float:
     Defined even for zero-variance y, where it is simply the residual
     variance of the constant target.
     """
-    core = _core_fit(X, y)
-    return core.ss_res / (core.n - 1)
+    fit = _core_fit(X, y)[1]
+    return fit.ss_res / (fit.n - 1)
 
 
 class Moments(NamedTuple):

@@ -551,9 +551,11 @@ def coefficient_covariance_check(
     The design matrix is column-centered, so the closed form
     sigma^2 / (n - 1) times the inverse sample covariance equals
     sigma^2 (X'X)^{-1} exactly.  Relative deviations are taken over entries
-    whose theoretical magnitude exceeds 1e-6.  ``sigma`` must be finite and
-    positive (a zero sigma leaves no entry to compare) and ``replicates`` at
-    least 2 (one covariance needs two).
+    whose theoretical magnitude exceeds 1e-6 times the largest, so the
+    design's scale does not change which entries count; a closed form with
+    no such entry (one that is not finite) raises ValidationError.
+    ``sigma`` must be finite and positive (a zero sigma leaves no entry to
+    compare) and ``replicates`` at least 2 (one covariance needs two).
     """
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValidationError(f"sigma must be finite and positive, got {sigma!r}")
@@ -570,18 +572,16 @@ def coefficient_covariance_check(
     except np.linalg.LinAlgError:
         raise ValidationError("X'X is singular; the closed form is undefined") from None
 
+    size = np.abs(theoretical)
+    mask = size > 1e-6 * size.max()
+    if not mask.any():
+        raise ValidationError("no entry of the closed-form covariance can be compared")
+
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal((n, replicates)) * sigma
     coefs, *_ = np.linalg.lstsq(A, eps, rcond=None)  # (d, replicates)
     empirical = np.cov(coefs, ddof=1) if d > 1 else np.atleast_2d(np.var(coefs, ddof=1))
-
-    mask = np.abs(theoretical) > 1e-6
-    if not mask.any():
-        max_rel = 0.0
-    else:
-        max_rel = float(
-            np.max(np.abs(empirical[mask] - theoretical[mask]) / np.abs(theoretical[mask]))
-        )
+    max_rel = float(np.max(np.abs(empirical[mask] - theoretical[mask]) / size[mask]))
     return CoefficientCovarianceReport(
         max_rel_dev=max_rel,
         empirical=empirical,

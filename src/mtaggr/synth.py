@@ -81,10 +81,11 @@ class SynthConfig:
             value = getattr(self, name)
             if not _is_real(value) or np.isnan(value):
                 raise ValidationError(f"{name} must be a real number, got {value!r}")
-        if self.sigma < 0:
-            raise ValidationError("sigma must be nonnegative")
-        if self.feature_std <= 0:
-            raise ValidationError("feature_std must be positive")
+        if not 0 <= self.sigma < np.inf:
+            raise ValidationError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+        if not 0 < self.feature_std < np.inf:
+            raise ValidationError(
+                f"feature_std must be finite and positive, got {self.feature_std!r}")
         if not self.coefficient_intervals:
             raise ValidationError("need at least one coefficient interval")
         intervals = tuple(

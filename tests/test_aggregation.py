@@ -29,7 +29,7 @@ from mtaggr.aggregation import (
     result_to_json,
     threshold_fit,
 )
-from mtaggr import aggregation
+from mtaggr import aggregation, linstats
 from mtaggr.data import Dataset, FeaturePartition, TaskPartition, center
 from mtaggr.errors import ValidationError, ZeroVarianceError
 from mtaggr.synth import SynthConfig, generate
@@ -357,10 +357,10 @@ class TestAggregationLoop:
     def test_a_given_svd_repeats_the_walk_bit_for_bit(self, phase):
         ds = make_centered(seed=3, D=12)
         items, data = self.walk_data(ds, phase)
-        svd = np.linalg.svd(ds.features, full_matrices=False)
+        factors = linstats._factor(ds.features)
         alone = aggregation_loop(items, phase, 1e-3, features=ds.features, **data)
-        shared = aggregation_loop(items, phase, 1e-3, features=ds.features, svd=svd,
-                                  **data)
+        shared = aggregation_loop(items, phase, 1e-3, features=ds.features,
+                                  factors=factors, **data)
         assert shared == alone
 
     @pytest.mark.parametrize("phase", [1, 2])
@@ -368,15 +368,10 @@ class TestAggregationLoop:
         ds = make_centered(seed=3, D=12)
         X = ds.features
         items, data = self.walk_data(ds, phase)
-        for svd in (
-            np.linalg.svd(X[:, :-1], full_matrices=False),
-            np.linalg.svd(X[:-1], full_matrices=False),
-            np.linalg.svd(X.T, full_matrices=False),
-            np.linalg.svd(X),
-            np.linalg.svd(X, full_matrices=False)[:2],
-        ):
+        for other in (X[:, :-1], X[:-1], X.T):
             with pytest.raises(ValidationError, match="SVD factors"):
-                aggregation_loop(items, phase, 0.0, features=X, svd=svd, **data)
+                aggregation_loop(items, phase, 0.0, features=X,
+                                 factors=linstats._factor(other), **data)
 
 
 class TestRestrictionBlocks:
@@ -401,7 +396,7 @@ class TestRestrictionBlocks:
         ds, eps2 = Dataset(X, y[:, None]), 1e-3
         result = nonlin_ctfa(ds, 0.0, eps2, seed=0)
 
-        model = aggregation._feature_merges(X, y, eps2, 0, None)
+        model = aggregation._feature_merges(X, y, eps2, 0, linstats._factor(X))
         assert type(model).__name__ == "_FeatureRestrictions"
         clusters = result.feature_partitions[0].clusters
         assert 2 * max(map(len, clusters)) > D
@@ -750,7 +745,8 @@ class TestDriver:
         import mtaggr
 
         assert mtaggr.reevaluate_report is reevaluate_report
-        assert mtaggr.threshold_fit is threshold_fit
+        assert mtaggr.threshold_fit is threshold_fit is linstats.threshold_fit
+        assert mtaggr.ThresholdFit is ThresholdFit is linstats.ThresholdFit
         fit = mtaggr.threshold_fit(np.eye(3)[:, :2], np.array([1.0, 0.0, -1.0]))
         assert isinstance(fit, mtaggr.ThresholdFit)
         assert (fit.n, fit.d, fit.rank) == (3, 2, 2)
@@ -1262,13 +1258,13 @@ class TestSlabFits:
         # reads the former and is blind to the latter.
         rng = np.random.default_rng(8)
         Q, _ = np.linalg.qr(rng.standard_normal((60, 8)))
-        k = cond * aggregation.MAX_COND
+        k = cond * linstats.MAX_COND
         rho = (k**2 - 1) / (k**2 + 1)
         Q[:, 1] = rho * Q[:, 0] + np.sqrt(1 - rho**2) * Q[:, 1]
         X = Q * np.geomspace(1e-2, 1e2, 8)
         y = rng.standard_normal(60)
         made = count_calls(monkeypatch, np.linalg, "lstsq")
-        aggregation._slab_fit(X, y)
+        linstats._slab_fit(X, y)
         assert len(made) == calls
 
     def test_every_fit_of_rank_deficient_slabs_falls_back(self, monkeypatch):
@@ -1448,7 +1444,8 @@ def bits(value):
 
 def assert_walk_matches_legacy(X, Z, order, epsilon):
     """The phase-I walk against the legacy one: same decisions, the same bits."""
-    got = aggregation._greedy(order, aggregation._TargetMerges(X, Z, epsilon, None))
+    model = aggregation._TargetMerges(X, Z, epsilon, linstats._factor(X))
+    got = aggregation._greedy(order, model)
     want = aggregation._greedy(order, LegacyTargetMerges(X, Z, epsilon))
     assert got[0] == want[0]
     assert len(got[1]) == len(want[1])

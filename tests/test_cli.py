@@ -256,6 +256,12 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("validation error: sigma")
         assert not out.exists()
 
+    def test_synth_infinite_sigma_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("synth", "--sigma", "inf", "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err.startswith("validation error: sigma must be finite")
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_quick_named_checks_pass(self, tmp_path):

@@ -15,6 +15,7 @@ from mtaggr.linstats import (
     REPLAY_RTOL,
     Moments,
     _core_fit,
+    _factor,
     _gram_fit,
     moments,
     mse,
@@ -329,18 +330,18 @@ class TestGramFit:
         else:
             signal = unit_columns(X) if np.all(X.any(axis=0)) else X
             y = signal @ rng.uniform(-1, 1, d) * np.sqrt(n) + rng.standard_normal(n)
-        fit = _gram_fit(X, y)
-        assert (fit is not None) == taken
-        if fit is None:
+        got = _gram_fit(X, y)
+        assert (got is not None) == taken
+        if got is None:
             return
-        want = _core_fit(X, y)
+        (coef, fit), (want_coef, want) = got, _core_fit(X, y)
         assert (fit.n, fit.d, fit.rank) == (want.n, want.d, want.rank)
         for got, ref in ((fit.ss_res, want.ss_res),
                          (fit.target_variance, want.target_variance)):
             assert np.isclose(got, ref, rtol=REPLAY_RTOL, atol=REPLAY_ATOL)
         # lstsq's fitted values are good to about eps * cond(X) * ||y||, so
         # they match within REPLAY_RTOL * ||y|| up to MAX_LSTSQ_COND.
-        gap = np.linalg.norm(X @ fit.coefficients - X @ want.coefficients)
+        gap = np.linalg.norm(X @ coef - X @ want_coef)
         assert gap <= REPLAY_RTOL * np.linalg.norm(y)
 
     def test_never_admits_a_matrix_past_the_bounds(self):
@@ -363,3 +364,38 @@ class TestGramFit:
                     assert np.linalg.cond(unit_columns(X)) <= MAX_COND
                     assert np.linalg.cond(X) <= MAX_LSTSQ_COND
         assert taken and declined
+
+
+# name -> (X, whether the restriction identity may read X's factors).
+FACTOR_CASES = {
+    "well_conditioned": (slab(), True),
+    "n_below_d": (slab(n=40), False),
+    "n_equals_d": (slab(n=50), False),
+    "duplicate_column": (with_column(slab(), 7, slab()[:, 3]), False),
+    "zero_column": (with_column(slab(), 7, 0.0), False),
+    "all_zero": (np.zeros((30, 5)), False),
+    "single_feature": (slab(d=1), True),
+    "cond_just_below_max": (correlated_pair(MAX_COND * (1 - 1e-3)), True),
+    "cond_just_above_max": (correlated_pair(MAX_COND * (1 + 1e-3)), False),
+}
+
+
+class TestFactor:
+    """The shared factorization's rank and gate against lstsq and np.linalg.cond."""
+
+    @pytest.mark.parametrize("case", sorted(FACTOR_CASES))
+    def test_rank_and_gate_match_the_reference(self, case):
+        X, restricted = FACTOR_CASES[case]
+        n, d = X.shape
+        factors = _factor(X)
+        rank = np.linalg.lstsq(X, np.ones(n), rcond=None)[2]
+        assert factors.shape == X.shape
+        assert factors.basis.shape == (n, rank)
+        gate = bool(rank == d and np.linalg.cond(X) < MAX_COND)
+        assert (factors.W is not None) == gate == restricted
+        if rank:
+            np.testing.assert_allclose(factors.basis @ (factors.basis.T @ X), X,
+                                       atol=1e-12)
+        if restricted:
+            np.testing.assert_allclose(factors.W @ factors.W.T, np.linalg.inv(X.T @ X),
+                                       rtol=1e-9, atol=1e-12)

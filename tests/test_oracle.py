@@ -637,6 +637,26 @@ class TestCoefficientCovariance:
         assert report.theoretical[0, 1] < 0
         assert report.empirical[0, 1] < 0
 
+    @pytest.mark.parametrize("scale", [1e4, 1e-4])
+    def test_entries_compared_do_not_depend_on_the_design_scale(self, scale):
+        # The closed form scales with 1 / scale^2, so a fixed floor of 1e-6
+        # would compare none of its entries at 1e4 and report a deviation of 0.
+        rng = np.random.default_rng(8)
+        z = rng.standard_normal((400, 2))
+        X = np.column_stack([z[:, 0], 0.5 * z[:, 0] + np.sqrt(0.75) * z[:, 1]])
+        unscaled = coefficient_covariance_check(X, sigma=1.0, replicates=2000, seed=2)
+        report = coefficient_covariance_check(X * scale, sigma=1.0, replicates=2000,
+                                              seed=2)
+        assert report.n_compared == unscaled.n_compared == 4
+        assert np.isclose(report.max_rel_dev, unscaled.max_rel_dev, rtol=1e-9)
+        assert 0.0 < report.max_rel_dev <= 0.10
+
+    def test_a_closed_form_with_no_entry_to_compare_raises(self):
+        X = np.random.default_rng(9).standard_normal((100, 3))
+        X[0, 0] = np.nan
+        with pytest.raises(ValidationError, match="no entry"):
+            coefficient_covariance_check(X, sigma=1.0, replicates=20)
+
     # A zero sigma makes every theoretical entry zero, so none is compared
     # and the deviation would read 0.0 whatever the estimate.
     @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])

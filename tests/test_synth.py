@@ -120,8 +120,9 @@ class TestGenerate:
     @pytest.mark.parametrize("field, value", [
         ("n_tasks", 2.5), ("n_tasks", True), ("n_tasks", "3"), ("n_features", 0),
         ("n_train", 60.0), ("n_test", None), ("n_repeats", 0), ("n_repeats", -1),
-        ("sigma", "1"), ("sigma", True), ("sigma", float("nan")),
-        ("feature_std", "2"), ("epsilon1", "abc"), ("epsilon2", None),
+        ("sigma", "1"), ("sigma", True), ("sigma", float("nan")), ("sigma", np.inf),
+        ("feature_std", "2"), ("feature_std", np.inf),
+        ("epsilon1", "abc"), ("epsilon2", None),
     ])
     def test_config_rejects_values_it_cannot_run(self, field, value):
         with pytest.raises(ValidationError, match=field):
