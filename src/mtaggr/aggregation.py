@@ -450,12 +450,15 @@ def _feature_merges(X: np.ndarray, y: np.ndarray, epsilon: float, task_cluster, 
     """The restriction identity where it matches a refit; otherwise refits.
 
     ``factors`` are X's (see :func:`mtaggr.linstats._factor`), which carry
-    the restriction identity's factor exactly where it is allowed.  A
-    target of zero variance rejects every merge on the target alone, so it
-    takes neither path (see :class:`_ConstantTarget`).
+    the restriction identity's factor exactly where it is allowed; when
+    None, X is factored here.  A target of zero variance rejects every
+    merge on the target alone, so it takes neither path and X is not
+    factored (see :class:`_ConstantTarget`).
     """
     if _target_variance(y) <= 0.0:
         return _ConstantTarget(X, y, epsilon, task_cluster)
+    if factors is None:
+        factors = _factor(X)
     if factors.W is not None:
         return _FeatureRestrictions(X, y, epsilon, task_cluster, factors)
     return _FeatureRefits(X, y, epsilon, task_cluster)
@@ -551,7 +554,8 @@ def aggregation_loop(
     columns against the single ``target``.  Items are walked in the given
     order (see :func:`_greedy`).  ``factors`` are those of ``features``
     from :func:`mtaggr.linstats._factor`, so that several walks on one
-    matrix share one factorization; when None, the walk makes its own.
+    matrix share one factorization; when None, the walk makes its own if
+    it reads one.
     """
     order = list(items)
     if not order:
@@ -584,13 +588,13 @@ def aggregation_loop(
         if i < 0 or i >= size:
             raise ValidationError(f"item index {i} out of range [0, {size})")
     order = [int(i) for i in order]
-    if factors is None:
-        factors = _factor(X)
-    elif factors.shape != X.shape:
+    if factors is not None and factors.shape != X.shape:
         raise ValidationError(f"SVD factors of a {factors.shape} matrix do not fit "
                               f"features of shape {X.shape}")
 
     if phase == 1:
+        if factors is None:
+            factors = _factor(X)
         return _greedy(order, _TargetMerges(X, Z, epsilon, factors))
     return _greedy(order, _feature_merges(X, y, epsilon, task_cluster, factors))
 

@@ -131,19 +131,21 @@ def _is_real(value) -> bool:
     return _is_int(value) or isinstance(value, (float, np.floating))
 
 
-def _cluster_means(matrix: np.ndarray, clusters) -> np.ndarray:
+def _cluster_means(matrix: np.ndarray, clusters, out=None) -> np.ndarray:
     # ``clusters`` is a sequence of index tuples, as a partition stores them.
     # A one-member mean is 0.0 + member / 1 (the sum starts from +0.0, which
     # turns -0.0 into 0.0); adding 0.0 gives the same bits without a reduction.
-    # The multi-member means are taken before the output is allocated: the
-    # other order left a hole in the heap that raised the peak RSS of
-    # `mtaggr verify --quick` by about 5 MB.
-    means = {
-        i: matrix[:, list(c)].mean(axis=1) for i, c in enumerate(clusters) if len(c) > 1
-    }
-    out = matrix[:, [c[0] for c in clusters]] + 0.0
-    for i, mean in means.items():
-        out[:, i] = mean
+    # The result is column-major, the layout of matrix[:, index] + 0.0, which
+    # the products of the means are pinned to; ``out``, when given, is such
+    # an array of the result's shape.  Each multi-member mean is written into
+    # its column as it is taken, so no temporary outlives its cluster.
+    if out is None:
+        out = np.empty((len(clusters), matrix.shape[0])).T
+    np.take(matrix, [c[0] for c in clusters], axis=1, out=out, mode="clip")
+    out += 0.0
+    for i, c in enumerate(clusters):
+        if len(c) > 1:
+            np.mean(matrix[:, list(c)], axis=1, out=out[:, i])
     return out
 
 

@@ -17,6 +17,9 @@ noise-free signal, which real data never exposes.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
@@ -220,8 +223,9 @@ def _centered(a: np.ndarray) -> np.ndarray:
     return a - a.mean(axis=0)
 
 
-def _draw_features(task: "SyntheticTask", n: int, rng: np.random.Generator):
-    X = rng.standard_normal((n, task.coefficients.shape[1]))
+def _draw_features(task: "SyntheticTask", n: int, rng: np.random.Generator, out=None):
+    """n rows of the generator's features, into ``out`` when it is given."""
+    X = rng.standard_normal((n, task.coefficients.shape[1]), out=out)
     if task.feature_std != 1.0:  # x * 1.0 is x, so unit features skip the pass
         X *= task.feature_std
     return X
@@ -255,6 +259,53 @@ def _checked_indices(task: "SyntheticTask", cluster, feature_clusters, task_inde
     members = _task_indices(cluster, T)
     _task_indices([task_index], T)
     return members, FeaturePartition(feature_clusters, D).clusters
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fill_rows(fill, rows: int, first, scratch):
+    """Return ``first()`` and call ``fill`` over every row of ``range(rows)``.
+
+    ``fill(taken, buffers)`` fills the rows it takes from the iterable
+    ``taken``, writing only those, so the rows can be filled on min(usable
+    CPUs, rows) threads: the calling thread and a pool.  Each thread takes
+    the next row no thread has taken, so a thread slowed by a busy CPU takes
+    fewer, and the pool starts on the rows while the calling thread runs
+    ``first``.  numpy releases the GIL in its draws and products, so the
+    threads run side by side.  Each thread's ``buffers`` come from one call
+    of ``scratch``, made in the calling thread: memory that a pool thread
+    frees stays with its thread's allocator arena, as its own RSS.  On one
+    CPU ``fill`` is called once, on ``range(rows)``.  An exception in any
+    thread reaches the caller once every thread has stopped.
+    """
+    workers = min(_usable_cpus(), rows)
+    buffers = [scratch() for _ in range(workers)]
+    if workers == 1:
+        head = first()
+        fill(range(rows), buffers[0])
+        return head
+    lock, pending = threading.Lock(), iter(range(rows))
+
+    def taken():
+        while True:
+            with lock:
+                r = next(pending, None)
+            if r is None:
+                return
+            yield r
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(fill, taken(), b) for b in buffers[1:]]
+        head = first()
+        fill(taken(), buffers[0])
+        for future in futures:
+            future.result()
+    return head
 
 
 # Batches of the fresh sample whose bias values give the standard error.
@@ -364,15 +415,17 @@ def monte_carlo_bias_variance(
     own stream, apart from the replicate and bootstrap streams.
 
     Each replicate reduces its training set to the normal equations
-    (phi'phi, phi'psi); one stacked ``solve`` gives every replicate's
-    coefficients.  The variance and bias statistics are then taken in
-    coefficient space (see :func:`_bootstrap_ses`): a prediction is linear
-    in the coefficients, so no replicates x ``n_eval`` prediction matrix is
-    formed except for the total.  The stacked solve needs ``n_train`` above
-    the number of feature clusters and nonsingular phi'phi in every
-    replicate; otherwise ``ValidationError`` is raised, as it is for an
-    empty ``cluster``, an index out of range, or ``feature_clusters`` that
-    is not a partition of the features.
+    (phi'phi, phi'psi), on every CPU the process may run on; each draws
+    from its own stream, so the result does not depend on how many there
+    are.  One stacked ``solve`` gives every replicate's coefficients.  The
+    variance and bias statistics are then taken in coefficient space (see
+    :func:`_bootstrap_ses`): a prediction is linear in the coefficients, so
+    no replicates x ``n_eval`` prediction matrix is formed except for the
+    total.  The stacked solve needs ``n_train`` above the number of feature
+    clusters and nonsingular phi'phi in every replicate; otherwise
+    ``ValidationError`` is raised, as it is for an empty ``cluster``, an
+    index out of range, or ``feature_clusters`` that is not a partition of
+    the features.
     """
     if replicates < MIN_REPLICATES:
         raise ValidationError(f"need replicates >= {MIN_REPLICATES}, got {replicates}")
@@ -393,32 +446,42 @@ def monte_carlo_bias_variance(
     D = task.coefficients.shape[1]
     own_features = feature_clusters == tuple((j,) for j in range(D))
 
-    def features(X: np.ndarray) -> np.ndarray:
-        return X if own_features else _cluster_means(X, feature_clusters)
+    def features(X: np.ndarray, out=None) -> np.ndarray:
+        return X if own_features else _cluster_means(X, feature_clusters, out)
 
     ss = np.random.SeedSequence(seed)
     eval_seed, eps_eval_seed, *rep_seeds = ss.spawn(replicates + 2)
 
-    rng_eval = np.random.default_rng(eval_seed)
-    X_eval = _draw_features(task, n_eval, rng_eval)
-    f_eval = task.signal(X_eval, task_index)
-    phi_eval = features(X_eval)
+    def evaluation():
+        X_eval = _draw_features(task, n_eval, np.random.default_rng(eval_seed))
+        return task.signal(X_eval, task_index), features(X_eval)
 
     # Each replicate keeps its own stream (features, then noise) and is
-    # reduced to its normal equations; one stacked solve fits them all.
+    # reduced to its normal equations, in its own row of grams and moments,
+    # so the rows are filled on every usable CPU with the bits of one
+    # thread; one stacked solve fits them all.  A thread draws its features
+    # and takes their cluster means into its own two buffers.
     # np.add.reduce(eps, axis=1) / k is eps.mean(axis=1), the same bits
     # without numpy's Python-level mean.
     L, k = len(feature_clusters), len(cluster)
     grams = np.empty((replicates, L, L))
     moments = np.empty((replicates, L))
-    for r, rep_seed in enumerate(rep_seeds):
-        rng = np.random.default_rng(rep_seed)
-        X_tr = _draw_features(task, n_train, rng)
-        eps = sub_noise.sample(n_train, rng)
-        psi_tr = X_tr @ weights + np.add.reduce(eps, axis=1) / k
-        phi_tr = features(X_tr)
-        grams[r] = phi_tr.T @ phi_tr
-        moments[r] = phi_tr.T @ psi_tr
+
+    def scratch():
+        return np.empty((n_train, D)), None if own_features else np.empty((L, n_train)).T
+
+    def fill(rows, buffers) -> None:
+        X_tr, means = buffers
+        for r in rows:
+            rng = np.random.default_rng(rep_seeds[r])
+            _draw_features(task, n_train, rng, out=X_tr)
+            eps = sub_noise.sample(n_train, rng)
+            psi_tr = X_tr @ weights + np.add.reduce(eps, axis=1) / k
+            phi_tr = features(X_tr, means)
+            grams[r] = phi_tr.T @ phi_tr
+            moments[r] = phi_tr.T @ psi_tr
+
+    f_eval, phi_eval = _fill_rows(fill, replicates, evaluation, scratch)
     try:
         coefs = np.linalg.solve(grams, moments[..., None])[..., 0]
     except np.linalg.LinAlgError:

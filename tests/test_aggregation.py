@@ -373,6 +373,16 @@ class TestAggregationLoop:
                 aggregation_loop(items, phase, 0.0, features=X,
                                  factors=linstats._factor(other), **data)
 
+    @pytest.mark.parametrize("constant", [True, False])
+    def test_phase2_factors_only_a_target_it_can_merge_against(self, constant, monkeypatch):
+        # A target of zero variance rejects every merge without a fit, so a
+        # walk given no factors makes no SVD for it.
+        X = make_centered(seed=3, n=50, D=8).features
+        y = np.zeros(50) if constant else X @ np.linspace(1.0, 2.0, 8)
+        calls = count_calls(monkeypatch, np.linalg, "svd")
+        aggregation_loop(range(8), 2, 1e-3, features=X, target=y)
+        assert calls == ([] if constant else [X.shape])
+
 
 class TestRestrictionBlocks:
     @pytest.mark.parametrize("block", [8, 32])

@@ -1,5 +1,8 @@
 """Closed-form evaluators and Monte-Carlo estimators against independent oracles."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -494,6 +497,11 @@ class TestStackedSolve:
         assert np.signbit(matrix[0]).all()
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+        # Column-major, as the products of the means are pinned to it.
+        assert got.flags["F_CONTIGUOUS"]
+        buffer = np.full((len(clusters), 40), np.nan).T
+        assert _cluster_means(matrix, clusters, buffer) is buffer
+        assert buffer.tobytes() == want.tobytes()
 
 
 def previous_bootstrap_ses(preds, f_eval, per_rep_total, n_boot, rep_seed):
@@ -573,6 +581,138 @@ class TestTotalOptional:
                                       rep_seed)
         np.testing.assert_allclose(got, want, rtol=REPLAY_RTOL, atol=REPLAY_ATOL)
         assert oracle._bootstrap_ses(*args, None, 60, rep_seed)[2] is None
+
+
+class TestReplicateThreads:
+    """The replicate loop runs on every usable CPU with the bits of one thread."""
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: n)
+
+    # (tasks in the cluster, rho, feature_std, partition, total, replicates)
+    CASES = {
+        "identity_independent": (1, 0.0, 1.0, "identity", True, 101),
+        "random_rho_half": (3, 0.5, 2.5, "random", False, 100),
+        "random_rho_one": (2, 1.0, 0.5, "random", True, 137),
+        "identity_rho_half": (2, 0.5, 3.0, "identity", False, 100),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_field_equal_at_any_worker_count(self, case, monkeypatch):
+        k, rho, feature_std, kind, total, replicates = self.CASES[case]
+        rng = np.random.default_rng(replicates)
+        D = 7
+        partition = (identity(D) if kind == "identity"
+                     else partition_from_labels(rng.integers(0, 4, D)))
+        noise = (NoiseModel.independent(1.5, k) if rho == 0.0
+                 else NoiseModel.equicorrelated(1.5, k, rho))
+        task = make_task(rng.uniform(-1.0, 1.0, (k, D)), noise, feature_std)
+        args = (task, range(k), partition, 0, 40, replicates, 10_000)
+        got = {}
+        for workers in (1, 2, 3):
+            self.cpus(monkeypatch, workers)
+            got[workers] = monte_carlo_bias_variance(*args, seed=3, bootstrap=20,
+                                                     total=total)
+        assert got[2] == got[1] and got[3] == got[1]
+        assert (got[1].total_mse is not None) == total
+
+    def test_workers_capped_at_the_replicates(self, monkeypatch):
+        task = make_task(np.ones((2, 3)), NoiseModel.equicorrelated(1.0, 2, 0.5))
+        args = (task, [0, 1], ((0, 2), (1,)), 0, 40, 100, 10_000)
+        self.cpus(monkeypatch, 1)
+        want = monte_carlo_bias_variance(*args, seed=1)
+        self.cpus(monkeypatch, 150)
+        assert monte_carlo_bias_variance(*args, seed=1) == want
+
+    @pytest.mark.parametrize("rows, cpus", [(7, 1), (7, 3), (2, 8), (300, 2), (3000, 8)])
+    def test_every_row_filled_once(self, rows, cpus, monkeypatch):
+        # More threads than cores and a short switch interval: a row taken
+        # twice or lost between threads shows as a repeated or missing row.
+        self.cpus(monkeypatch, cpus)
+        filled, calls = [], []
+        made, buffers = [], iter(range(100))
+        threads = threading.active_count()
+
+        def scratch():
+            made.append(threading.current_thread() is threading.main_thread())
+            return next(buffers)
+
+        def fill(taken, buffer):
+            calls.append(buffer)
+            filled.extend(taken)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            head = oracle._fill_rows(fill, rows, lambda: "first", scratch)
+        finally:
+            sys.setswitchinterval(interval)
+        assert head == "first"
+        assert sorted(filled) == list(range(rows))
+        # One buffer per thread, each made in the calling thread.
+        assert sorted(calls) == list(range(min(cpus, rows)))
+        assert made == [True] * min(cpus, rows)
+        assert threading.active_count() == threads
+
+    def test_one_cpu_fills_the_rows_in_order_in_the_caller(self, monkeypatch):
+        self.cpus(monkeypatch, 1)
+        seen = []
+
+        def fill(taken, buffer):
+            seen.append((taken, buffer, threading.current_thread().name))
+
+        oracle._fill_rows(fill, 5, lambda: None, lambda: "buffer")
+        assert seen == [(range(5), "buffer", threading.current_thread().name)]
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_an_exception_in_any_thread_reaches_the_caller(self, where, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        draw, worker_failed = oracle._draw_features, threading.Event()
+
+        def failing(task, n, rng, out=None):
+            in_caller = threading.current_thread() is threading.main_thread()
+            if where == "caller" and in_caller and out is None:
+                raise Boom("caller")  # the evaluation set, drawn without a buffer
+            if where == "worker" and out is not None:
+                if not in_caller:
+                    worker_failed.set()
+                    raise Boom("worker")
+                worker_failed.wait(10.0)  # so that a worker takes a row first
+            return draw(task, n, rng, out=out)
+
+        self.cpus(monkeypatch, 3)
+        monkeypatch.setattr(oracle, "_draw_features", failing)
+        task = make_task(np.ones(3), NoiseModel.independent(1.0, 1))
+        threads = threading.active_count()
+        with pytest.raises(Boom, match=where):
+            monte_carlo_bias_variance(task, [0], identity(3), 0, 20, 100, 10_000)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_singular_replicate_fit_rejected_at_any_worker_count(self, workers,
+                                                                 monkeypatch):
+        self.cpus(monkeypatch, workers)
+        task = make_task(np.ones(3), NoiseModel.independent(1.0, 1), feature_std=0.0)
+        with pytest.raises(ValidationError) as raised:
+            monte_carlo_bias_variance(task, [0], identity(3), 0, 20, 100, 10_000)
+        assert str(raised.value) == (
+            "a replicate's cluster-mean features are collinear, so its "
+            "least-squares fit is not unique"
+        )
+
+    @pytest.mark.parametrize("count, want", [(None, 1), (4, 4)])
+    def test_cpu_count_without_affinity(self, count, want, monkeypatch):
+        monkeypatch.delattr(oracle.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: count)
+        assert oracle._usable_cpus() == want
+
+    def test_affinity_sets_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        assert oracle._usable_cpus() == 3
 
 
 class TestOracleInputValidation:
