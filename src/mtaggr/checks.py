@@ -25,6 +25,7 @@ from .oracle import (
     MIN_N_POP,
     MIN_REPLICATES,
     NoiseModel,
+    _row_blocks,
     aggregated_noise_variance,
     coefficient_covariance_check,
     delta_mse_check,
@@ -397,8 +398,40 @@ def check_coefficient_covariance(budget: VerifyBudget, seed: int = 0) -> CheckRe
     )
 
 
+# Rows of the merge-guarantee checks' populations; no budget sets them.
+_MERGE_POPULATION = 100_000
+
+
+def _population(rng: np.random.Generator, D: int, k: int, products) -> np.ndarray:
+    """The k arrays ``products(X)`` on a fresh population X, one row of the result each.
+
+    X is _MERGE_POPULATION standard-normal rows of D columns, drawn from
+    ``rng`` and multiplied a block of rows at a time (see
+    :func:`~mtaggr.oracle._row_blocks`), with the bits of one draw and one
+    product each, so no population of D columns is held.  ``products`` may
+    change its block in place.
+    """
+    out = np.empty((k, _MERGE_POPULATION))
+    for rows in _row_blocks(_MERGE_POPULATION, 8 * D):
+        block = rng.standard_normal((rows.stop - rows.start, D))
+        for row, values in zip(out, products(block)):
+            row[rows] = values
+    return out
+
+
+def _merge_hurts(rng: np.random.Generator, D: int, k: int, sigma: float, products) -> bool:
+    """Whether the merged model has worse population MSE than an unmerged one.
+
+    ``products(X)`` gives, on a block X of the population (see
+    :func:`_population`), the signal, the merged model's predictions and
+    each of the k - 2 unmerged models' predictions.  Every comparison draws
+    its noise, also after one has found the merge worse.
+    """
+    signal, merged, *unmerged = _population(rng, D, k, products)
+    return any([_worsened(signal, sigma, merged, base, rng) for base in unmerged])
+
+
 def _worsened(
-    X_pop: np.ndarray,
     signal: np.ndarray,
     sigma: float,
     pred_new: np.ndarray,
@@ -409,15 +442,21 @@ def _worsened(
 
     Paired comparison over fresh noise; worse means exceeding three standard
     errors of the paired gap plus a floating-point floor (identical models
-    must never count as worse).
+    must never count as worse).  The targets and squared errors are built in
+    place, with the bits of signal + eps and of (pred - y) ** 2: y - pred is
+    -(pred - y) exactly, so the base error is squared in y's own buffer.
     """
-    eps = rng.standard_normal(X_pop.shape[0]) * sigma
-    y = signal + eps
-    diff = (pred_new - y) ** 2 - (pred_base - y) ** 2
-    n = len(diff)
-    se = float(diff.std(ddof=1) / np.sqrt(n))
-    base = float(np.mean((pred_base - y) ** 2))
-    return float(diff.mean()) > 3 * se + 1e-12 * max(1.0, base)
+    y = rng.standard_normal(signal.shape[0])
+    y *= sigma
+    y += signal
+    diff = pred_new - y
+    diff *= diff
+    base = y
+    base -= pred_base
+    base *= base
+    diff -= base
+    se = float(diff.std(ddof=1) / np.sqrt(len(diff)))
+    return float(diff.mean()) > 3 * se + 1e-12 * max(1.0, float(base.mean()))
 
 
 def _rates(name: str, draws: int, good: int, rejected: int, rejected_key: str) -> CheckResult:
@@ -445,7 +484,6 @@ def check_merge_guarantee_targets(budget: VerifyBudget, seed: int = 0) -> CheckR
     """
     rng = np.random.default_rng(seed)
     D, n_train, sigma = 5, 8000, 1.0
-    n_pop = 100_000
     good = 0
     rejected_orth = 0
     for _ in range(budget.draws):
@@ -461,12 +499,8 @@ def check_merge_guarantee_targets(budget: VerifyBudget, seed: int = 0) -> CheckR
         report = compute_threshold_targets(*fits, 0.0)
         ok = report.accepted
         if ok:
-            X_pop = rng.standard_normal((n_pop, D))
-            f_pop = X_pop @ w
-            pred_ag = X_pop @ wag
-            for wm in (w0, w1):
-                if _worsened(X_pop, f_pop, sigma, pred_ag, X_pop @ wm, rng):
-                    ok = False
+            ok = not _merge_hurts(rng, D, 4, sigma,
+                                  lambda X: (X @ w, X @ wag, X @ w0, X @ w1))
         good += int(ok)
     for _ in range(budget.draws):
         half = D // 2
@@ -498,7 +532,6 @@ def check_merge_guarantee_features(budget: VerifyBudget, seed: int = 0) -> Check
     """
     rng = np.random.default_rng(seed)
     D, n_train, sigma = 5, 2000, 0.5
-    n_pop = 100_000
     good = 0
     rejected_anti = 0
     for _ in range(budget.draws):
@@ -513,12 +546,11 @@ def check_merge_guarantee_features(budget: VerifyBudget, seed: int = 0) -> Check
         report = compute_threshold_features(*fits, 0.0)
         ok = report.accepted
         if ok:
-            X_pop = rng.standard_normal((n_pop, D))
-            X_pop[:, 3] = X_pop[:, 1]
-            f_pop = X_pop @ w
-            merged_pop = _merge_columns_1_and_3(X_pop)
-            if _worsened(X_pop, f_pop, sigma, merged_pop @ w_red, X_pop @ w_full, rng):
-                ok = False
+            def products(X):
+                X[:, 3] = X[:, 1]
+                return X @ w, _merge_columns_1_and_3(X) @ w_red, X @ w_full
+
+            ok = not _merge_hurts(rng, D, 3, sigma, products)
         good += int(ok)
     for _ in range(budget.draws):
         X = rng.standard_normal((n_train, D))

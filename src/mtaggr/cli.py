@@ -302,10 +302,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default="",
                    help="comma-separated check names (default: all)")
     p.add_argument("--quick", action="store_true", help="reduced sampling budgets")
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--n-eval", type=int, default=None)
-    p.add_argument("--n-pop", type=int, default=None)
-    p.add_argument("--draws", type=int, default=None)
+    p.add_argument("--replicates", type=int, default=None,
+                   help="Monte-Carlo replicates of variance_formula, bias_single_task, "
+                        "bias_aggregated (0.8 times, at least 100), closure and delta_mse")
+    p.add_argument("--n-eval", type=int, default=None,
+                   help="evaluation rows of variance_formula, bias_single_task (twice "
+                        "as many), bias_aggregated, closure and delta_mse")
+    p.add_argument("--n-pop", type=int, default=None,
+                   help="population rows of the bias_single_task, bias_aggregated and "
+                        "delta_mse bias decompositions; the merge-guarantee "
+                        "populations are always 100 000 rows")
+    p.add_argument("--draws", type=int, default=None,
+                   help="draws of each pair kind in merge_guarantee_targets and "
+                        "merge_guarantee_features")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default="verification_report.json")

@@ -308,6 +308,58 @@ def _fill_rows(fill, rows: int, first, scratch):
     return head
 
 
+# A streamed block holds about this many bytes, and its rows start at a
+# multiple of _BLOCK_ALIGN.
+_BLOCK_BYTES = 1 << 20
+_BLOCK_ALIGN = 8
+
+
+def _row_blocks(rows: int, row_bytes: int) -> list[slice]:
+    """Consecutive slices that cover ``range(rows)``, each of about _BLOCK_BYTES.
+
+    A product taken block by block gets the bits of the whole product only
+    where BLAS takes every row down the same path.  OpenBLAS's
+    matrix-vector kernels take rows in groups (of four in the Haswell
+    kernels), and a row left over from the groups can get other bits, so
+    every block starts at a multiple of _BLOCK_ALIGN rows and holds at least
+    that many.  numpy hands a single row to another BLAS routine, so a
+    one-row tail joins the block before it.
+    """
+    step = max(1, _BLOCK_BYTES // (row_bytes * _BLOCK_ALIGN)) * _BLOCK_ALIGN
+    stops = list(range(step, rows, step))
+    if stops and rows - stops[-1] == 1:
+        stops.pop()
+    return [slice(a, b) for a, b in zip([0, *stops], [*stops, rows])]
+
+
+def _total_mse(coefs, phi_eval, f_eval, sigma_i, rng):
+    """Each replicate's squared error against fresh noise, and its spread over the points.
+
+    Returns each replicate's mean squared error over the evaluation points,
+    against the signal plus ``sigma_i`` times normals from ``rng``, and the
+    standard deviation over the points of their mean over the replicates.
+    The replicates x points error is taken a block of replicate rows at a
+    time, drawn from ``rng`` in row order as one draw would be, and every
+    step keeps the bits of the one-block expression: ((preds - f) - eps)^2
+    in that order, and a mean over the replicates as numpy takes it, the
+    rows added in order and then divided.
+    """
+    replicates, n_eval = coefs.shape[0], f_eval.shape[0]
+    per_rep = np.empty(replicates)
+    col_sum = np.zeros(n_eval)
+    for rows in _row_blocks(replicates, 8 * n_eval):
+        sq_err = coefs[rows] @ phi_eval.T
+        sq_err -= f_eval
+        eps = rng.standard_normal(sq_err.shape)
+        eps *= sigma_i
+        sq_err -= eps
+        sq_err **= 2
+        per_rep[rows] = sq_err.mean(axis=1)
+        for row in sq_err:
+            col_sum += row
+    return per_rep, (col_sum / replicates).std(ddof=1)
+
+
 # Batches of the fresh sample whose bias values give the standard error.
 _BIAS_BATCHES = 10
 # The smallest budgets the estimators accept.
@@ -409,10 +461,12 @@ def monte_carlo_bias_variance(
     evaluation noise so the three-way closure is a real check.
 
     That total is the largest single draw (replicates x ``n_eval`` normals)
-    and only the closure check reads it.  With ``total=False`` it is not
-    drawn and ``total_mse`` and ``total_se`` are ``None``.  Every other
-    field is bit-identical to ``total=True``: the evaluation noise has its
-    own stream, apart from the replicate and bootstrap streams.
+    and only the closure check reads it.  It is drawn and reduced a block of
+    replicates at a time (see :func:`_total_mse`), so no replicates x
+    ``n_eval`` array is held.  With ``total=False`` it is not drawn and
+    ``total_mse`` and ``total_se`` are ``None``.  Every other field is
+    bit-identical to ``total=True``: the evaluation noise has its own
+    stream, apart from the replicate and bootstrap streams.
 
     Each replicate reduces its training set to the normal equations
     (phi'phi, phi'psi), on every CPU the process may run on; each draws
@@ -420,12 +474,11 @@ def monte_carlo_bias_variance(
     are.  One stacked ``solve`` gives every replicate's coefficients.  The
     variance and bias statistics are then taken in coefficient space (see
     :func:`_bootstrap_ses`): a prediction is linear in the coefficients, so
-    no replicates x ``n_eval`` prediction matrix is formed except for the
-    total.  The stacked solve needs ``n_train`` above the number of feature
-    clusters and nonsingular phi'phi in every replicate; otherwise
-    ``ValidationError`` is raised, as it is for an empty ``cluster``, an
-    index out of range, or ``feature_clusters`` that is not a partition of
-    the features.
+    no replicates x ``n_eval`` prediction matrix is formed.  The stacked
+    solve needs ``n_train`` above the number of feature clusters and
+    nonsingular phi'phi in every replicate; otherwise ``ValidationError`` is
+    raised, as it is for an empty ``cluster``, an index out of range, or
+    ``feature_clusters`` that is not a partition of the features.
     """
     if replicates < MIN_REPLICATES:
         raise ValidationError(f"need replicates >= {MIN_REPLICATES}, got {replicates}")
@@ -507,21 +560,10 @@ def monte_carlo_bias_variance(
 
     total_mse = per_rep_total = None
     if total:
-        eps_eval = np.random.default_rng(eps_eval_seed).standard_normal(
-            (replicates, n_eval)
+        per_rep_total, point_total_sd = _total_mse(
+            coefs, phi_eval, f_eval, sigma_i, np.random.default_rng(eps_eval_seed)
         )
-        eps_eval *= sigma_i
-        # ((preds - f) - eps)^2 in one buffer, in that order so the bits
-        # stay those of the plain expression.
-        sq_err = coefs @ phi_eval.T
-        sq_err -= f_eval[None, :]
-        sq_err -= eps_eval
-        del eps_eval
-        sq_err **= 2
-        per_rep_total = sq_err.mean(axis=1)
         total_mse = float(per_rep_total.mean())
-        point_total_sd = sq_err.mean(axis=0).std(ddof=1)
-        del sq_err
 
     var_se, bias_se, total_se = _bootstrap_ses(
         dev, gram_eval, mean_coef - b_f, per_rep_total, bootstrap,

@@ -1,18 +1,24 @@
 """Smoke coverage of the verification-check plumbing (full budgets run in acceptance)."""
 
+import copy
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from mtaggr import checks, oracle
 from mtaggr.aggregation import REPLAY_ATOL, REPLAY_RTOL
 from mtaggr.checks import (
     CHECKS,
     VerifyBudget,
     _summary,
     check_closure,
+    check_merge_guarantee_features,
+    check_merge_guarantee_targets,
     check_noise_variance,
     run_checks,
 )
@@ -104,6 +110,88 @@ def test_quick_reports_at_seed_3_match_the_recorded_ones():
     got = [r.to_dict() for r in run_checks(None, VerifyBudget.quick(), seed=3)]
     # Round-trip through JSON so the comparison sees what a report file stores.
     _assert_same_report(json.loads(json.dumps(got)), want)
+
+
+def test_full_budget_reports_at_seed_0_match_the_recorded_ones():
+    # The quick budget never reaches 500 replicates or 50 merge draws.
+    names = ["closure", "merge_guarantee_targets", "merge_guarantee_features"]
+    want = json.loads((DATA / "verify_full_seed0_streamed.json").read_text(encoding="utf-8"))
+    got = [r.to_dict() for r in run_checks(names, VerifyBudget(), seed=0)]
+    _assert_same_report(json.loads(json.dumps(got)), want)
+
+
+def unblocked_worsened(signal, sigma, pred_new, pred_base, rng):
+    """The paired population comparison as it was before it was built in place."""
+    eps = rng.standard_normal(signal.shape[0]) * sigma
+    y = signal + eps
+    diff = (pred_new - y) ** 2 - (pred_base - y) ** 2
+    n = len(diff)
+    se = float(diff.std(ddof=1) / np.sqrt(n))
+    base = float(np.mean((pred_base - y) ** 2))
+    return float(diff.mean()) > 3 * se + 1e-12 * max(1.0, base)
+
+
+# The smallest block the rule makes, three groups, and a block of every row.
+BLOCK_SIZES = [oracle._BLOCK_ALIGN, 3 * oracle._BLOCK_ALIGN, 1 << 30]
+
+
+@pytest.mark.parametrize("check", [check_merge_guarantee_targets,
+                                   check_merge_guarantee_features])
+def test_merge_guarantee_populations_have_the_bits_of_one_block(check, monkeypatch):
+    """Blocked populations and in-place comparisons against one draw and one product.
+
+    Each population is compared, bit for bit, with the products taken on the
+    whole population drawn at once from a copy of the stream, and each
+    comparison's decision with the expression it replaced, at populations of
+    10 001 rows (a one-row tail after blocks of 8) and 10 007.
+    """
+    population, worsened = checks._population, checks._worsened
+    seen = []
+
+    def whole(rng, D, k, products):
+        X = copy.deepcopy(rng).standard_normal((checks._MERGE_POPULATION, D))
+        want = np.array(products(X))
+        got = population(rng, D, k, products)
+        seen.append(got.shape == (k, X.shape[0]) and got.tobytes() == want.tobytes())
+        return got
+
+    def compared(signal, sigma, pred_new, pred_base, rng):
+        want = unblocked_worsened(signal, sigma, pred_new, pred_base, copy.deepcopy(rng))
+        got = worsened(signal, sigma, pred_new, pred_base, rng)
+        seen.append(got == want)
+        return got
+
+    monkeypatch.setattr(checks, "_population", whole)
+    monkeypatch.setattr(checks, "_worsened", compared)
+    budget = replace(VerifyBudget.quick(), draws=3)
+    for n_pop in (10_001, 10_007):
+        monkeypatch.setattr(checks, "_MERGE_POPULATION", n_pop)
+        results = []
+        for rows in BLOCK_SIZES:
+            monkeypatch.setattr(oracle, "_BLOCK_BYTES", rows * 8 * 5)
+            results.append(check(budget, seed=6))
+        assert results[0] == results[1] == results[2]
+    assert seen and all(seen)
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("check, bound_mb", [
+    # One replicates x n_eval block of the total is 40 MB at this budget.
+    (check_closure, 8),
+    # One population of 100 000 x 5 normals is 4 MB.
+    (check_merge_guarantee_features, 8),
+    (check_merge_guarantee_targets, 9),
+])
+def test_full_budget_peak_stays_low(check, bound_mb):
+    assert _traced_peak(lambda: check(VerifyBudget(), seed=0)) < bound_mb * 2**20
 
 
 def _case(theoretical, empirical, se, passed):

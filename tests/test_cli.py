@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mtaggr import cli, linstats
+from mtaggr import checks, cli, linstats
 from mtaggr.checks import CheckResult
 from mtaggr.data import Dataset, load_dataset, schema_for
 from mtaggr.synth import SynthConfig, generate
@@ -306,6 +306,22 @@ class TestVerifyCommand:
         assert err.startswith("validation error:") and field in err
         assert "Traceback" not in err
         assert ran == [] and not out.exists()
+
+    def test_merge_guarantee_populations_do_not_follow_n_pop(self, tmp_path, monkeypatch,
+                                                            capsys):
+        rows, worsened = [], checks._worsened
+
+        def counted(signal, *args):
+            rows.append(len(signal))
+            return worsened(signal, *args)
+
+        monkeypatch.setattr(checks, "_worsened", counted)
+        assert run("verify", "--checks", "merge_guarantee_targets,merge_guarantee_features",
+                   "--draws", "1", "--n-pop", "20000",
+                   "--out", str(tmp_path / "r.json")) == 0
+        assert rows and set(rows) == {100_000}
+        assert run("verify", "--help") == 0
+        assert "always 100 000 rows" in " ".join(capsys.readouterr().out.split())
 
     def test_failed_check_exits_3(self, tmp_path, monkeypatch):
         def failing(budget, seed=0):

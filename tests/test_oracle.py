@@ -1,5 +1,6 @@
 """Closed-form evaluators and Monte-Carlo estimators against independent oracles."""
 
+import copy
 import sys
 import threading
 
@@ -713,6 +714,82 @@ class TestReplicateThreads:
         monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 2, 5},
                             raising=False)
         assert oracle._usable_cpus() == 3
+
+
+def block_rows(monkeypatch, rows, row_bytes):
+    """Make the streamed blocks ``rows`` rows of ``row_bytes`` (a multiple of the alignment)."""
+    assert rows % oracle._BLOCK_ALIGN == 0
+    monkeypatch.setattr(oracle, "_BLOCK_BYTES", rows * row_bytes)
+
+
+# The smallest block the rule makes, three groups, and a block of every row.
+BLOCK_SIZES = [oracle._BLOCK_ALIGN, 3 * oracle._BLOCK_ALIGN, 1 << 30]
+
+
+def unblocked_total(coefs, phi_eval, f_eval, sigma_i, rng):
+    """The closure total as one replicates x points block, as it was before streaming."""
+    eps_eval = rng.standard_normal((coefs.shape[0], f_eval.shape[0]))
+    eps_eval *= sigma_i
+    sq_err = coefs @ phi_eval.T
+    sq_err -= f_eval[None, :]
+    sq_err -= eps_eval
+    sq_err **= 2
+    return sq_err.mean(axis=1), sq_err.mean(axis=0).std(ddof=1)
+
+
+class TestStreamedBlocks:
+    """The closure total, taken a block of replicates at a time, keeps the bits of one block."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 7, 8, 9, 17, 100, 105, 137, 100_000])
+    @pytest.mark.parametrize("row_bytes", [40, 80_000, 10**7])
+    def test_block_rule(self, rows, row_bytes):
+        blocks = oracle._row_blocks(rows, row_bytes)
+        align = oracle._BLOCK_ALIGN
+        step = max(align, oracle._BLOCK_BYTES // row_bytes // align * align)
+        assert blocks[0].start == 0 and blocks[-1].stop == rows
+        for a, b in zip(blocks, blocks[1:]):
+            assert a.stop == b.start and a.start % align == 0
+            assert a.stop - a.start == step
+        sizes = [b.stop - b.start for b in blocks]
+        assert 1 not in sizes or rows == 1  # a one-row tail joins the block before it
+        assert max(sizes) <= step + 1
+
+    @pytest.mark.parametrize("rows", BLOCK_SIZES)
+    @pytest.mark.parametrize("replicates, L", [(105, 1), (137, 3), (100, 6)])
+    def test_total_has_the_bits_of_one_block(self, rows, replicates, L, monkeypatch):
+        rng = np.random.default_rng(replicates + L)
+        coefs = rng.standard_normal((replicates, L))
+        phi_eval = rng.standard_normal((1000, L))
+        f_eval = rng.standard_normal(1000)
+        block_rows(monkeypatch, rows, 8 * 1000)
+        got = oracle._total_mse(coefs, phi_eval, f_eval, 1.5, np.random.default_rng(4))
+        want = unblocked_total(coefs, phi_eval, f_eval, 1.5, np.random.default_rng(4))
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1]
+
+    @pytest.mark.parametrize("identity_partition", [True, False])
+    def test_estimate_has_the_bits_of_one_block(self, identity_partition, monkeypatch):
+        # 105 replicates: blocks of 8 leave a one-row tail, of 24 a 9-row one.
+        task = make_task(np.array([[0.7, -0.2, 0.4, 1.1], [0.3, 0.9, -0.5, 0.2]]),
+                         NoiseModel.equicorrelated(1.5, 2, 0.3))
+        partition = identity(4) if identity_partition else ((0, 2), (1,), (3,))
+        total_mse, seen = oracle._total_mse, []
+
+        def compared(coefs, phi_eval, f_eval, sigma_i, rng):
+            want = unblocked_total(coefs, phi_eval, f_eval, sigma_i, copy.deepcopy(rng))
+            got = total_mse(coefs, phi_eval, f_eval, sigma_i, rng)
+            seen.append(got[0].tobytes() == want[0].tobytes() and got[1] == want[1])
+            return got
+
+        monkeypatch.setattr(oracle, "_total_mse", compared)
+        estimates = []
+        for rows in BLOCK_SIZES:
+            block_rows(monkeypatch, rows, 8 * 10_000)
+            estimates.append(monte_carlo_bias_variance(
+                task, [0, 1], partition, 0, 40, 105, 10_000, seed=9, bootstrap=20))
+        assert seen == [True] * len(BLOCK_SIZES)
+        assert estimates[0] == estimates[1] == estimates[2]
+        assert estimates[0].total_mse is not None
 
 
 class TestOracleInputValidation:
