@@ -168,7 +168,7 @@ def test_merge_guarantee_populations_have_the_bits_of_one_block(check, monkeypat
         monkeypatch.setattr(checks, "_MERGE_POPULATION", n_pop)
         results = []
         for rows in BLOCK_SIZES:
-            monkeypatch.setattr(oracle, "_BLOCK_BYTES", rows * 8 * 5)
+            monkeypatch.setattr(oracle, "_BLOCK_BYTES", rows * 8 * 5)  # rows of 5 doubles
             results.append(check(budget, seed=6))
         assert results[0] == results[1] == results[2]
     assert seen and all(seen)

@@ -769,7 +769,8 @@ class TestStreamedBlocks:
 
     @pytest.mark.parametrize("identity_partition", [True, False])
     def test_estimate_has_the_bits_of_one_block(self, identity_partition, monkeypatch):
-        # 105 replicates: blocks of 8 leave a one-row tail, of 24 a 9-row one.
+        # 105 replicates: blocks of 8 end in a 9-row block (a one-row tail
+        # joins the block before it), blocks of 24 in a 9-row tail.
         task = make_task(np.array([[0.7, -0.2, 0.4, 1.1], [0.3, 0.9, -0.5, 0.2]]),
                          NoiseModel.equicorrelated(1.5, 2, 0.3))
         partition = identity(4) if identity_partition else ((0, 2), (1,), (3,))
