@@ -582,9 +582,8 @@ def run_checks(
     names: Sequence[str] | None = None,
     budget: VerifyBudget | None = None,
     seed: int = 0,
-    jobs: int = 1,
 ) -> list[CheckResult]:
-    """Run the named checks (all of them by default) and return their results."""
+    """Run the named checks (all of them by default) in order; return their results."""
     budget = budget or VerifyBudget()
     selected = list(names) if names else list(CHECKS)
     unknown = [n for n in selected if n not in CHECKS]
@@ -592,11 +591,4 @@ def run_checks(
         raise ValidationError(
             f"unknown check name(s) {unknown}; expected one of {sorted(CHECKS)}"
         )
-    if jobs < 1:
-        raise ValidationError(f"need jobs >= 1, got {jobs}")
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda n: CHECKS[n](budget, seed), selected))
     return [CHECKS[n](budget, seed) for n in selected]

@@ -76,7 +76,8 @@ def _build_schema(header_targets: list[str], ignore: list[str], homogeneous: boo
     """Targets and ignores are named; the rest of the header become features.
 
     In homogeneous mode feature columns must be named ``<feature>@<target>``
-    and are routed to that target's slab.
+    and are routed to that target's slab; as slabs are read in header order,
+    every target must list the same feature names in the same order.
     """
     p = Path(path)
     header = _read_header(p)
@@ -86,6 +87,7 @@ def _build_schema(header_targets: list[str], ignore: list[str], homogeneous: boo
     missing = sorted((targets | ignores) - set(header))
     if missing:
         raise ValidationError(f"columns {missing} not present in {p}")
+    slab_names: dict[str, list[str]] = {t: [] for t in header if t in targets}
     for name in header:
         if name in targets:
             schema[name] = "target"
@@ -97,14 +99,20 @@ def _build_schema(header_targets: list[str], ignore: list[str], homogeneous: boo
                     f"homogeneous mode: feature column {name!r} must be named "
                     "<feature>@<target>"
                 )
-            owner = name.rsplit("@", 1)[1]
+            feature, owner = name.rsplit("@", 1)
             if owner not in targets:
                 raise ValidationError(
                     f"column {name!r} names unknown target {owner!r}"
                 )
             schema[name] = f"feature:{owner}"
+            slab_names[owner].append(feature)
         else:
             schema[name] = "feature"
+    slabs = list(slab_names.items())
+    for (before, want), (target, got) in zip(slabs, slabs[1:]):
+        if got != want:
+            raise ValidationError(f"homogeneous mode: target {target!r} lists features "
+                                  f"{got}, but target {before!r} lists {want}")
     return schema
 
 
@@ -124,6 +132,9 @@ def _single_task_predictions(dataset) -> np.ndarray:
 
 
 def cmd_aggregate(args) -> int:
+    if args.epsilon is not None and not args.homogeneous:
+        raise ValidationError("--epsilon is the tolerance of --homogeneous; "
+                              "without it, use --epsilon1 and --epsilon2")
     targets = [t for t in args.targets.split(",") if t]
     ignore = [c for c in (args.ignore or "").split(",") if c]
     schema = _build_schema(targets, ignore, args.homogeneous, args.input)
@@ -170,8 +181,7 @@ def cmd_aggregate(args) -> int:
     lines.append("in-sample R^2 per task (single-task -> aggregated):")
     single = _single_task_predictions(centered)
     for ci, (y, X) in enumerate(reduced):
-        coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-        pred = X @ coef
+        pred = X @ linstats._core_fit(X, y)[0]
         for t in result.task_partition.clusters[ci]:
             actual = centered.targets[:, t]
             before = linstats._prediction_r2(single[:, t], actual)
@@ -215,7 +225,7 @@ def cmd_sweep(args) -> int:
     values = [v for v in args.values.split(",") if v]
     if not values:
         raise ValidationError("--values must list at least one value")
-    table = sweep(config, args.axis, values, base_seed=args.seed, jobs=args.jobs)
+    table = sweep(config, args.axis, values, base_seed=args.seed)
     table.to_csv(args.out)
     if not args.quiet:
         print(f"wrote {args.out} ({len(table.rows)} rows)")
@@ -232,7 +242,7 @@ def cmd_verify(args) -> int:
     }
     budget = replace(budget, **overrides)
 
-    results = run_checks(names, budget, seed=args.seed, jobs=args.jobs)
+    results = run_checks(names, budget, seed=args.seed)
     doc = {
         "all_passed": all(r.passed for r in results),
         "checks": [r.to_dict() for r in results],
@@ -270,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon1", type=float, default=0.0)
     p.add_argument("--epsilon2", type=float, default=1e-4)
     p.add_argument("--epsilon", type=float, default=None,
-                   help="tolerance for the homogeneous variant")
+                   help="tolerance of the homogeneous variant (needs --homogeneous)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out-dir", default="out")
     p.add_argument("--quiet", action="store_true")
@@ -293,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON file of generator settings")
     _add_config_flags(p)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default="sweep.csv")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_sweep)
@@ -316,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="draws of each pair kind in merge_guarantee_targets and "
                         "merge_guarantee_features")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default="verification_report.json")
     p.set_defaults(func=cmd_verify)
 

@@ -2,7 +2,10 @@
 
 Every least-squares fit of the package is made here, and returns its
 coefficients with a :class:`ThresholdFit`, the record the threshold tests
-read.  :func:`_factor` makes the one SVD that the walks on a shared feature
+read, except two solves for many right-hand sides that no threshold test
+reads: the summary's single-task fits (``cli._single_task_predictions``)
+and the replicates of ``oracle.coefficient_covariance_check``.
+:func:`_factor` makes the one SVD that the walks on a shared feature
 matrix read, and decides where phase II's restriction identity is allowed.
 
 All fits are intercept-free: callers are expected to center columns first

@@ -11,7 +11,6 @@ order: coefficients, train features, train noise, test features, test noise.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import ClassVar, Sequence
@@ -300,15 +299,16 @@ def sweep(
     axis: str,
     values: Sequence,
     base_seed: int = 0,
-    jobs: int = 1,
 ) -> SweepTable:
-    """Re-run the benchmark along one axis, averaging metrics over seeds."""
+    """Re-run the benchmark along one axis, averaging metrics over seeds.
+
+    A value's rows depend only on ``base``, the value and ``base_seed``, so
+    sweeps of separate values, joined in order, give the rows of one sweep.
+    """
     if axis not in SWEEP_AXES:
         raise ValidationError(
             f"unknown sweep axis {axis!r}; expected one of {sorted(SWEEP_AXES)}"
         )
-    if jobs < 1:
-        raise ValidationError(f"need jobs >= 1, got {jobs}")
     field_name = SWEEP_AXES[axis]
     rows: list[dict] = []
     for value in values:
@@ -319,12 +319,7 @@ def sweep(
             except ValueError:
                 raise ValidationError(f"sweep axis {axis}: bad value {value!r}") from None
         config = replace(base, **{field_name: value})
-        seeds = [base_seed + k for k in range(config.n_repeats)]
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                metrics = list(pool.map(lambda s: run_trial(config, s), seeds))
-        else:
-            metrics = [run_trial(config, s) for s in seeds]
+        metrics = [run_trial(config, base_seed + k) for k in range(config.n_repeats)]
         for name in TrialMetrics.METRIC_FIELDS:
             samples = np.array([getattr(m, name) for m in metrics])
             rows.append(

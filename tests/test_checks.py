@@ -43,12 +43,6 @@ def test_run_checks_rejects_unknown_names():
         run_checks(["nope"])
 
 
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_run_checks_rejects_jobs_below_one(jobs):
-    with pytest.raises(ValidationError, match="jobs"):
-        run_checks(["noise_variance"], VerifyBudget.quick(), jobs=jobs)
-
-
 @pytest.mark.parametrize("field, value", [
     ("draws", 0), ("draws", -1), ("draws", 2.0), ("draws", True), ("bootstrap", -1),
     ("replicates", 99), ("n_eval", 9_999), ("n_pop", 9_999), ("n_eval", 1e4),

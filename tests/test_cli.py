@@ -179,6 +179,31 @@ class TestAggregateCommand:
         covered = sorted(t for c in doc["task_clusters"] for t in c)
         assert covered == [0, 1]
 
+    @pytest.mark.parametrize("header, listed", [
+        ("a@y0,b@y0,b@y1,a@y1,y0,y1", "['b', 'a']"),
+        ("a@y0,b@y0,a@y1,c@y1,y0,y1", "['a', 'c']"),
+    ], ids=["reordered", "renamed"])
+    def test_homogeneous_slabs_listing_other_features_exit_1(self, tmp_path, capsys,
+                                                             header, listed):
+        # Slabs are stacked in header order, so they must name the same
+        # features in the same order or the walk would average unlike columns.
+        p = tmp_path / "slabs.csv"
+        p.write_text(header + "\n1,2,3,4,5,6\n6,5,4,3,2,1\n0,1,0,1,0,1\n")
+        out = tmp_path / "res"
+        assert run("aggregate", "--input", str(p), "--targets", "y0,y1",
+                   "--homogeneous", "--out-dir", str(out), "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: homogeneous mode: target 'y1' "
+                              f"lists features {listed}")
+        assert not out.exists()
+
+    def test_epsilon_without_homogeneous_exits_1(self, tmp_path, dataset_csv, capsys):
+        out = tmp_path / "res"
+        assert run("aggregate", "--input", str(dataset_csv), "--targets", "y0,y1,y2",
+                   "--epsilon", "0.5", "--out-dir", str(out), "--quiet") == 1
+        assert "--homogeneous" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("kind", ["plain", "mixed_units", "duplicate"])
 def test_single_task_predictions_match_lstsq_per_slab(kind):
@@ -220,13 +245,6 @@ class TestSweepCommand:
     def test_unknown_axis_exits_1(self, tmp_path):
         assert run("sweep", "--axis", "bogus", "--values", "1",
                    "--out", str(tmp_path / "s.csv")) == 1
-
-    def test_jobs_below_one_exits_1(self, tmp_path, capsys):
-        out = tmp_path / "s.csv"
-        assert run("sweep", "--axis", "n_train", "--values", "60",
-                   "--repeats", "1", "--jobs", "0", "--out", str(out)) == 1
-        assert "jobs" in capsys.readouterr().err
-        assert not out.exists()
 
     @pytest.mark.parametrize("argv, config", [
         (["--axis", "sigma", "--values", "1", "--repeats", "0"], None),
@@ -281,13 +299,6 @@ class TestVerifyCommand:
     def test_unknown_check_exits_1(self, tmp_path):
         assert run("verify", "--checks", "bogus",
                    "--out", str(tmp_path / "r.json")) == 1
-
-    def test_jobs_below_one_exits_1(self, tmp_path, capsys):
-        out = tmp_path / "r.json"
-        assert run("verify", "--quick", "--checks", "noise_variance",
-                   "--jobs", "0", "--out", str(out)) == 1
-        assert "jobs" in capsys.readouterr().err
-        assert not out.exists()
 
     @pytest.mark.parametrize("flags, field", [
         (("--draws", "0"), "draws"),

@@ -159,10 +159,10 @@ class TestSweep:
         with pytest.raises(ValidationError, match="unknown sweep axis"):
             sweep(SMALL, "samples", [10])
 
-    @pytest.mark.parametrize("jobs", [0, -2])
-    def test_jobs_below_one_rejected(self, jobs):
-        with pytest.raises(ValidationError, match="jobs"):
-            sweep(SMALL, "sigma", [1.0], jobs=jobs)
+    def test_rows_split_by_value(self):
+        # Sweeps of separate values, run apart, give the rows of one sweep.
+        assert sweep(SMALL, "sigma", [0.5, 1.0]).rows == (
+            sweep(SMALL, "sigma", [0.5]).rows + sweep(SMALL, "sigma", [1.0]).rows)
 
     @pytest.mark.parametrize("axis, value, match", [
         ("n_train", 2.5, "n_train"), ("n_train", "2.5", "axis n_train"),
