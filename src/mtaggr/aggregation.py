@@ -604,8 +604,9 @@ class AggregationResult:
     """Complete output of a run: both partitions, the trace, and the knobs.
 
     ``fingerprint`` names the centered data the run saw (see
-    :func:`_fingerprint`); it is None for a result read from a document
-    that predates it.
+    :func:`_fingerprint`).  Every result that a run or
+    :func:`result_from_json` returns has one; a document whose fingerprint
+    is not a string is refused.
     """
 
     task_partition: TaskPartition
@@ -951,7 +952,7 @@ class _StoredDecisions:
         pass
 
 
-def _derived_trace(records: list, walks, legacy: bool) -> list[ThresholdReport]:
+def _derived_trace(records: list, walks) -> list[ThresholdReport]:
     """The trace records of ``walks``, with the members each was tested against.
 
     ``walks`` holds (phase, task cluster, walk order, final clusters) in
@@ -959,8 +960,7 @@ def _derived_trace(records: list, walks, legacy: bool) -> list[ThresholdReport]:
     that precede its candidate in walk order; they are rebuilt by walking
     each order with the decisions the stored clusters imply, which also
     gives every record's cluster, candidate and decision.  Raises
-    ValidationError if the records or the clusters differ from that walk,
-    or, for ``legacy`` documents, if a record's stored members do.
+    ValidationError if the records or the clusters differ from that walk.
     """
     steps = []
     for phase, task_cluster, order, clusters in walks:
@@ -985,11 +985,6 @@ def _derived_trace(records: list, walks, legacy: bool) -> list[ThresholdReport]:
             raise ValidationError(
                 f"trace record {k} has (phase, task cluster, cluster, candidate, "
                 f"accepted) {got}; the partitions imply {want}"
-            )
-        if legacy and d.get("members") != list(step.members):
-            raise ValidationError(
-                f"trace record {k} stores members {d.get('members')}; "
-                f"the partitions imply {list(step.members)}"
             )
         trace.append(report)
     return trace
@@ -1028,17 +1023,17 @@ def result_from_json(text: str, dataset: Dataset) -> AggregationResult:
         raise ValidationError(f"result document is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError("result document is not a JSON object")
-    version = doc.get("format_version", 1)
-    if type(version) is not int or version not in (1, FORMAT_VERSION):
-        raise ValidationError(f"unknown result format_version {version!r}")
-    keys = ["seed", "epsilon1", "epsilon2", "task_clusters", "feature_clusters",
-            "trace"]
-    if version == FORMAT_VERSION:
-        keys += ["homogeneous", "fingerprint"]
-    for key in keys:
+    version = doc.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ValidationError(f"result format_version must be {FORMAT_VERSION}, "
+                              f"got {version!r}")
+    for key in ("seed", "epsilon1", "epsilon2", "homogeneous", "fingerprint",
+                "task_clusters", "feature_clusters", "trace"):
         if key not in doc:
             raise ValidationError(f"result document is missing key {key!r}")
-    for key, ok in (("seed", _is_int), ("epsilon1", _is_real), ("epsilon2", _is_real)):
+    for key, ok in (("seed", _is_int), ("epsilon1", _is_real), ("epsilon2", _is_real),
+                    ("homogeneous", lambda v: isinstance(v, bool)),
+                    ("fingerprint", lambda v: isinstance(v, str))):
         if not ok(doc[key]):
             raise ValidationError(f"result document has a malformed {key!r}: {doc[key]!r}")
     if not all(isinstance(doc[key], list) for key in ("feature_clusters", "trace")):
@@ -1047,26 +1042,12 @@ def result_from_json(text: str, dataset: Dataset) -> AggregationResult:
     feature_partitions = tuple(
         FeaturePartition(fc, dataset.n_features) for fc in doc["feature_clusters"]
     )
-    legacy = version == 1
-    if legacy:
-        # Documents without a version store every record's members, which
-        # are checked against the derived ones, and carry no fingerprint.
-        # Those written before the variant was stored infer it: a
-        # homogeneous run needs slabs and leaves every feature cluster a
-        # singleton.
-        fingerprint = None
-        homogeneous = doc.get("homogeneous", dataset.per_task_features is not None
-                              and all(len(c) == 1 for fp in feature_partitions
-                                      for c in fp.clusters))
-    else:
-        fingerprint, homogeneous = doc["fingerprint"], doc["homogeneous"]
-    if not isinstance(homogeneous, bool):
-        raise ValidationError(f"'homogeneous' must be true or false, got {homogeneous!r}")
+    fingerprint, homogeneous = doc["fingerprint"], doc["homogeneous"]
     if homogeneous and dataset.per_task_features is None:
         raise ValidationError("a homogeneous result needs data with per-task slabs")
     if homogeneous and any(len(c) > 1 for fp in feature_partitions for c in fp.clusters):
         raise ValidationError("a homogeneous result merges no features")
-    if fingerprint is not None and fingerprint != _fingerprint(dataset):
+    if fingerprint != _fingerprint(dataset):
         raise ValidationError(
             f"result was written from data {fingerprint}, not {_fingerprint(dataset)}"
         )
@@ -1077,7 +1058,7 @@ def result_from_json(text: str, dataset: Dataset) -> AggregationResult:
     if not homogeneous:
         features = list(range(dataset.n_features))
         walks += [(2, t, features, fp.clusters) for t, fp in enumerate(feature_partitions)]
-    trace = _derived_trace(doc["trace"], walks, legacy)
+    trace = _derived_trace(doc["trace"], walks)
     return AggregationResult(
         task_partition=task_partition,
         feature_partitions=feature_partitions,

@@ -76,8 +76,8 @@ def _build_schema(header_targets: list[str], ignore: list[str], homogeneous: boo
     """Targets and ignores are named; the rest of the header become features.
 
     In homogeneous mode feature columns must be named ``<feature>@<target>``
-    and are routed to that target's slab; as slabs are read in header order,
-    every target must list the same feature names in the same order.
+    and are routed to that target's slab; :func:`load_dataset` checks that
+    the slabs list the same features.
     """
     p = Path(path)
     header = _read_header(p)
@@ -87,7 +87,6 @@ def _build_schema(header_targets: list[str], ignore: list[str], homogeneous: boo
     missing = sorted((targets | ignores) - set(header))
     if missing:
         raise ValidationError(f"columns {missing} not present in {p}")
-    slab_names: dict[str, list[str]] = {t: [] for t in header if t in targets}
     for name in header:
         if name in targets:
             schema[name] = "target"
@@ -99,20 +98,14 @@ def _build_schema(header_targets: list[str], ignore: list[str], homogeneous: boo
                     f"homogeneous mode: feature column {name!r} must be named "
                     "<feature>@<target>"
                 )
-            feature, owner = name.rsplit("@", 1)
+            owner = name.rsplit("@", 1)[1]
             if owner not in targets:
                 raise ValidationError(
                     f"column {name!r} names unknown target {owner!r}"
                 )
             schema[name] = f"feature:{owner}"
-            slab_names[owner].append(feature)
         else:
             schema[name] = "feature"
-    slabs = list(slab_names.items())
-    for (before, want), (target, got) in zip(slabs, slabs[1:]):
-        if got != want:
-            raise ValidationError(f"homogeneous mode: target {target!r} lists features "
-                                  f"{got}, but target {before!r} lists {want}")
     return schema
 
 

@@ -452,6 +452,10 @@ def load_dataset(path, schema: Mapping[str, str]) -> Dataset:
     (homogeneous variant).  Header columns absent from the schema are
     ignored; schema entries naming absent columns are an error.  Column
     order in the file is preserved.
+
+    A slab column of target ``t`` must be named ``<feature>@t``, and every
+    target must list the same features in the same order; the dataset's
+    feature names are the bare ``<feature>`` parts.
     """
     p = Path(path)
     header = _read_header(p)
@@ -476,10 +480,17 @@ def load_dataset(path, schema: Mapping[str, str]) -> Dataset:
     feature_cols = [c for c in header if roles[c] == "feature"]
     target_cols = [c for c in header if roles[c] == "target"]
     slab_cols: dict[str, list[str]] = {}
+    slab_names: dict[str, list[str]] = {}
     for c in header:
         if roles[c].startswith("feature:"):
             owner = roles[c].split(":", 1)[1]
+            if not c.endswith(f"@{owner}"):
+                raise ValidationError(
+                    f"column {c!r} is a feature of target {owner!r}, so it must "
+                    f"be named <feature>@{owner}"
+                )
             slab_cols.setdefault(owner, []).append(c)
+            slab_names.setdefault(owner, []).append(c[: -len(owner) - 1])
 
     if slab_cols:
         if feature_cols:
@@ -494,11 +505,15 @@ def load_dataset(path, schema: Mapping[str, str]) -> Dataset:
                 f"per-task feature owners {sorted(owners)} do not match "
                 f"target columns {sorted(targets_set)}"
             )
-        widths = {t: len(cols) for t, cols in slab_cols.items()}
-        if len(set(widths.values())) != 1:
-            raise ValidationError(
-                f"per-task slabs must have equal column counts, got {widths}"
-            )
+        # The shared view averages the slabs column by column, so every slab
+        # must list the same features in the same order.
+        first, *rest = target_cols
+        for t in rest:
+            if slab_names[t] != slab_names[first]:
+                raise ValidationError(
+                    f"per-task slabs: target {t!r} lists features {slab_names[t]}, "
+                    f"but target {first!r} lists {slab_names[first]}"
+                )
     if not feature_cols and not slab_cols:
         raise ValidationError("schema selects zero feature columns")
     if not target_cols:
@@ -517,11 +532,10 @@ def load_dataset(path, schema: Mapping[str, str]) -> Dataset:
             table[:, [index[c] for c in slab_cols[t]]] for t in target_cols
         )
         features = np.mean(np.stack(slabs), axis=0)
-        feature_names = tuple(slab_cols[target_cols[0]])
         return Dataset(
             features=features,
             targets=targets,
-            feature_names=feature_names,
+            feature_names=tuple(slab_names[target_cols[0]]),
             target_names=tuple(target_cols),
             per_task_features=slabs,
         )

@@ -2,7 +2,6 @@
 
 import json
 import pickle
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -33,24 +32,6 @@ from mtaggr import aggregation, linstats
 from mtaggr.data import Dataset, FeaturePartition, TaskPartition, center
 from mtaggr.errors import ValidationError, ZeroVarianceError
 from mtaggr.synth import SynthConfig, generate
-
-
-# A result document as written before format_version 2: every trace record
-# stores its members.  It is the result of nonlin_ctfa(make_centered(seed=9),
-# 0.0, 1e-4, seed=1).
-V1_DOCUMENT = Path(__file__).resolve().parent / "data" / "result_v1.json"
-
-
-def v1_document(result) -> dict:
-    """The document of ``result`` in the layout of :data:`V1_DOCUMENT`."""
-    doc = json.loads(result_to_json(result))
-    del doc["format_version"], doc["fingerprint"]
-    doc["trace"] = [
-        {**{k: d[k] for k in ("phase", "cluster", "candidate")},
-         "members": list(r.members), **d}
-        for d, r in zip(doc["trace"], result.trace)
-    ]
-    return doc
 
 
 def centered(a):
@@ -606,25 +587,19 @@ class TestDriver:
         with pytest.raises(ValidationError):
             result_from_json(result_to_json(result), smaller)
 
-    def test_json_with_stored_working_columns_loads(self):
-        # Documents written before the working columns were derived store
-        # them as "context" on every phase-2 record; the key is ignored.
-        build, eps1, eps2, seed = REEVALUATION_CASES["duplicate_column"]
+    @pytest.mark.parametrize("case", sorted(REEVALUATION_CASES))
+    def test_loaded_document_replays_and_reevaluates(self, case):
+        # The members of a loaded record are rebuilt from the partitions, so
+        # each record must re-evaluate from them as the run's record did.
+        build, eps1, eps2, seed = REEVALUATION_CASES[case]
         ds = build()
-        doc = v1_document(nonlin_ctfa(ds, eps1, eps2, seed=seed))
-        phase2 = [r for r in doc["trace"] if r["phase"] == 2]
-        assert phase2 and any(len(r["members"]) > 1 for r in phase2)
-        for r in phase2:
-            closed = doc["feature_clusters"][r["task_cluster"]][: r["cluster"]]
-            visited = set(r["members"]).union(*closed)
-            r["context"] = (
-                [sorted(c) for c in closed]
-                + [sorted(r["members"])]
-                + [[k] for k in range(ds.n_features) if k not in visited]
-            )
-        rebuilt = result_from_json(json.dumps(doc), ds)
-        assert_replay(ds, rebuilt)
-        assert_reevaluates(ds, rebuilt)
+        result = nonlin_ctfa(ds, eps1, eps2, seed=seed)
+        loaded = result_from_json(result_to_json(result), ds)
+        assert loaded.trace == result.trace
+        if case == "duplicate_column":
+            assert any(len(r.members) > 1 for r in loaded.trace if r.phase == 2)
+        assert_replay(ds, loaded)
+        assert_reevaluates(ds, loaded)
 
     def test_reevaluation_rejects_records_outside_the_partitions(self):
         ds = make_centered(seed=9)
@@ -774,13 +749,6 @@ class TestDriver:
         assert not rebuilt.homogeneous
         assert_replay(ds, rebuilt)
 
-    def test_json_without_variant_key_infers_it(self):
-        ds = make_homogeneous(seed=6)
-        result = nonlin_ctfa_homogeneous(ds, 0.0, seed=1)
-        doc = v1_document(result)
-        del doc["homogeneous"]
-        assert result_from_json(json.dumps(doc), ds).homogeneous
-
 
 def degenerate_dataset(n, D, L, homogeneous, degenerate, seed):
     """Random centered data with one degenerate feature or target column."""
@@ -898,11 +866,14 @@ class TestResultDocument:
         with pytest.raises(ValidationError, match="slabs=0"):
             result_from_json(shared, slab_ds)
 
-    @pytest.mark.parametrize("version", [0, 3, "2", 2.0, True, None])
+    @pytest.mark.parametrize("version", [0, 1, 3, "2", 2.0, True, None, "absent"])
     def test_rejects_an_unknown_format_version(self, version):
         ds = make_centered(seed=9)
         doc = json.loads(result_to_json(nonlin_ctfa(ds, 0.0, 1e-4, seed=1)))
-        doc["format_version"] = version
+        if version == "absent":
+            del doc["format_version"]
+        else:
+            doc["format_version"] = version
         with pytest.raises(ValidationError, match="format_version"):
             result_from_json(json.dumps(doc), ds)
 
@@ -938,47 +909,6 @@ class TestResultDocument:
         with pytest.raises(ValidationError):
             result_from_json(json.dumps(doc), ds)
 
-    def test_v1_document_loads_through_the_legacy_branch(self):
-        ds = make_centered(seed=9)
-        text = V1_DOCUMENT.read_text(encoding="utf-8")
-        loaded = result_from_json(text, ds)
-        fresh = nonlin_ctfa(ds, 0.0, 1e-4, seed=1)
-        assert loaded.fingerprint is None and not loaded.homogeneous
-        assert [r.members for r in loaded.trace] == [r.members for r in fresh.trace]
-        assert any(len(r.members) > 1 for r in loaded.trace if r.phase == 1)
-        assert any(len(r.members) > 1 for r in loaded.trace if r.phase == 2)
-        assert_replay(ds, loaded)
-        assert_reevaluates(ds, loaded)
-        # v1_document writes the same layout, so the legacy tests can build
-        # v1 documents from any result.
-        doc, mimic = json.loads(text), v1_document(fresh)
-        assert list(doc) == list(mimic)
-        assert [list(r) for r in doc["trace"]] == [list(r) for r in mimic["trace"]]
-        assert [r["members"] for r in doc["trace"]] == [
-            r["members"] for r in mimic["trace"]
-        ]
-        # Written again it is a v2 document with no fingerprint to check.
-        again = result_to_json(loaded)
-        assert json.loads(again)["fingerprint"] is None
-        assert result_to_json(result_from_json(again, ds)) == again
-
-    @pytest.mark.parametrize("change", ["extra_member", "missing_member",
-                                        "reordered", "absent"])
-    def test_rejects_v1_members_that_disagree_with_the_partitions(self, change):
-        ds = make_centered(seed=9)
-        doc = json.loads(V1_DOCUMENT.read_text(encoding="utf-8"))
-        record = next(r for r in doc["trace"] if len(r["members"]) > 1)
-        if change == "extra_member":
-            record["members"].append(record["candidate"])
-        elif change == "missing_member":
-            record["members"].pop()
-        elif change == "reordered":
-            record["members"].reverse()
-        else:
-            del record["members"]
-        with pytest.raises(ValidationError, match="members"):
-            result_from_json(json.dumps(doc), ds)
-
     @pytest.mark.parametrize("edit", [
         lambda doc: {**doc, "seed": 1.7},
         lambda doc: {**doc, "seed": True},
@@ -993,10 +923,13 @@ class TestResultDocument:
         lambda doc: {**doc, "trace": [5] * len(doc["trace"])},
         lambda doc: {**doc, "trace": [{**doc["trace"][0], "r_p": "abc"},
                                       *doc["trace"][1:]]},
+        lambda doc: {**doc, "fingerprint": None},
+        lambda doc: {**doc, "fingerprint": 7},
     ], ids=["fractional_seed", "boolean_seed", "text_seed", "text_epsilon",
             "scalar_task_clusters", "null_feature_clusters", "null_trace",
             "top_level_list", "not_json", "text_cluster_index",
-            "record_not_an_object", "text_trace_scalar"])
+            "record_not_an_object", "text_trace_scalar", "null_fingerprint",
+            "numeric_fingerprint"])
     def test_rejects_a_malformed_document(self, edit):
         ds = make_centered(seed=9)
         doc = json.loads(result_to_json(nonlin_ctfa(ds, 0.0, 1e-4, seed=1)))

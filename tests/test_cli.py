@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from mtaggr import checks, cli, linstats
+from mtaggr.aggregation import assert_replay, result_from_json
 from mtaggr.checks import CheckResult
-from mtaggr.data import Dataset, load_dataset, schema_for
+from mtaggr.data import Dataset, center, load_dataset, schema_for
 from mtaggr.synth import SynthConfig, generate
 
 
@@ -92,6 +93,25 @@ def dataset_csv(tmp_path):
     return out / "train.csv"
 
 
+@pytest.fixture()
+def slabs_csv(tmp_path):
+    """Two targets, each with its own slab of the features a and b."""
+    rng = np.random.default_rng(0)
+    n = 60
+    rows = ["a@y0,b@y0,a@y1,b@y1,y0,y1"]
+    slab0 = rng.standard_normal((n, 2))
+    slab1 = rng.standard_normal((n, 2))
+    y0 = slab0 @ [1.0, 0.5] + 0.1 * rng.standard_normal(n)
+    y1 = slab1 @ [1.0, 0.5] + 0.1 * rng.standard_normal(n)
+    for i in range(n):
+        rows.append(",".join(repr(float(v)) for v in
+                             (slab0[i, 0], slab0[i, 1],
+                              slab1[i, 0], slab1[i, 1], y0[i], y1[i])))
+    p = tmp_path / "homog.csv"
+    p.write_text("\n".join(rows) + "\n")
+    return p
+
+
 class TestAggregateCommand:
     def test_writes_result_files(self, tmp_path, dataset_csv, capsys):
         out = tmp_path / "res"
@@ -156,28 +176,35 @@ class TestAggregateCommand:
     def test_bad_flag_exits_1(self):
         assert run("aggregate", "--nope") == 1
 
-    def test_homogeneous_from_csv(self, tmp_path):
-        rng = np.random.default_rng(0)
-        n = 60
-        rows = ["a@y0,b@y0,a@y1,b@y1,y0,y1"]
-        slab0 = rng.standard_normal((n, 2))
-        slab1 = rng.standard_normal((n, 2))
-        y0 = slab0 @ [1.0, 0.5] + 0.1 * rng.standard_normal(n)
-        y1 = slab1 @ [1.0, 0.5] + 0.1 * rng.standard_normal(n)
-        for i in range(n):
-            rows.append(",".join(repr(float(v)) for v in
-                                 (slab0[i, 0], slab0[i, 1],
-                                  slab1[i, 0], slab1[i, 1], y0[i], y1[i])))
-        p = tmp_path / "homog.csv"
-        p.write_text("\n".join(rows) + "\n")
+    def test_homogeneous_from_csv(self, tmp_path, slabs_csv):
         out = tmp_path / "res"
-        code = run("aggregate", "--input", str(p), "--targets", "y0,y1",
+        code = run("aggregate", "--input", str(slabs_csv), "--targets", "y0,y1",
                    "--homogeneous", "--epsilon", "0.0", "--seed", "0",
                    "--out-dir", str(out), "--quiet")
         assert code == 0
         doc = json.loads((out / "result.json").read_text())
         covered = sorted(t for c in doc["task_clusters"] for t in c)
         assert covered == [0, 1]
+
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_written_result_reloads_and_replays(self, tmp_path, dataset_csv, slabs_csv,
+                                                homogeneous):
+        if homogeneous:
+            path, targets = slabs_csv, ["y0", "y1"]
+            schema = {f"{f}@{t}": f"feature:{t}" for t in targets for f in "ab"}
+            flags = ["--homogeneous", "--epsilon", "0.0"]
+        else:
+            path, targets = dataset_csv, ["y0", "y1", "y2"]
+            schema = {f"x{k}": "feature" for k in range(5)}
+            flags = []
+        out = tmp_path / "res"
+        assert run("aggregate", "--input", str(path), "--targets", ",".join(targets),
+                   *flags, "--seed", "3", "--out-dir", str(out), "--quiet") == 0
+        schema.update({t: "target" for t in targets})
+        ds = center(load_dataset(path, schema)).dataset
+        result = result_from_json((out / "result.json").read_text(encoding="utf-8"), ds)
+        assert result.homogeneous is homogeneous
+        assert_replay(ds, result)
 
     @pytest.mark.parametrize("header, listed", [
         ("a@y0,b@y0,b@y1,a@y1,y0,y1", "['b', 'a']"),
@@ -193,7 +220,7 @@ class TestAggregateCommand:
         assert run("aggregate", "--input", str(p), "--targets", "y0,y1",
                    "--homogeneous", "--out-dir", str(out), "--quiet") == 1
         err = capsys.readouterr().err
-        assert err.startswith("validation error: homogeneous mode: target 'y1' "
+        assert err.startswith("validation error: per-task slabs: target 'y1' "
                               f"lists features {listed}")
         assert not out.exists()
 

@@ -112,9 +112,47 @@ class TestLoadDataset:
         assert ds.per_task_features is not None
         assert len(ds.per_task_features) == 2
         assert ds.per_task_features[0].shape == (3, 2)
+        assert ds.feature_names == ("f1", "f2")
         np.testing.assert_array_equal(
             ds.features, (ds.per_task_features[0] + ds.per_task_features[1]) / 2
         )
+
+    def test_constant_slab_column_is_named_by_its_feature(self, tmp_path):
+        # b@y1 is constant: centering reports task 1's feature b, not the
+        # column of target 0 in the same position.
+        text = "a@y0,b@y0,a@y1,b@y1,y0,y1\n1,2,3,4,5,6\n7,8,9,4,11,12\n0,1,5,4,2,0\n"
+        schema = {
+            "a@y0": "feature:y0", "b@y0": "feature:y0",
+            "a@y1": "feature:y1", "b@y1": "feature:y1",
+            "y0": "target", "y1": "target",
+        }
+        ds = load_dataset(write(tmp_path, text), schema)
+        assert center(ds).constant_columns == ("task1_feature:b",)
+
+    def test_slabs_listing_other_features_in_order_rejected(self, tmp_path):
+        # Paired by position, slab 1 would be [b, a] and the shared mean
+        # would average a with b.
+        text = "a@y0,b@y0,b@y1,a@y1,y0,y1\n1,10,20,2,0,1\n3,30,40,4,1,0\n"
+        schema = {
+            "a@y0": "feature:y0", "b@y0": "feature:y0",
+            "b@y1": "feature:y1", "a@y1": "feature:y1",
+            "y0": "target", "y1": "target",
+        }
+        with pytest.raises(ValidationError, match=r"target 'y1' lists features "
+                           r"\['b', 'a'\], but target 'y0' lists \['a', 'b'\]"):
+            load_dataset(write(tmp_path, text), schema)
+
+    @pytest.mark.parametrize("name", ["f2", "f2@y1", "f2@y0x"])
+    def test_slab_column_not_named_for_its_target_rejected(self, tmp_path, name):
+        text = f"f1@y0,{name},f1@y1,f3@y1,y0,y1\n1,2,3,4,5,6\n6,5,4,3,2,1\n"
+        schema = {
+            "f1@y0": "feature:y0", name: "feature:y0",
+            "f1@y1": "feature:y1", "f3@y1": "feature:y1",
+            "y0": "target", "y1": "target",
+        }
+        with pytest.raises(ValidationError, match=f"column '{name}' is a feature of "
+                           "target 'y0', so it must be named <feature>@y0"):
+            load_dataset(write(tmp_path, text), schema)
 
     def test_mixed_shared_and_slab_roles_rejected(self, tmp_path):
         text = "f1,f2@y0,y0\n1,2,3\n4,5,6\n"
@@ -128,7 +166,8 @@ class TestLoadDataset:
             "f1@y0": "feature:y0", "f2@y0": "feature:y0",
             "f1@y1": "feature:y1", "y0": "target", "y1": "target",
         }
-        with pytest.raises(ValidationError, match="equal column counts"):
+        with pytest.raises(ValidationError, match=r"target 'y1' lists features "
+                           r"\['f1'\], but target 'y0' lists \['f1', 'f2'\]"):
             load_dataset(write(tmp_path, text), schema)
 
 

@@ -1,18 +1,22 @@
 """Record paired benchmark runs of a change and its base into a BENCH_*.json file.
 
-    python3 tools/bench_record.py --base ../base-checkout --out BENCH_8.json
-    python3 tools/bench_record.py --base ../base-checkout --workloads many_targets \\
+    python3 tools/bench_record.py --base ../base --out BENCH_8.json
+    python3 tools/bench_record.py --base ../base --workloads many_targets \\
         --seeds 0,11 --out BENCH_8.json
 
 For every workload and seed it runs ``perfbench/run.py --workload W --seed S
 --seconds 24 --trace 0`` once in the base checkout and once in this one, per
-pair, each in a fresh process.  It always runs 10 pairs, the fewest that can
-carry a claimed gain, at the run length claims are made at.  The order
-alternates from pair to pair (base first in even pairs), so slow drift of
-the machine favours neither side.  The file keeps each run's final JSON line and the ``environment`` line, and for
-each end-to-end metric of ``BENCHMARK.json`` the median and quartiles of
-either side and the pairs the change won.  With ``--append`` the runs are
-added to an existing file, which must come from the same environment.
+pair, each in a fresh process.  Run it from a clone of the change whose base
+is a sibling clone in the same directory, as ``--base ../base`` above:
+``setup_s`` and the ``many_targets`` peak RSS have been seen to follow the
+directory a side runs in, not its code.  It always runs 10 pairs, the fewest
+that can carry a claimed gain, at the run length claims are made at.  The
+order alternates from pair to pair (base first in even pairs), so slow drift
+of the machine favours neither side.  The file keeps each run's final JSON
+line and the ``environment`` line, and for each end-to-end metric of
+``BENCHMARK.json`` the median and quartiles of either side and the pairs the
+change won.  With ``--append`` the runs are added to an existing file, which
+must come from the same environment.
 Standard library only.
 """
 
