@@ -64,7 +64,7 @@ record's field list.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -604,9 +604,9 @@ class AggregationResult:
     """Complete output of a run: both partitions, the trace, and the knobs.
 
     ``fingerprint`` names the centered data the run saw (see
-    :func:`_fingerprint`).  Every result that a run or
-    :func:`result_from_json` returns has one; a document whose fingerprint
-    is not a string is refused.
+    :func:`_fingerprint`).  It is required, by keyword, and must be a
+    string, so every result can be written as a document that
+    :func:`result_from_json` reads back.
     """
 
     task_partition: TaskPartition
@@ -616,9 +616,11 @@ class AggregationResult:
     epsilon1: float
     epsilon2: float
     homogeneous: bool = False
-    fingerprint: str | None = None
+    fingerprint: str = field(kw_only=True)
 
     def __post_init__(self):
+        if not isinstance(self.fingerprint, str):
+            raise ValidationError(f"fingerprint must be a string, got {self.fingerprint!r}")
         if len(self.feature_partitions) != self.task_partition.n_clusters:
             raise ValidationError(
                 f"{len(self.feature_partitions)} feature partitions for "

@@ -77,7 +77,9 @@ def _build_schema(header_targets: list[str], ignore: list[str], homogeneous: boo
 
     In homogeneous mode feature columns must be named ``<feature>@<target>``
     and are routed to that target's slab; :func:`load_dataset` checks that
-    the slabs list the same features.
+    the slabs list the same features.  A target name may hold ``@`` itself,
+    so a column goes to the one named target t for which it ends in ``@t``,
+    and a column that ends so for two targets is refused.
     """
     p = Path(path)
     header = _read_header(p)
@@ -93,20 +95,32 @@ def _build_schema(header_targets: list[str], ignore: list[str], homogeneous: boo
         elif name in ignores:
             schema[name] = "ignore"
         elif homogeneous:
-            if "@" not in name:
+            owners = _owners(name, targets)
+            if not owners:
                 raise ValidationError(
                     f"homogeneous mode: feature column {name!r} must be named "
-                    "<feature>@<target>"
+                    "<feature>@<target> for one of the targets"
                 )
-            owner = name.rsplit("@", 1)[1]
-            if owner not in targets:
+            if len(owners) > 1:
                 raise ValidationError(
-                    f"column {name!r} names unknown target {owner!r}"
+                    f"homogeneous mode: column {name!r} ends in @<target> for "
+                    f"the targets {sorted(owners)}"
                 )
-            schema[name] = f"feature:{owner}"
+            schema[name] = f"feature:{owners[0]}"
         else:
             schema[name] = "feature"
     return schema
+
+
+def _owners(name: str, targets: set[str]) -> list[str]:
+    """The targets t for which ``name`` ends in ``@t``."""
+    owners = []
+    rest = name
+    while "@" in rest:
+        rest = rest.partition("@")[2]
+        if rest in targets:
+            owners.append(rest)
+    return owners
 
 
 def _single_task_predictions(dataset) -> np.ndarray:

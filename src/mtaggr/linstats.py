@@ -214,12 +214,39 @@ def _gram_fit(X, y) -> tuple[np.ndarray, ThresholdFit] | None:
     eps * cond(X), which must stay within REPLAY_RTOL for the two to agree.
 
     So this returns None, for the caller to fit with lstsq, unless n > d,
-    cond(Xs) <= MAX_COND and cond(X) <= cond(Xs) * max_j ||x_j|| / min_j
-    ||x_j|| <= MAX_LSTSQ_COND are proven.  The proof reads cond(Xs)^2 =
-    cond(Gs) from the extreme eigenvalues of Gs, each widened by ``slack``:
-    forming and scaling Gs moves its eigenvalues by at most about n * eps *
-    trace(Gs), and ``eigvalsh`` returns them to within a small multiple of
-    d * eps * ||Gs|| (LAPACK Users' Guide, sec. 4.7).  Such an X has rank d
+    cond(Xs) <= MAX_COND and cond(X) <= cond(Xs) * spread <= MAX_LSTSQ_COND
+    are proven, with spread = max_j ||x_j|| / min_j ||x_j||.  Both bounds
+    say lambda_min >= r * lambda_max for the exact Gs, with
+    r = max(1 / MAX_COND^2, spread^2 / MAX_LSTSQ_COND^2).  The proof takes
+    an upper bound h on lambda_max, and one Cholesky factorization of
+    Gs - tau I with tau = r * h + slack shows lambda_min > r * h
+    (Golub and Van Loan, *Matrix Computations*, sec. 4.2):
+
+    * Forming G (error at most gamma_n |X|'|X|, Higham sec. 3.5), the norms
+      and the scaling move the exact Gs, in the 1-norm and the 2-norm, by
+      at most about (2n + 6) * d * eps, since |Xs|'|Xs| has trace d and
+      entries at most 1.  So does the symmetric matrix B that agrees with
+      the computed Gs on the triangle the factorization reads.
+    * lambda_max <= ||Gs||_1 for the exact, symmetric Gs.  Where the test
+      fails with that h, it is tried once more with h = ||Gs^8||_F^(1/8),
+      from three d x d products: ||B^8||_F >= ||B||_2^8, and the bound is
+      at most d^(1/16) * lambda_max.  Each product fl(PQ) errs by at most
+      gamma_d |P||Q|, of F-norm at most gamma_d ||P||_F ||Q||_F, and
+      ||B^k||_F <= sqrt(d) ||B||_2^k; so the computed power is within
+      7.1 * (d + 9) * d * eps * ||B||_2^8 of B^8, and its root at least
+      ||B||_2 / (1 + 2 (d + 9) * d * eps).  Either h is an upper bound on
+      lambda_max once widened to h * (1 + slack) + slack.
+    * If the factorization of M = fl(B - tau I) runs to completion, its
+      factor satisfies L L' = M + dM with |dM| <= gamma_(d+1) |L||L'|
+      (Higham, Thm 10.3, for any order of the inner products).  Then
+      ||dM||_2 <= gamma_(d+1) ||L||_F^2 and ||L||_F^2 = trace(M + dM), so
+      lambda_min(M) >= -gamma_(d+1) / (1 - gamma_(d+1)) * trace(M), about
+      -(d + 1) * d * eps; forming M moves its diagonal by at most eps,
+      since tau < B_ii.
+
+    The terms add up to about (2n + d + 8) * d * eps, and the roundings of
+    r, h and tau, each a few (n + 1) * eps on a number below 1, stay inside
+    slack = 16 (n + d) * d * eps with room to spare.  Such an X has rank d
     under lstsq's cutoff, cond(X) < 1 / (eps * max(n, d)), too.  The
     residual sum of squares is taken from y - X b; by Pythagoras it exceeds
     the least one by exactly the squared error of the fitted values, so its
@@ -232,18 +259,37 @@ def _gram_fit(X, y) -> tuple[np.ndarray, ThresholdFit] | None:
         return None
     G = A.T @ A
     norms = np.sqrt(np.diag(G))
-    # cond(Xs) >= 1, so a spread of norms past the bound alone declines.
-    if not norms.min() * MAX_LSTSQ_COND >= norms.max():
+    low, high = norms.min(), norms.max()
+    # cond(Xs) >= 1, so a spread of norms past the bound alone declines, as
+    # do zero and non-finite norms, which leave Gs undefined.
+    if not (0.0 < low and high < np.inf and high <= low * MAX_LSTSQ_COND):
         return None
-    spread = norms.max() / norms.min()
     s = 1.0 / norms
     Gs = s[:, None] * G * s
-    eig = np.linalg.eigvalsh(Gs)
-    slack = 2.0 * (n + d) * _EPS * d  # trace(Gs) = d
-    lo, hi = eig[0] - slack, eig[-1] + slack
-    if not (hi <= MAX_COND**2 * lo and hi * spread**2 <= MAX_LSTSQ_COND**2 * lo):
+    slack = 16.0 * (n + d) * d * _EPS
+    r = max(MAX_COND**-2, (high / low / MAX_LSTSQ_COND) ** 2)
+    if not (_shift_factors(Gs, r, np.abs(Gs).sum(axis=0).max(), slack)
+            or _shift_factors(Gs, r, _eighth_root_of_power(Gs), slack)):
         return None
     return _fitted(A, v, s * np.linalg.solve(Gs, s * (A.T @ v)), d)
+
+
+def _eighth_root_of_power(Gs: np.ndarray) -> float:
+    """||Gs^8||_F^(1/8), from three products."""
+    P = Gs @ Gs
+    P = P @ P
+    return np.linalg.norm(P @ P) ** 0.125
+
+
+def _shift_factors(Gs: np.ndarray, r: float, h: float, slack: float) -> bool:
+    """Whether Gs - tau I factors, for tau = r * h + slack with h widened by slack."""
+    M = Gs.copy()
+    M.flat[:: M.shape[0] + 1] -= r * (h * (1.0 + slack) + slack) + slack
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _slab_fit(X, y) -> tuple[np.ndarray, ThresholdFit]:

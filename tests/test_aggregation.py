@@ -1163,8 +1163,11 @@ class TestSlabFits:
 
     def walk(self, ds, epsilon, monkeypatch):
         calls = count_calls(monkeypatch, np.linalg, "lstsq")
+        solves = count_calls(monkeypatch, np.linalg, "eigvalsh")
         result = nonlin_ctfa_homogeneous(ds, epsilon, seed=1)
         monkeypatch.undo()
+        # The gate proves its bounds with Cholesky factorizations alone.
+        assert solves == []
         assert 0 < sum(r.accepted for r in result.trace) < len(result.trace)
         assert_reevaluates(ds, result)
         return result, calls
@@ -1207,12 +1210,14 @@ class TestSlabFits:
         X = Q * np.geomspace(1e-2, 1e2, 8)
         y = rng.standard_normal(60)
         made = count_calls(monkeypatch, np.linalg, "lstsq")
+        solves = count_calls(monkeypatch, np.linalg, "eigvalsh")
         linstats._slab_fit(X, y)
-        assert len(made) == calls
+        assert len(made) == calls and solves == []
 
     def test_every_fit_of_rank_deficient_slabs_falls_back(self, monkeypatch):
         ds = with_duplicate_slab_column(make_homogeneous(seed=6))
-        # This tolerance accepts 2 of 5.
+        # This tolerance accepts 2 of 5.  Every slab declines at the Cholesky
+        # test, with no eigenvalue solve (see walk).
         result, calls = self.walk(ds, 0.7, monkeypatch)
         # One fit per task, then one per comparison.
         assert len(calls) == ds.n_tasks + len(result.trace)
@@ -1251,9 +1256,22 @@ def test_result_refuses_feature_partitions_of_different_sizes():
     tasks = TaskPartition([[0], [1]], 2)
     with pytest.raises(ValidationError, match="different sizes"):
         AggregationResult(tasks, (FeaturePartition([[0]], 1),
-                                  FeaturePartition([[0], [1]], 2)), (), 0, 0.0, 0.0)
+                                  FeaturePartition([[0], [1]], 2)), (), 0, 0.0, 0.0,
+                          fingerprint="hand-built")
     same = (FeaturePartition([[0, 1]], 2), FeaturePartition([[0], [1]], 2))
-    assert AggregationResult(tasks, same, (), 0, 0.0, 0.0).feature_partitions == same
+    result = AggregationResult(tasks, same, (), 0, 0.0, 0.0, fingerprint="hand-built")
+    assert result.feature_partitions == same
+
+
+@pytest.mark.parametrize("fingerprint", [None, 7, b"n=2"])
+def test_result_refuses_a_fingerprint_that_is_not_a_string(fingerprint):
+    # result_from_json refuses such a fingerprint, so no result may carry one.
+    tasks = TaskPartition([[0], [1]], 2)
+    features = (FeaturePartition([[0]], 1),) * 2
+    with pytest.raises(ValidationError, match="fingerprint must be a string"):
+        AggregationResult(tasks, features, (), 0, 0.0, 0.0, fingerprint=fingerprint)
+    with pytest.raises(TypeError, match="fingerprint"):
+        AggregationResult(tasks, features, (), 0, 0.0, 0.0)
 
 
 class TestRecordTypes:

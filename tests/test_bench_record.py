@@ -46,3 +46,30 @@ def test_a_changed_environment_is_an_error():
     doc = {"environment": {"cpu": "other"}, "runs": {}}
     with pytest.raises(RuntimeError, match="environment"):
         bench_record.record(doc, Path("base"), ["reference"], [0], 1, 1.0, runner=run)
+
+
+def test_summaries_state_gains_and_regressions():
+    metrics = [{"name": name, "better": better, "bound": 0.25}
+               for name, better in (("fast", "lower"), ("tied", "lower"), ("close", "lower"),
+                                    ("slow", "lower"), ("rate", "higher"))]
+    base = {"fast": [1.0 + k / 100 for k in range(10)], "tied": [1.0] * 10,
+            "close": [1.0 + k / 10 for k in range(10)], "slow": [1.0] * 10,
+            "rate": [1.0] * 10}
+    change = {"fast": [0.9] * 10,
+              # Nine wins and one tie: ties count for neither side.
+              "tied": [0.5] * 9 + [1.0],
+              # Ten wins, but a median gap inside the base's spread.
+              "close": [v - 0.01 for v in base["close"]],
+              "slow": [1.3] * 10, "rate": [1.2] * 9 + [0.9]}
+    pairs = [{side: {"metrics": {name: {"value": values[name][k]} for name in values}}
+              for side, values in (("base", base), ("change", change))}
+             for k in range(10)]
+    summary = bench_record.summarize(pairs, metrics)
+    verdicts = {name: (entry["wins"], entry["gain"], entry["regressed"])
+                for name, entry in summary.items()}
+    assert verdicts == {"fast": (10, True, False), "tied": (9, True, False),
+                        "close": (10, False, False), "slow": (0, False, True),
+                        "rate": (9, True, False)}
+    # Eight wins are too few, whatever the medians.
+    pairs[0]["change"]["metrics"]["tied"]["value"] = 1.5
+    assert not bench_record.summarize(pairs, metrics)["tied"]["gain"]

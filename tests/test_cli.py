@@ -224,6 +224,36 @@ class TestAggregateCommand:
                               f"lists features {listed}")
         assert not out.exists()
 
+    def test_homogeneous_targets_named_with_at(self, tmp_path):
+        # The column x@t@1 belongs to the target t@1, not to a target 1.
+        rng = np.random.default_rng(4)
+        header = ["x@t@1", "w@t@1", "x@u", "w@u", "t@1", "u"]
+        p = tmp_path / "at.csv"
+        np.savetxt(p, rng.standard_normal((40, 6)), delimiter=",", header=",".join(header),
+                   comments="")
+        schema = cli._build_schema(["t@1", "u"], [], True, p)
+        assert schema == {"x@t@1": "feature:t@1", "w@t@1": "feature:t@1",
+                          "x@u": "feature:u", "w@u": "feature:u",
+                          "t@1": "target", "u": "target"}
+        out = tmp_path / "res"
+        assert run("aggregate", "--input", str(p), "--targets", "t@1,u", "--homogeneous",
+                   "--epsilon", "0", "--out-dir", str(out), "--quiet") == 0
+        ds = center(load_dataset(p, schema)).dataset
+        assert ds.feature_names == ("x", "w")
+        assert_replay(ds, result_from_json((out / "result.json").read_text(), ds))
+
+    def test_column_ending_in_two_targets_exits_1(self, tmp_path, capsys):
+        # x@t@1 ends in @1 and in @t@1, so it could be either target's.
+        p = tmp_path / "at.csv"
+        p.write_text("x@t@1,x@1,t@1,1\n1,2,3,4\n4,3,2,1\n0,1,0,1\n")
+        out = tmp_path / "res"
+        assert run("aggregate", "--input", str(p), "--targets", "1,t@1", "--homogeneous",
+                   "--out-dir", str(out), "--quiet") == 1
+        assert capsys.readouterr().err.startswith(
+            "validation error: homogeneous mode: column 'x@t@1' ends in @<target> "
+            "for the targets ['1', 't@1']")
+        assert not out.exists()
+
     def test_epsilon_without_homogeneous_exits_1(self, tmp_path, dataset_csv, capsys):
         out = tmp_path / "res"
         assert run("aggregate", "--input", str(dataset_csv), "--targets", "y0,y1,y2",

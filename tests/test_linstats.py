@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtaggr import linstats
 from mtaggr.errors import ValidationError, ZeroVarianceError
 from mtaggr.linstats import (
     MAX_COND,
@@ -293,6 +294,47 @@ def unit_columns(X):
 # Column scales as of features in different units, spread over 10^(+-2).
 UNITS = 10.0 ** np.random.default_rng(3).uniform(-2, 2, 50)
 
+
+def eigvalsh_gate(X) -> bool:
+    """Whether the extreme eigenvalues of the scaled X'X prove both bounds of _gram_fit.
+
+    The gate as it was proven before the shifted Cholesky test, kept as an
+    oracle: each eigenvalue is widened by the rounding of forming Gs and of
+    ``eigvalsh`` (LAPACK Users' Guide, sec. 4.7).  Zero and non-finite
+    column norms decline, as in _gram_fit.
+    """
+    n, d = X.shape
+    if n <= d:
+        return False
+    G = X.T @ X
+    norms = np.sqrt(np.diag(G))
+    low, high = norms.min(), norms.max()
+    if not (0.0 < low and high < np.inf and high <= low * MAX_LSTSQ_COND):
+        return False
+    spread = high / low
+    s = 1.0 / norms
+    eig = np.linalg.eigvalsh(s[:, None] * G * s)
+    slack = 2.0 * (n + d) * np.finfo(float).eps * d
+    lo, hi = eig[0] - slack, eig[-1] + slack
+    return bool(hi <= MAX_COND**2 * lo and hi * spread**2 <= MAX_LSTSQ_COND**2 * lo)
+
+
+def admitted_on_the_retry_only(n=125, d=50, seed=1):
+    """Unit-norm columns scaled over a spread that only the retry's bound admits.
+
+    The gate needs lambda_min >= r * h with r = spread^2 / MAX_LSTSQ_COND^2
+    here.  The spread puts r * h at the geometric mean of its values for
+    h = ||Gs||_1 and h = ||Gs^8||_F^(1/8), so the first fails and the second
+    passes by the square root of their ratio, about 1.4 at d = 50.
+    """
+    Z = unit_columns(slab(n, d, seed))
+    G = Z.T @ Z
+    one = np.abs(G).sum(axis=0).max()
+    eighth = np.linalg.norm(np.linalg.matrix_power(G, 8)) ** 0.125
+    r = np.linalg.eigvalsh(G)[0] / np.sqrt(one * eighth)
+    return Z * np.geomspace(1.0, MAX_LSTSQ_COND * np.sqrt(r), d)
+
+
 # name -> (X, whether the Gram fit may be used).  The gate reads the
 # condition number of X with unit-norm columns, so the cases at the bound
 # correlate a pair of columns, and column scales alone do not decline a fit
@@ -310,11 +352,13 @@ GRAM_CASES = {
         (scaled_orthonormal(MAX_LSTSQ_COND * (1 - 1e-3)), True),
     "column_norms_past_lstsq_bound":
         (scaled_orthonormal(MAX_LSTSQ_COND * (1 + 1e-3)), False),
+    "column_norms_admitted_on_the_retry_only": (admitted_on_the_retry_only(), True),
     "duplicate_column": (with_column(slab(), 7, slab()[:, 3]), False),
     "zero_column": (with_column(slab(), 7, 0.0), False),
     "n_equals_d": (slab(n=50), False),
     "n_below_d": (slab(n=40), False),
     "single_feature": (slab(d=1), True),
+    "all_zero": (np.zeros((30, 5)), False),
 }
 
 
@@ -364,6 +408,35 @@ class TestGramFit:
                     assert np.linalg.cond(unit_columns(X)) <= MAX_COND
                     assert np.linalg.cond(X) <= MAX_LSTSQ_COND
         assert taken and declined
+
+    @pytest.mark.parametrize("case", sorted(GRAM_CASES))
+    def test_the_eigenvalue_oracle_agrees_on_every_case(self, case):
+        X, taken = GRAM_CASES[case]
+        assert eigvalsh_gate(X) == taken
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_admits_every_slab_the_eigenvalue_oracle_admits(self, seed):
+        # A component shared by every column takes cond(Xs) across MAX_COND
+        # between shared = 3 and 4.  Column scales over 10^(+-a) leave Gs as
+        # it is and raise r; at a = 3 they take cond(X) across MAX_LSTSQ_COND,
+        # where the one-norm bound often fails and the retry decides.
+        rng = np.random.default_rng([9, seed])
+        admitted = 0
+        for a in (0.0, 1.0, 2.0, 3.0):
+            for shared in (0.0, 1.0, 3.0, 4.0):
+                Z = slab(seed=seed) + shared * rng.standard_normal((125, 1))
+                X = Z * 10.0 ** rng.uniform(-a, a, 50)
+                if eigvalsh_gate(X):
+                    admitted += 1
+                    assert _gram_fit(X, rng.standard_normal(125)) is not None, (a, shared)
+        assert admitted
+
+    def test_the_retry_bound_admits_what_the_one_norm_cannot(self, monkeypatch):
+        X = admitted_on_the_retry_only()
+        y = np.random.default_rng(5).standard_normal(X.shape[0])
+        assert _gram_fit(X, y) is not None
+        monkeypatch.setattr(linstats, "_eighth_root_of_power", lambda Gs: np.inf)
+        assert _gram_fit(X, y) is None
 
 
 # name -> (X, whether the restriction identity may read X's factors).

@@ -14,9 +14,10 @@ that can carry a claimed gain, at the run length claims are made at.  The
 order alternates from pair to pair (base first in even pairs), so slow drift
 of the machine favours neither side.  The file keeps each run's final JSON
 line and the ``environment`` line, and for each end-to-end metric of
-``BENCHMARK.json`` the median and quartiles of either side and the pairs the
-change won.  With ``--append`` the runs are added to an existing file, which
-must come from the same environment.
+``BENCHMARK.json`` the median and quartiles of either side, the pairs the
+change won, and whether that makes a gain or a regression past the
+metric's bound (see ``summarize``).  With ``--append`` the runs are added
+to an existing file, which must come from the same environment.
 Standard library only.
 """
 
@@ -55,20 +56,30 @@ def commit(tree: Path) -> str | None:
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Quartiles of each side and the change's wins, per end-to-end metric."""
+    """Quartiles of each side, the change's wins and the verdicts, per end-to-end metric.
+
+    ``gain``: the change wins at least 9 in 10 pairs (a tie counts for
+    neither side) and its median is better than the base's by more than the
+    base's q3 - q1.  ``regressed``: its median is worse than the base's by
+    more than the metric's relative ``bound``.
+    """
     out = {}
     for metric in metrics:
         name = metric["name"]
         sides = {side: [p[side]["metrics"][name]["value"] for p in pairs]
                  for side in ("base", "change")}
-        lower = metric["better"] == "lower"
-        wins = sum((c < b) if lower else (c > b)
-                   for b, c in zip(sides["base"], sides["change"]))
+        # The better direction is up: signs flip a lower-is-better metric.
+        sign = -1 if metric["better"] == "lower" else 1
+        wins = sum(sign * (c - b) > 0 for b, c in zip(sides["base"], sides["change"]))
         entry = {"wins": wins, "pairs": len(pairs)}
         for side, values in sides.items():
             q1, median, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
                               else values * 3)
             entry[side] = {"median": median, "q1": q1, "q3": q3}
+        base, change = entry["base"], entry["change"]
+        gap = sign * (change["median"] - base["median"])
+        entry["gain"] = 10 * wins >= 9 * len(pairs) and gap > base["q3"] - base["q1"]
+        entry["regressed"] = -gap > metric["bound"] * abs(base["median"])
         out[name] = entry
     return out
 
