@@ -547,6 +547,7 @@ def aggregation_loop(
     target=None,
     task_cluster: int | None = None,
     factors=None,
+    singles: list | None = None,
 ) -> tuple[tuple[tuple[int, ...], ...], list[ThresholdReport]]:
     """Greedy single-pass aggregation of ``items`` on shared features.
 
@@ -555,7 +556,9 @@ def aggregation_loop(
     order (see :func:`_greedy`).  ``factors`` are those of ``features``
     from :func:`mtaggr.linstats._factor`, so that several walks on one
     matrix share one factorization; when None, the walk makes its own if
-    it reads one.
+    it reads one.  When ``singles`` is a list, phase 1 appends to it the
+    fit of every target on its own, in target order, which the walk makes
+    anyway.
     """
     order = list(items)
     if not order:
@@ -595,7 +598,10 @@ def aggregation_loop(
     if phase == 1:
         if factors is None:
             factors = _factor(X)
-        return _greedy(order, _TargetMerges(X, Z, epsilon, factors))
+        model = _TargetMerges(X, Z, epsilon, factors)
+        if singles is not None:
+            singles.extend(model.singles)
+        return _greedy(order, model)
     return _greedy(order, _feature_merges(X, y, epsilon, task_cluster, factors))
 
 
@@ -607,6 +613,12 @@ class AggregationResult:
     :func:`_fingerprint`).  It is required, by keyword, and must be a
     string, so every result can be written as a document that
     :func:`result_from_json` reads back.
+
+    ``single_ss_res`` holds, for a result a run has just made, the residual
+    sum of squares of each target fitted on its own features, as the walk
+    fitted it.  It is kept in memory only, for the run's summary: no
+    document holds it, it takes no part in equality, and a result read back
+    has None.
     """
 
     task_partition: TaskPartition
@@ -617,10 +629,18 @@ class AggregationResult:
     epsilon2: float
     homogeneous: bool = False
     fingerprint: str = field(kw_only=True)
+    single_ss_res: tuple[float, ...] | None = field(
+        default=None, kw_only=True, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.fingerprint, str):
             raise ValidationError(f"fingerprint must be a string, got {self.fingerprint!r}")
+        if self.single_ss_res is not None:
+            ss = tuple(self.single_ss_res)
+            if len(ss) != self.task_partition.size:
+                raise ValidationError(f"{len(ss)} single-task fits for "
+                                      f"{self.task_partition.size} tasks")
+            object.__setattr__(self, "single_ss_res", ss)
         if len(self.feature_partitions) != self.task_partition.n_clusters:
             raise ValidationError(
                 f"{len(self.feature_partitions)} feature partitions for "
@@ -675,16 +695,18 @@ def nonlin_ctfa(
     Phase I visits the targets in a seed-shuffled order to avoid systematic
     ordering bias; phase II visits the features in dataset order, once per
     task cluster, against that cluster's mean target.  Every walk takes its
-    factors from one SVD of the features.
+    factors from one SVD of the features.  The result carries phase I's
+    single-task residual sums of squares.
     """
     _check_centered(dataset.features, "feature")
     _check_centered(dataset.targets, "target")
 
     factors = _factor(dataset.features)
     order = _task_order(dataset.n_tasks, seed)
+    singles: list[ThresholdFit] = []
     clusters, trace = aggregation_loop(
         order, 1, epsilon1, features=dataset.features, targets=dataset.targets,
-        factors=factors,
+        factors=factors, singles=singles,
     )
     task_partition = TaskPartition(clusters, dataset.n_tasks)
 
@@ -713,6 +735,7 @@ def nonlin_ctfa(
         epsilon1=epsilon1,
         epsilon2=epsilon2,
         fingerprint=_fingerprint(dataset),
+        single_ss_res=[fit.ss_res for fit in singles],
     )
 
 
@@ -724,7 +747,8 @@ def nonlin_ctfa_homogeneous(
     A candidate merge averages targets exactly as in phase 1 and averages
     the feature slabs columnwise; each of the three threshold fits uses its
     own model's matrix (the cluster's mean slab, the candidate's slab, and
-    the mean slab over members plus candidate).
+    the mean slab over members plus candidate).  The result carries the
+    residual sums of squares of the walk's single-slab fits.
     """
     if dataset.per_task_features is None:
         raise ValidationError("homogeneous variant requires per_task_features")
@@ -735,7 +759,8 @@ def nonlin_ctfa_homogeneous(
         _check_centered(slab, f"task {t} feature")
 
     order = [int(i) for i in _task_order(dataset.n_tasks, seed)]
-    clusters, trace = _greedy(order, _SlabMerges(slabs, Y, epsilon))
+    model = _SlabMerges(slabs, Y, epsilon)
+    clusters, trace = _greedy(order, model)
     task_partition = TaskPartition(clusters, dataset.n_tasks)
     D = dataset.n_features
     identity = FeaturePartition(tuple((k,) for k in range(D)), D)
@@ -748,6 +773,7 @@ def nonlin_ctfa_homogeneous(
         epsilon2=epsilon,
         homogeneous=True,
         fingerprint=_fingerprint(dataset),
+        single_ss_res=[fit.ss_res for fit in model.singles],
     )
 
 

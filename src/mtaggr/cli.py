@@ -20,7 +20,7 @@ import numpy as np
 from . import linstats
 from .aggregation import apply_partition, nonlin_ctfa, nonlin_ctfa_homogeneous, result_to_json
 from .checks import VerifyBudget, run_checks
-from .data import center, load_dataset, save_dataset, _read_header
+from .data import center, load_dataset, save_dataset, _read_header, _write_rows
 from .errors import NumericalError, ValidationError
 from .synth import SynthConfig, generate, sweep
 
@@ -123,21 +123,6 @@ def _owners(name: str, targets: set[str]) -> list[str]:
     return owners
 
 
-def _single_task_predictions(dataset) -> np.ndarray:
-    """In-sample OLS predictions of each target from its own features, by column.
-
-    Slabs are fitted as the homogeneous walk fits them (see
-    :func:`mtaggr.linstats._slab_fit`).
-    """
-    if dataset.per_task_features is None:
-        coef, *_ = np.linalg.lstsq(dataset.features, dataset.targets, rcond=None)
-        return dataset.features @ coef
-    return np.column_stack([
-        slab @ linstats._slab_fit(slab, dataset.targets[:, t])[0]
-        for t, slab in enumerate(dataset.per_task_features)
-    ])
-
-
 def cmd_aggregate(args) -> int:
     if args.epsilon is not None and not args.homogeneous:
         raise ValidationError("--epsilon is the tolerance of --homogeneous; "
@@ -167,13 +152,10 @@ def cmd_aggregate(args) -> int:
             with (out / f"reduced_cluster{ci}.csv").open(
                 "w", newline="", encoding="utf-8"
             ) as fh:
-                writer = _csv.writer(fh)
-                writer.writerow(
+                _csv.writer(fh).writerow(
                     [f"phi{k}" for k in range(X.shape[1])] + [f"y_cluster{ci}"]
                 )
-                writer.writerows(
-                    map(repr, row.tolist()) for row in np.column_stack([X, y])
-                )
+                _write_rows(fh, np.column_stack([X, y]))
 
     lines = [
         f"tasks: {centered.n_tasks} -> {result.task_partition.n_clusters} clusters",
@@ -185,14 +167,18 @@ def cmd_aggregate(args) -> int:
             f"  cluster {ci}: {len(cluster)} targets ({', '.join(names)}), "
             f"{d_red} reduced features"
         )
+    # The single-task R^2 reads the residuals of the run's own single-task
+    # fits; the aggregated one fits each cluster's reduced features once.
     lines.append("in-sample R^2 per task (single-task -> aggregated):")
-    single = _single_task_predictions(centered)
+    n = centered.n_samples
     for ci, (y, X) in enumerate(reduced):
         pred = X @ linstats._core_fit(X, y)[0]
         for t in result.task_partition.clusters[ci]:
             actual = centered.targets[:, t]
-            before = linstats._prediction_r2(single[:, t], actual)
-            after = linstats._prediction_r2(pred, actual)
+            spread = linstats._spread(actual)
+            diff = pred - actual
+            before = linstats._r2_of(result.single_ss_res[t] / n, spread)
+            after = linstats._r2_of(float(diff @ diff) / n, spread)
             lines.append(
                 f"  {centered.target_names[t]}: {before:.4f} -> {after:.4f}"
             )

@@ -549,14 +549,27 @@ def load_dataset(path, schema: Mapping[str, str]) -> Dataset:
     )
 
 
+# Rows of a CSV body joined into one string before they are written.
+_WRITE_BLOCK = 256
+
+
+def _write_rows(fh, table: np.ndarray) -> None:
+    """Write ``table`` as CSV rows of exact float reprs, a block of rows at a time.
+
+    The bytes are those ``csv.writer`` writes: under its default dialect it
+    quotes no float repr and ends each row with CRLF.
+    """
+    for start in range(0, table.shape[0], _WRITE_BLOCK):
+        rows = table[start:start + _WRITE_BLOCK].tolist()
+        fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in rows]))
+
+
 def save_dataset(dataset: Dataset, path) -> None:
     """Write the shared feature view and targets as CSV (exact float repr)."""
     p = Path(path)
     with p.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(dataset.feature_names) + list(dataset.target_names))
-        table = np.hstack([dataset.features, dataset.targets])
-        writer.writerows(map(repr, row.tolist()) for row in table)
+        csv.writer(fh).writerow(list(dataset.feature_names) + list(dataset.target_names))
+        _write_rows(fh, np.hstack([dataset.features, dataset.targets]))
 
 
 def schema_for(dataset: Dataset) -> dict[str, str]:

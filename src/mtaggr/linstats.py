@@ -2,9 +2,10 @@
 
 Every least-squares fit of the package is made here, and returns its
 coefficients with a :class:`ThresholdFit`, the record the threshold tests
-read, except two solves for many right-hand sides that no threshold test
-reads: the summary's single-task fits (``cli._single_task_predictions``)
-and the replicates of ``oracle.coefficient_covariance_check``.
+read, except one solve for many right-hand sides that no threshold test
+reads: the replicates of ``oracle.coefficient_covariance_check``.  The
+summary of ``mtaggr aggregate`` refits no single task: it reads the
+residual sums of squares of the walk's own fits.
 :func:`_factor` makes the one SVD that the walks on a shared feature
 matrix read, and decides where phase II's restriction identity is allowed.
 
@@ -404,10 +405,18 @@ def mse(predictions, actuals) -> float:
 
 def _prediction_r2(pred: np.ndarray, actual: np.ndarray) -> float:
     """1 - MSE / variance of ``actual`` (divisor n); 0 for a constant ``actual``."""
-    err = mse(pred, actual)
+    return _r2_of(mse(pred, actual), _spread(actual))
+
+
+def _spread(actual: np.ndarray) -> float:
+    """The variance of ``actual`` with divisor n, the denominator of its R^2."""
     dev = actual - actual.mean()
-    denom = float(dev @ dev) / len(actual)
-    return 1.0 - err / denom if denom > 0 else 0.0
+    return float(dev @ dev) / len(actual)
+
+
+def _r2_of(err: float, spread: float) -> float:
+    """1 - ``err`` / ``spread``; 0 where the spread is not positive."""
+    return 1.0 - err / spread if spread > 0 else 0.0
 
 
 def nrmse(predictions, actuals) -> float:

@@ -1274,6 +1274,29 @@ def test_result_refuses_a_fingerprint_that_is_not_a_string(fingerprint):
         AggregationResult(tasks, features, (), 0, 0.0, 0.0)
 
 
+def test_single_task_residuals_are_the_walks_and_stay_in_memory():
+    rng = np.random.default_rng(6)
+    n, D, L = 40, 3, 4
+    slabs = tuple(rng.standard_normal((n, D)) for _ in range(L))
+    Y = np.column_stack([s @ [1.0, 0.5, -1.0] + rng.standard_normal(n) for s in slabs])
+    raw = Dataset(np.mean(slabs, axis=0), Y, per_task_features=slabs)
+    ds = center(raw).dataset
+    for result in (nonlin_ctfa(ds, 0.0, 1e-4, seed=1),
+                   nonlin_ctfa_homogeneous(ds, 0.0, seed=1)):
+        slabs = ds.per_task_features if result.homogeneous else (ds.features,) * L
+        want = [threshold_fit(X, ds.targets[:, t]).ss_res for t, X in enumerate(slabs)]
+        np.testing.assert_allclose(result.single_ss_res, want, rtol=REPLAY_RTOL,
+                                   atol=REPLAY_ATOL)
+        text = result_to_json(result)
+        assert "single" not in text
+        loaded = result_from_json(text, ds)
+        assert loaded.single_ss_res is None and loaded == result
+        assert "single_ss_res" not in repr(result)
+    with pytest.raises(ValidationError, match="3 single-task fits for 4 tasks"):
+        AggregationResult(result.task_partition, result.feature_partitions, (), 0, 0.0,
+                          0.0, fingerprint="hand-built", single_ss_res=(1.0, 2.0, 3.0))
+
+
 class TestRecordTypes:
     def test_fit_carries_the_statistics_of_its_fields(self):
         fit = ThresholdFit(3.0, 2.0, 10, 4, 4)

@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from mtaggr import checks, cli, linstats
-from mtaggr.aggregation import assert_replay, result_from_json
+from mtaggr import aggregation, checks, cli, linstats
+from mtaggr.aggregation import apply_partition, assert_replay, result_from_json
 from mtaggr.checks import CheckResult
-from mtaggr.data import Dataset, center, load_dataset, schema_for
+from mtaggr.data import Dataset, center, load_dataset, save_dataset, schema_for
 from mtaggr.synth import SynthConfig, generate
 
 
@@ -262,26 +262,132 @@ class TestAggregateCommand:
         assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", ["plain", "mixed_units", "duplicate"])
-def test_single_task_predictions_match_lstsq_per_slab(kind):
-    # Well-conditioned slabs take the Gram fit, whatever the units of their
-    # columns; a duplicate column makes every slab rank-deficient, so each
-    # falls back to lstsq.
-    rng = np.random.default_rng(5)
-    n, D, L = 80, 4, 3
-    slabs = [rng.standard_normal((n, D)) for _ in range(L)]
-    for slab in slabs:
-        if kind == "mixed_units":
-            slab *= [1e-3, 1.0, 1e2, 1e3]
-        if kind == "duplicate":
-            slab[:, 2] = slab[:, 0]
-    Y = np.column_stack([s @ rng.uniform(-1, 1, D) + rng.standard_normal(n)
+def refit_r2_lines(centered, result):
+    """The summary's R^2 lines with every single task refitted.
+
+    Shared features are fitted by one lstsq of all targets, slabs one at a
+    time as the homogeneous walk fits them.
+    """
+    if centered.per_task_features is None:
+        coef, *_ = np.linalg.lstsq(centered.features, centered.targets, rcond=None)
+        single = centered.features @ coef
+    else:
+        single = np.column_stack([
+            slab @ linstats._slab_fit(slab, centered.targets[:, t])[0]
+            for t, slab in enumerate(centered.per_task_features)
+        ])
+    lines = []
+    for ci, (y, X) in enumerate(apply_partition(centered, result)):
+        pred = X @ linstats._core_fit(X, y)[0]
+        for t in result.task_partition.clusters[ci]:
+            actual = centered.targets[:, t]
+            before = linstats._prediction_r2(single[:, t], actual)
+            after = linstats._prediction_r2(pred, actual)
+            lines.append(f"  {centered.target_names[t]}: {before:.4f} -> {after:.4f}")
+    return lines
+
+
+def shared_csv(tmp_path, kind):
+    """A CSV of shared features and its target names."""
+    rng = np.random.default_rng(7)
+    if kind == "reference":
+        ds = generate(SynthConfig(), 10)[0]
+    elif kind == "many_targets":
+        ds = generate(SynthConfig(n_tasks=200, n_features=10, n_train=60), 1)[0]
+    elif kind == "n_below_d":
+        ds = generate(SynthConfig(n_tasks=3, n_features=30, n_train=20), 2)[0]
+    else:
+        n, D, L = 50, 6, 1 if kind == "one_task" else 4
+        X = rng.standard_normal((n, D))
+        Y = X @ rng.uniform(-1, 1, (D, L)) + rng.standard_normal((n, L))
+        if kind == "constant_target":
+            Y[:, 1] = 3.0
+        if kind == "duplicate_columns":
+            X[:, 4] = X[:, 1]
+        ds = Dataset(X, Y, feature_names=tuple(f"x{k}" for k in range(D)),
+                     target_names=tuple(f"y{k}" for k in range(L)))
+    p = tmp_path / f"{kind}.csv"
+    save_dataset(ds, p)
+    return p, list(ds.target_names)
+
+
+def slab_csv(tmp_path):
+    """Six tasks with slabs about one shared draw; task 2's slab repeats a
+    column, so its fits fall back to lstsq."""
+    rng = np.random.default_rng(8)
+    n, D, L = 40, 4, 6
+    base = rng.standard_normal((n, D))
+    slabs = [base + 0.3 * rng.standard_normal((n, D)) for _ in range(L)]
+    slabs[2][:, 3] = slabs[2][:, 0]
+    Y = np.column_stack([s @ [1.0, -0.5, 0.25, 0.5] + rng.standard_normal(n)
                          for s in slabs])
-    ds = Dataset(np.mean(slabs, axis=0), Y, per_task_features=tuple(slabs))
-    got = cli._single_task_predictions(ds)
-    want = np.column_stack([s @ np.linalg.lstsq(s, Y[:, t], rcond=None)[0]
-                            for t, s in enumerate(slabs)])
-    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+    header = [f"x{k}@y{t}" for t in range(L) for k in range(D)] + [f"y{t}" for t in range(L)]
+    p = tmp_path / "slabs.csv"
+    p.write_text("\n".join([",".join(header)] + [
+        ",".join(map(repr, row)) for row in np.hstack(slabs + [Y]).tolist()]) + "\n")
+    return p, [f"y{t}" for t in range(L)]
+
+
+def aggregate(tmp_path, csv, targets, homogeneous):
+    out = tmp_path / "res"
+    flags = ["--homogeneous", "--epsilon", "0.05"] if homogeneous else []
+    assert run("aggregate", "--input", str(csv), "--targets", ",".join(targets), *flags,
+               "--out-dir", str(out), "--quiet") == 0
+    schema = cli._build_schema(targets, [], homogeneous, csv)
+    centered = center(load_dataset(csv, schema)).dataset
+    result = result_from_json((out / "result.json").read_text(), centered)
+    return out, centered, result
+
+
+class TestSummary:
+    @pytest.mark.parametrize("kind", ["reference", "many_targets", "n_below_d",
+                                      "constant_target", "duplicate_columns", "one_task",
+                                      "slabs"])
+    def test_r2_lines_match_a_refit_of_every_single_task(self, tmp_path, kind):
+        if kind == "slabs":
+            (csv, targets), homogeneous = slab_csv(tmp_path), True
+        else:
+            (csv, targets), homogeneous = shared_csv(tmp_path, kind), False
+        out, centered, result = aggregate(tmp_path, csv, targets, homogeneous)
+        lines = (out / "summary.txt").read_text().splitlines()
+        start = lines.index("in-sample R^2 per task (single-task -> aggregated):") + 1
+        got = lines[start:start + centered.n_tasks]
+        assert got == refit_r2_lines(centered, result)
+        if kind == "constant_target":
+            assert "  y1: 0.0000 -> 0.0000" in got
+
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_fits_each_single_task_once_and_each_task_cluster_once(
+            self, tmp_path, monkeypatch, homogeneous):
+        calls = {"slab_fit": 0, "lstsq": 0, "walk_lstsq": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        def walk(fn):
+            def call(*args, **kwargs):
+                before = calls["lstsq"]
+                result = fn(*args, **kwargs)
+                calls["walk_lstsq"] += calls["lstsq"] - before
+                return result
+            return call
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
+        for owner in (aggregation, linstats):
+            monkeypatch.setattr(owner, "_slab_fit", counted("slab_fit", owner._slab_fit))
+        for name in ("nonlin_ctfa", "nonlin_ctfa_homogeneous"):
+            monkeypatch.setattr(cli, name, walk(getattr(cli, name)))
+        csv, targets = slab_csv(tmp_path) if homogeneous else shared_csv(tmp_path,
+                                                                        "reference")
+        out, centered, result = aggregate(tmp_path, csv, targets, homogeneous)
+        walk_fits = centered.n_tasks + len(result.trace) if homogeneous else 0
+        # Reading the result back in ``aggregate`` fits nothing.
+        assert calls["slab_fit"] == walk_fits
+        assert calls["lstsq"] - calls["walk_lstsq"] == result.task_partition.n_clusters
+        assert calls["walk_lstsq"] > 0 if homogeneous else calls["walk_lstsq"] == 0
 
 
 class TestSweepCommand:

@@ -98,6 +98,21 @@ class TestLoadDataset:
         assert np.max(np.abs(loaded.features - train.features)) <= 1e-9
         assert np.max(np.abs(loaded.targets - train.targets)) <= 1e-9
 
+    def test_round_trip_with_names_csv_quotes(self, tmp_path):
+        # The header goes through csv.writer, so names holding a delimiter
+        # or a quote are quoted and read back as they were.
+        rng = np.random.default_rng(1)
+        ds = Dataset(rng.standard_normal((6, 2)), rng.standard_normal((6, 2)),
+                     feature_names=("a,b", 'say "x"'), target_names=("y,0", '"y1"'))
+        p = tmp_path / "quoted.csv"
+        save_dataset(ds, p)
+        assert p.read_bytes().startswith(b'"a,b","say ""x""","y,0","""y1"""\r\n')
+        loaded = load_dataset(p, schema_for(ds))
+        assert loaded.feature_names == ds.feature_names
+        assert loaded.target_names == ds.target_names
+        assert np.array_equal(loaded.features, ds.features)
+        assert np.array_equal(loaded.targets, ds.targets)
+
     def test_per_task_slabs(self, tmp_path):
         text = (
             "f1@y0,f2@y0,f1@y1,f2@y1,y0,y1\n"
@@ -537,3 +552,26 @@ def test_partition_from_labels_property(labels):
     covered = sorted(i for c in part.clusters for i in c)
     assert covered == list(range(size))
     assert part.clusters == tuple(map(tuple, clusters))
+
+
+class TestWriteRows:
+    EDGES = [-0.0, 5e-324, 1e16, 1e-7, 1.7976931348623157e308]
+
+    @pytest.mark.parametrize("rows", [1, data._WRITE_BLOCK, 2 * data._WRITE_BLOCK + 3])
+    def test_bytes_match_csv_writer(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        table = rng.standard_normal((rows, 6)) * 10.0 ** rng.integers(-12, 12, (rows, 6))
+        table[0, :5] = self.EDGES
+        table[-1, :5] = [-v for v in self.EDGES]
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        with want.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(map(repr, row.tolist()) for row in table)
+        with got.open("w", newline="", encoding="utf-8") as fh:
+            data._write_rows(fh, table)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_no_rows_write_nothing(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        with p.open("w", newline="", encoding="utf-8") as fh:
+            data._write_rows(fh, np.empty((0, 3)))
+        assert p.read_bytes() == b""

@@ -389,25 +389,33 @@ class TestGramFit:
         assert gap <= REPLAY_RTOL * np.linalg.norm(y)
 
     def test_never_admits_a_matrix_past_the_bounds(self):
-        # A component shared by every column raises the condition number of
-        # the unit-norm columns from a few to thousands; column scales spread
-        # over 10^(+-a) take cond(X) from there past MAX_LSTSQ_COND.
+        # A component shared by every column takes cond(Xs) of a 125 x 50
+        # slab past MAX_COND from shared = 4 on (about 2.4 MAX_COND at 8).
+        # Column scales over 10^(+-3.3) pass the column-norm spread check and
+        # take cond(X) past MAX_LSTSQ_COND.  So matrices past either bound
+        # reach the shifted Cholesky test, which must decline them.
         rng = np.random.default_rng(4)
-        taken = declined = 0
-        for shared in np.linspace(0.0, 3.0, 7):
-            for a in (0.0, 2.0, 4.0):
+        taken = 0
+        past = {"cond(Xs)": 0, "cond(X)": 0}
+        for shared in np.linspace(0.0, 8.0, 9):
+            for a in (0.0, 2.0, 3.3):
                 for n, d in ((60, 5), (125, 50)):
                     Z = rng.standard_normal((n, d))
                     Z += shared * rng.standard_normal((n, 1))
                     X = Z * 10.0 ** rng.uniform(-a, a, d)
                     y = rng.standard_normal(n)
+                    norms = np.linalg.norm(X, axis=0)
+                    cond_s, cond = np.linalg.cond(unit_columns(X)), np.linalg.cond(X)
+                    if norms.max() <= norms.min() * MAX_LSTSQ_COND:
+                        past["cond(Xs)"] += cond_s > MAX_COND
+                        past["cond(X)"] += cond > MAX_LSTSQ_COND
                     if _gram_fit(X, y) is None:
-                        declined += 1
                         continue
                     taken += 1
-                    assert np.linalg.cond(unit_columns(X)) <= MAX_COND
-                    assert np.linalg.cond(X) <= MAX_LSTSQ_COND
-        assert taken and declined
+                    assert cond_s <= MAX_COND
+                    assert cond <= MAX_LSTSQ_COND
+        assert taken
+        assert all(past.values()), past
 
     @pytest.mark.parametrize("case", sorted(GRAM_CASES))
     def test_the_eigenvalue_oracle_agrees_on_every_case(self, case):
