@@ -557,8 +557,7 @@ def aggregation_loop(
     from :func:`mtaggr.linstats._factor`, so that several walks on one
     matrix share one factorization; when None, the walk makes its own if
     it reads one.  When ``singles`` is a list, phase 1 appends to it the
-    fit of every target on its own, in target order, which the walk makes
-    anyway.
+    fit of every target on its own, in target order.
     """
     order = list(items)
     if not order:
@@ -616,9 +615,8 @@ class AggregationResult:
 
     ``single_ss_res`` holds, for a result a run has just made, the residual
     sum of squares of each target fitted on its own features, as the walk
-    fitted it.  It is kept in memory only, for the run's summary: no
-    document holds it, it takes no part in equality, and a result read back
-    has None.
+    fitted it, for the run's summary.  No document holds it and equality
+    ignores it, so a result read back has None.
     """
 
     task_partition: TaskPartition
@@ -635,12 +633,6 @@ class AggregationResult:
     def __post_init__(self):
         if not isinstance(self.fingerprint, str):
             raise ValidationError(f"fingerprint must be a string, got {self.fingerprint!r}")
-        if self.single_ss_res is not None:
-            ss = tuple(self.single_ss_res)
-            if len(ss) != self.task_partition.size:
-                raise ValidationError(f"{len(ss)} single-task fits for "
-                                      f"{self.task_partition.size} tasks")
-            object.__setattr__(self, "single_ss_res", ss)
         if len(self.feature_partitions) != self.task_partition.n_clusters:
             raise ValidationError(
                 f"{len(self.feature_partitions)} feature partitions for "
@@ -695,8 +687,7 @@ def nonlin_ctfa(
     Phase I visits the targets in a seed-shuffled order to avoid systematic
     ordering bias; phase II visits the features in dataset order, once per
     task cluster, against that cluster's mean target.  Every walk takes its
-    factors from one SVD of the features.  The result carries phase I's
-    single-task residual sums of squares.
+    factors from one SVD of the features.
     """
     _check_centered(dataset.features, "feature")
     _check_centered(dataset.targets, "target")
@@ -735,7 +726,7 @@ def nonlin_ctfa(
         epsilon1=epsilon1,
         epsilon2=epsilon2,
         fingerprint=_fingerprint(dataset),
-        single_ss_res=[fit.ss_res for fit in singles],
+        single_ss_res=tuple(fit.ss_res for fit in singles),
     )
 
 
@@ -747,8 +738,7 @@ def nonlin_ctfa_homogeneous(
     A candidate merge averages targets exactly as in phase 1 and averages
     the feature slabs columnwise; each of the three threshold fits uses its
     own model's matrix (the cluster's mean slab, the candidate's slab, and
-    the mean slab over members plus candidate).  The result carries the
-    residual sums of squares of the walk's single-slab fits.
+    the mean slab over members plus candidate).
     """
     if dataset.per_task_features is None:
         raise ValidationError("homogeneous variant requires per_task_features")
@@ -773,7 +763,7 @@ def nonlin_ctfa_homogeneous(
         epsilon2=epsilon,
         homogeneous=True,
         fingerprint=_fingerprint(dataset),
-        single_ss_res=[fit.ss_res for fit in model.singles],
+        single_ss_res=tuple(fit.ss_res for fit in model.singles),
     )
 
 

@@ -1292,9 +1292,6 @@ def test_single_task_residuals_are_the_walks_and_stay_in_memory():
         loaded = result_from_json(text, ds)
         assert loaded.single_ss_res is None and loaded == result
         assert "single_ss_res" not in repr(result)
-    with pytest.raises(ValidationError, match="3 single-task fits for 4 tasks"):
-        AggregationResult(result.task_partition, result.feature_partitions, (), 0, 0.0,
-                          0.0, fingerprint="hand-built", single_ss_res=(1.0, 2.0, 3.0))
 
 
 class TestRecordTypes:
