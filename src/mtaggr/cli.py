@@ -15,12 +15,10 @@ import sys
 from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import linstats
 from .aggregation import apply_partition, nonlin_ctfa, nonlin_ctfa_homogeneous, result_to_json
 from .checks import VerifyBudget, run_checks
-from .data import center, load_dataset, save_dataset, _read_header, _write_rows
+from .data import Dataset, center, load_dataset, save_dataset
 from .errors import NumericalError, ValidationError
 from .synth import SynthConfig, generate, sweep
 
@@ -71,66 +69,14 @@ def _config_from_args(args) -> SynthConfig:
     )
 
 
-def _build_schema(header_targets: list[str], ignore: list[str], homogeneous: bool,
-                  path) -> dict[str, str]:
-    """Targets and ignores are named; the rest of the header become features.
-
-    In homogeneous mode feature columns must be named ``<feature>@<target>``
-    and are routed to that target's slab; :func:`load_dataset` checks that
-    the slabs list the same features.  A target name may hold ``@`` itself,
-    so a column goes to the one named target t for which it ends in ``@t``,
-    and a column that ends so for two targets is refused.
-    """
-    p = Path(path)
-    header = _read_header(p)
-    schema: dict[str, str] = {}
-    targets = set(header_targets)
-    ignores = set(ignore)
-    missing = sorted((targets | ignores) - set(header))
-    if missing:
-        raise ValidationError(f"columns {missing} not present in {p}")
-    for name in header:
-        if name in targets:
-            schema[name] = "target"
-        elif name in ignores:
-            schema[name] = "ignore"
-        elif homogeneous:
-            owners = _owners(name, targets)
-            if not owners:
-                raise ValidationError(
-                    f"homogeneous mode: feature column {name!r} must be named "
-                    "<feature>@<target> for one of the targets"
-                )
-            if len(owners) > 1:
-                raise ValidationError(
-                    f"homogeneous mode: column {name!r} ends in @<target> for "
-                    f"the targets {sorted(owners)}"
-                )
-            schema[name] = f"feature:{owners[0]}"
-        else:
-            schema[name] = "feature"
-    return schema
-
-
-def _owners(name: str, targets: set[str]) -> list[str]:
-    """The targets t for which ``name`` ends in ``@t``."""
-    owners = []
-    rest = name
-    while "@" in rest:
-        rest = rest.partition("@")[2]
-        if rest in targets:
-            owners.append(rest)
-    return owners
-
-
 def cmd_aggregate(args) -> int:
     if args.epsilon is not None and not args.homogeneous:
         raise ValidationError("--epsilon is the tolerance of --homogeneous; "
                               "without it, use --epsilon1 and --epsilon2")
     targets = [t for t in args.targets.split(",") if t]
     ignore = [c for c in (args.ignore or "").split(",") if c]
-    schema = _build_schema(targets, ignore, args.homogeneous, args.input)
-    dataset = load_dataset(args.input, schema)
+    dataset = load_dataset(args.input, targets, ignore=ignore,
+                           homogeneous=args.homogeneous)
     centering = center(dataset)
     centered = centering.dataset
 
@@ -146,16 +92,11 @@ def cmd_aggregate(args) -> int:
 
     reduced = apply_partition(centered, result)
     if args.csv:
-        import csv as _csv
-
         for ci, (y, X) in enumerate(reduced):
-            with (out / f"reduced_cluster{ci}.csv").open(
-                "w", newline="", encoding="utf-8"
-            ) as fh:
-                _csv.writer(fh).writerow(
-                    [f"phi{k}" for k in range(X.shape[1])] + [f"y_cluster{ci}"]
-                )
-                _write_rows(fh, np.column_stack([X, y]))
+            names = tuple(f"phi{k}" for k in range(X.shape[1]))
+            save_dataset(Dataset(X, y, feature_names=names,
+                                 target_names=(f"y_cluster{ci}",)),
+                         out / f"reduced_cluster{ci}.csv")
 
     lines = [
         f"tasks: {centered.n_tasks} -> {result.task_partition.n_clusters} clusters",

@@ -16,7 +16,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import ClassVar, Mapping, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -315,8 +315,6 @@ def center(dataset: Dataset) -> CenterResult:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-_SHARED_ROLES = {"feature", "target", "ignore"}
-
 
 def _parse_cell(cell: str, line: int, column: str) -> float:
     try:
@@ -444,67 +442,78 @@ def _parse_table(p: Path, header: Sequence[str]) -> np.ndarray:
     return np.frombuffer(b"".join(rows)).reshape(len(rows), len(header))
 
 
-def load_dataset(path, schema: Mapping[str, str]) -> Dataset:
+def _names(columns, what: str) -> tuple[str, ...]:
+    """``columns`` as a tuple of column names; a bare string is not a list of them."""
+    if isinstance(columns, str):
+        raise ValidationError(
+            f"{what} must be a sequence of column names, not the string {columns!r}"
+        )
+    return tuple(columns)
+
+
+def _owners(name: str, targets: set[str]) -> list[str]:
+    """The targets t for which ``name`` ends in ``@t``."""
+    owners = []
+    rest = name
+    while "@" in rest:
+        rest = rest.partition("@")[2]
+        if rest in targets:
+            owners.append(rest)
+    return owners
+
+
+def load_dataset(path, targets: Sequence[str], *, ignore: Sequence[str] = (),
+                 homogeneous: bool = False) -> Dataset:
     """Load a CSV file into a validated :class:`Dataset`.
 
-    ``schema`` maps column names to roles: ``"feature"``, ``"target"``,
-    ``"ignore"``, or ``"feature:<target name>"`` for per-task feature slabs
-    (homogeneous variant).  Header columns absent from the schema are
-    ignored; schema entries naming absent columns are an error.  Column
-    order in the file is preserved.
+    ``targets`` and ``ignore`` name header columns, and every other column
+    is a feature.  A name given as both, or absent from the header, is an
+    error.  Column order in the file is preserved.
 
-    A slab column of target ``t`` must be named ``<feature>@t``, and every
-    target must list the same features in the same order; the dataset's
-    feature names are the bare ``<feature>`` parts.
+    With ``homogeneous`` each feature column must be named
+    ``<feature>@<target>`` and goes to that target's per-task slab.  A
+    target name may hold ``@`` itself, so a column goes to the one target t
+    for which it ends in ``@t``, and a column that ends so for two targets
+    is refused.  Every target must list the same features in the same
+    order; the dataset's feature names are the bare ``<feature>`` parts.
     """
     p = Path(path)
+    target_set = set(_names(targets, "targets"))
+    ignore_set = set(_names(ignore, "ignore"))
+    both = sorted(target_set & ignore_set)
+    if both:
+        raise ValidationError(f"columns {both} are named both as targets and as ignored")
     header = _read_header(p)
     if len(set(header)) != len(header):
         raise ValidationError(f"{p}: duplicate column names in header")
+    named = target_set | ignore_set
+    missing = sorted(named - set(header))
+    if missing:
+        raise ValidationError(f"columns {missing} not present in {p}")
 
-    unknown = sorted(set(schema) - set(header))
-    if unknown:
-        raise ValidationError(
-            f"schema names columns not present in {p}: {unknown}"
-        )
+    target_cols = [c for c in header if c in target_set]
+    feature_cols = [c for c in header if c not in named]
+    if not feature_cols:
+        raise ValidationError("zero feature columns: every column is a target or ignored")
+    if not target_cols:
+        raise ValidationError("zero target columns given")
 
-    roles: dict[str, str] = {}
-    for name in header:
-        role = schema.get(name, "ignore")
-        if role not in _SHARED_ROLES and not role.startswith("feature:"):
-            raise ValidationError(
-                f"column {name!r}: unknown role {role!r}"
-            )
-        roles[name] = role
-
-    feature_cols = [c for c in header if roles[c] == "feature"]
-    target_cols = [c for c in header if roles[c] == "target"]
-    slab_cols: dict[str, list[str]] = {}
-    slab_names: dict[str, list[str]] = {}
-    for c in header:
-        if roles[c].startswith("feature:"):
-            owner = roles[c].split(":", 1)[1]
-            if not c.endswith(f"@{owner}"):
+    if homogeneous:
+        slab_cols: dict[str, list[str]] = {t: [] for t in target_cols}
+        for c in feature_cols:
+            owners = _owners(c, target_set)
+            if not owners:
                 raise ValidationError(
-                    f"column {c!r} is a feature of target {owner!r}, so it must "
-                    f"be named <feature>@{owner}"
+                    f"homogeneous mode: feature column {c!r} must be named "
+                    "<feature>@<target> for one of the targets"
                 )
-            slab_cols.setdefault(owner, []).append(c)
-            slab_names.setdefault(owner, []).append(c[: -len(owner) - 1])
-
-    if slab_cols:
-        if feature_cols:
-            raise ValidationError(
-                "cannot mix shared 'feature' columns with per-task "
-                "'feature:<target>' columns"
-            )
-        owners = set(slab_cols)
-        targets_set = set(target_cols)
-        if owners != targets_set:
-            raise ValidationError(
-                f"per-task feature owners {sorted(owners)} do not match "
-                f"target columns {sorted(targets_set)}"
-            )
+            if len(owners) > 1:
+                raise ValidationError(
+                    f"homogeneous mode: column {c!r} ends in @<target> for "
+                    f"the targets {sorted(owners)}"
+                )
+            slab_cols[owners[0]].append(c)
+        slab_names = {t: [c[: -len(t) - 1] for c in cols] for t, cols in slab_cols.items()}
         # The shared view averages the slabs column by column, so every slab
         # must list the same features in the same order.
         first, *rest = target_cols
@@ -514,10 +523,6 @@ def load_dataset(path, schema: Mapping[str, str]) -> Dataset:
                     f"per-task slabs: target {t!r} lists features {slab_names[t]}, "
                     f"but target {first!r} lists {slab_names[first]}"
                 )
-    if not feature_cols and not slab_cols:
-        raise ValidationError("schema selects zero feature columns")
-    if not target_cols:
-        raise ValidationError("schema selects zero target columns")
 
     index = {name: k for k, name in enumerate(header)}
     table = _read_table(p, len(header))
@@ -526,15 +531,15 @@ def load_dataset(path, schema: Mapping[str, str]) -> Dataset:
     if table.shape[0] < 2:
         raise ValidationError(f"{p}: need at least 2 data rows, got {table.shape[0]}")
 
-    targets = table[:, [index[c] for c in target_cols]]
-    if slab_cols:
+    Y = table[:, [index[c] for c in target_cols]]
+    if homogeneous:
         slabs = tuple(
             table[:, [index[c] for c in slab_cols[t]]] for t in target_cols
         )
         features = np.mean(np.stack(slabs), axis=0)
         return Dataset(
             features=features,
-            targets=targets,
+            targets=Y,
             feature_names=tuple(slab_names[target_cols[0]]),
             target_names=tuple(target_cols),
             per_task_features=slabs,
@@ -543,7 +548,7 @@ def load_dataset(path, schema: Mapping[str, str]) -> Dataset:
     features = table[:, [index[c] for c in feature_cols]]
     return Dataset(
         features=features,
-        targets=targets,
+        targets=Y,
         feature_names=tuple(feature_cols),
         target_names=tuple(target_cols),
     )
@@ -570,10 +575,3 @@ def save_dataset(dataset: Dataset, path) -> None:
     with p.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(list(dataset.feature_names) + list(dataset.target_names))
         _write_rows(fh, np.hstack([dataset.features, dataset.targets]))
-
-
-def schema_for(dataset: Dataset) -> dict[str, str]:
-    """Schema that reloads a file written by :func:`save_dataset`."""
-    schema = {name: "feature" for name in dataset.feature_names}
-    schema.update({name: "target" for name in dataset.target_names})
-    return schema

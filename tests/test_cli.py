@@ -8,7 +8,7 @@ import pytest
 from mtaggr import aggregation, checks, cli, linstats
 from mtaggr.aggregation import apply_partition, assert_replay, result_from_json
 from mtaggr.checks import CheckResult
-from mtaggr.data import Dataset, center, load_dataset, save_dataset, schema_for
+from mtaggr.data import Dataset, center, load_dataset, save_dataset
 from mtaggr.synth import SynthConfig, generate
 
 
@@ -47,9 +47,7 @@ class TestSynthCommand:
         out = tmp_path / "out"
         assert run("synth", "--config", str(cfg), "--out-dir", str(out),
                    "--quiet") == 0
-        ds = load_dataset(out / "train.csv",
-                          {**{f"x{k}": "feature" for k in range(3)},
-                           **{f"y{k}": "target" for k in range(2)}})
+        ds = load_dataset(out / "train.csv", ["y0", "y1"])
         assert ds.n_samples == 40
 
     def test_config_file_with_list_values(self, tmp_path):
@@ -63,7 +61,7 @@ class TestSynthCommand:
         assert run("synth", "--config", str(cfg), "--seed", "2", "--out-dir", str(out),
                    "--quiet") == 0
         train, _, _ = generate(SynthConfig(**settings), 2)
-        got = load_dataset(out / "train.csv", schema_for(train))
+        got = load_dataset(out / "train.csv", train.target_names)
         assert np.array_equal(got.targets, train.targets)
         # group_assignment puts task 0 in the positive interval.
         assert min(json.loads((out / "truth.json").read_text())["coefficients"][0]) > 0
@@ -78,9 +76,7 @@ class TestSynthCommand:
         out = tmp_path / "clean"
         run("synth", *SYNTH_FLAGS[:-2], "--sigma", "0.0", "--seed", "4",
             "--out-dir", str(out), "--quiet")
-        schema = {**{f"x{k}": "feature" for k in range(5)},
-                  **{f"y{k}": "target" for k in range(3)}}
-        ds = load_dataset(out / "train.csv", schema)
+        ds = load_dataset(out / "train.csv", ["y0", "y1", "y2"])
         X = ds.features - ds.features.mean(axis=0)
         y = ds.targets[:, 0] - ds.targets[:, 0].mean()
         assert linstats.r2_score(X, y) > 1.0 - 1e-9
@@ -173,6 +169,32 @@ class TestAggregateCommand:
         assert run("aggregate", "--input", str(dataset_csv),
                    "--targets", "nope") == 1
 
+    def test_ignored_columns_are_dropped(self, tmp_path, dataset_csv):
+        out = tmp_path / "res"
+        assert run("aggregate", "--input", str(dataset_csv), "--targets", "y0,y1",
+                   "--ignore", "x4,y2", "--seed", "2", "--out-dir", str(out),
+                   "--quiet") == 0
+        ds = center(load_dataset(dataset_csv, ["y0", "y1"], ignore=["x4", "y2"])).dataset
+        assert ds.n_features == 4 and ds.n_tasks == 2
+        result = result_from_json((out / "result.json").read_text(), ds)
+        assert_replay(ds, result)
+        # Each reduced CSV reloads as the cluster's mean target on its features.
+        for ci, (y, X) in enumerate(apply_partition(ds, result)):
+            path = out / f"reduced_cluster{ci}.csv"
+            header = ",".join([f"phi{k}" for k in range(X.shape[1])] + [f"y_cluster{ci}"])
+            assert path.read_bytes().startswith(header.encode() + b"\r\n")
+            reduced = load_dataset(path, [f"y_cluster{ci}"])
+            assert np.array_equal(reduced.features, X)
+            assert np.array_equal(reduced.targets[:, 0], y)
+
+    def test_target_also_ignored_exits_1(self, tmp_path, dataset_csv, capsys):
+        out = tmp_path / "res"
+        assert run("aggregate", "--input", str(dataset_csv), "--targets", "y0,y1",
+                   "--ignore", "y0", "--out-dir", str(out), "--quiet") == 1
+        assert capsys.readouterr().err.startswith(
+            "validation error: columns ['y0'] are named both as targets and as ignored")
+        assert not out.exists()
+
     def test_bad_flag_exits_1(self):
         assert run("aggregate", "--nope") == 1
 
@@ -191,17 +213,14 @@ class TestAggregateCommand:
                                                 homogeneous):
         if homogeneous:
             path, targets = slabs_csv, ["y0", "y1"]
-            schema = {f"{f}@{t}": f"feature:{t}" for t in targets for f in "ab"}
             flags = ["--homogeneous", "--epsilon", "0.0"]
         else:
             path, targets = dataset_csv, ["y0", "y1", "y2"]
-            schema = {f"x{k}": "feature" for k in range(5)}
             flags = []
         out = tmp_path / "res"
         assert run("aggregate", "--input", str(path), "--targets", ",".join(targets),
                    *flags, "--seed", "3", "--out-dir", str(out), "--quiet") == 0
-        schema.update({t: "target" for t in targets})
-        ds = center(load_dataset(path, schema)).dataset
+        ds = center(load_dataset(path, targets, homogeneous=homogeneous)).dataset
         result = result_from_json((out / "result.json").read_text(encoding="utf-8"), ds)
         assert result.homogeneous is homogeneous
         assert_replay(ds, result)
@@ -231,15 +250,16 @@ class TestAggregateCommand:
         p = tmp_path / "at.csv"
         np.savetxt(p, rng.standard_normal((40, 6)), delimiter=",", header=",".join(header),
                    comments="")
-        schema = cli._build_schema(["t@1", "u"], [], True, p)
-        assert schema == {"x@t@1": "feature:t@1", "w@t@1": "feature:t@1",
-                          "x@u": "feature:u", "w@u": "feature:u",
-                          "t@1": "target", "u": "target"}
+        ds = load_dataset(p, ["t@1", "u"], homogeneous=True)
+        assert ds.feature_names == ("x", "w")
+        assert ds.target_names == ("t@1", "u")
+        table = np.loadtxt(p, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(ds.per_task_features[0], table[:, 0:2])
+        np.testing.assert_array_equal(ds.per_task_features[1], table[:, 2:4])
         out = tmp_path / "res"
         assert run("aggregate", "--input", str(p), "--targets", "t@1,u", "--homogeneous",
                    "--epsilon", "0", "--out-dir", str(out), "--quiet") == 0
-        ds = center(load_dataset(p, schema)).dataset
-        assert ds.feature_names == ("x", "w")
+        ds = center(ds).dataset
         assert_replay(ds, result_from_json((out / "result.json").read_text(), ds))
 
     def test_column_ending_in_two_targets_exits_1(self, tmp_path, capsys):
@@ -333,8 +353,7 @@ def aggregate(tmp_path, csv, targets, homogeneous):
     flags = ["--homogeneous", "--epsilon", "0.05"] if homogeneous else []
     assert run("aggregate", "--input", str(csv), "--targets", ",".join(targets), *flags,
                "--out-dir", str(out), "--quiet") == 0
-    schema = cli._build_schema(targets, [], homogeneous, csv)
-    centered = center(load_dataset(csv, schema)).dataset
+    centered = center(load_dataset(csv, targets, homogeneous=homogeneous)).dataset
     result = result_from_json((out / "result.json").read_text(), centered)
     return out, centered, result
 

@@ -17,7 +17,6 @@ from mtaggr.data import (
     center,
     load_dataset,
     save_dataset,
-    schema_for,
 )
 from mtaggr.errors import ValidationError
 from mtaggr.synth import SynthConfig, generate
@@ -30,71 +29,93 @@ def write(tmp_path, text, name="data.csv"):
 
 
 BASIC = "a,b,y\n1,2,3\n4,5,6\n7,8,9\n10,11,12\n"
-SCHEMA = {"a": "feature", "b": "feature", "y": "target"}
+TARGETS = ["y"]
 
 
 class TestLoadDataset:
     def test_basic_csv(self, tmp_path):
-        ds = load_dataset(write(tmp_path, BASIC), SCHEMA)
+        ds = load_dataset(write(tmp_path, BASIC), TARGETS)
         assert ds.n_samples == 4 and ds.n_features == 2 and ds.n_tasks == 1
         assert ds.feature_names == ("a", "b")
         np.testing.assert_array_equal(ds.features[:, 0], [1, 4, 7, 10])
 
     def test_column_order_preserved(self, tmp_path):
         text = "y,b,a\n1,2,3\n4,5,6\n"
-        ds = load_dataset(write(tmp_path, text), SCHEMA)
+        ds = load_dataset(write(tmp_path, text), TARGETS)
         assert ds.feature_names == ("b", "a")
+
+    def test_ignored_columns_dropped(self, tmp_path):
+        text = "y1,a,id,b,y0\n1,2,3,4,5\n6,7,8,9,10\n"
+        ds = load_dataset(write(tmp_path, text), ("y0", "y1"), ignore=("id",))
+        assert ds.feature_names == ("a", "b")
+        assert ds.target_names == ("y1", "y0")
+        np.testing.assert_array_equal(ds.features, [[2, 4], [7, 9]])
+        np.testing.assert_array_equal(ds.targets, [[1, 5], [6, 10]])
 
     def test_nan_cell_names_location(self, tmp_path):
         text = "a,b,y\n1,2,3\n4,NaN,6\n7,8,9\n"
         with pytest.raises(ValidationError, match=r"line 3.*'b'.*NaN"):
-            load_dataset(write(tmp_path, text), SCHEMA)
+            load_dataset(write(tmp_path, text), TARGETS)
 
     def test_inf_cell_rejected(self, tmp_path):
         text = "a,b,y\n1,2,3\ninf,5,6\n"
         with pytest.raises(ValidationError, match=r"line 3.*'a'"):
-            load_dataset(write(tmp_path, text), SCHEMA)
+            load_dataset(write(tmp_path, text), TARGETS)
 
     def test_non_numeric_cell(self, tmp_path):
         text = "a,b,y\n1,2,3\n4,x,6\n"
         with pytest.raises(ValidationError, match=r"line 3.*'b'.*'x'"):
-            load_dataset(write(tmp_path, text), SCHEMA)
+            load_dataset(write(tmp_path, text), TARGETS)
 
     def test_ragged_row(self, tmp_path):
         text = "a,b,y\n1,2,3\n4,5\n"
         with pytest.raises(ValidationError, match=r"line 3.*expected 3"):
-            load_dataset(write(tmp_path, text), SCHEMA)
+            load_dataset(write(tmp_path, text), TARGETS)
 
     def test_zero_features_or_targets(self, tmp_path):
         p = write(tmp_path, BASIC)
         with pytest.raises(ValidationError, match="zero feature"):
-            load_dataset(p, {"a": "ignore", "b": "ignore", "y": "target"})
+            load_dataset(p, TARGETS, ignore=["a", "b"])
         with pytest.raises(ValidationError, match="zero target"):
-            load_dataset(p, {"a": "feature", "b": "feature", "y": "ignore"})
+            load_dataset(p, [], ignore=["y"])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="no such file"):
-            load_dataset(tmp_path / "absent.csv", SCHEMA)
+            load_dataset(tmp_path / "absent.csv", TARGETS)
 
-    def test_schema_names_absent_column(self, tmp_path):
-        with pytest.raises(ValidationError, match="not present"):
-            load_dataset(write(tmp_path, BASIC), {**SCHEMA, "z": "feature"})
+    @pytest.mark.parametrize("targets, ignore", [(["y", "z"], []), (["y"], ["z"])])
+    def test_absent_column_named(self, tmp_path, targets, ignore):
+        p = write(tmp_path, BASIC)
+        with pytest.raises(ValidationError, match=r"columns \['z'\] not present in"):
+            load_dataset(p, targets, ignore=ignore)
+
+    def test_target_also_ignored_rejected(self, tmp_path):
+        p = write(tmp_path, BASIC)
+        with pytest.raises(ValidationError, match=r"columns \['y'\] are named both "
+                           "as targets and as ignored"):
+            load_dataset(p, ["y"], ignore=["b", "y"])
+
+    @pytest.mark.parametrize("targets, ignore, what", [
+        ("y", (), "targets"), (["y"], "a", "ignore"),
+    ])
+    def test_bare_string_rejected(self, tmp_path, targets, ignore, what):
+        # A string is a sequence of one-letter names; "y0" would name y and 0.
+        p = write(tmp_path, BASIC)
+        with pytest.raises(ValidationError, match=f"{what} must be a sequence of "
+                           "column names, not the string"):
+            load_dataset(p, targets, ignore=ignore)
 
     def test_duplicate_header(self, tmp_path):
         text = "a,a,y\n1,2,3\n4,5,6\n"
         with pytest.raises(ValidationError, match="duplicate"):
-            load_dataset(write(tmp_path, text), SCHEMA)
-
-    def test_unknown_role(self, tmp_path):
-        with pytest.raises(ValidationError, match="unknown role"):
-            load_dataset(write(tmp_path, BASIC), {"a": "predictor"})
+            load_dataset(write(tmp_path, text), TARGETS)
 
     def test_synth_round_trip(self, tmp_path):
         cfg = SynthConfig(n_tasks=2, n_features=5, n_train=250, n_test=10, sigma=1.0)
         train, _, _ = generate(cfg, 3)
         p = tmp_path / "round.csv"
         save_dataset(train, p)
-        loaded = load_dataset(p, schema_for(train))
+        loaded = load_dataset(p, train.target_names)
         assert np.max(np.abs(loaded.features - train.features)) <= 1e-9
         assert np.max(np.abs(loaded.targets - train.targets)) <= 1e-9
 
@@ -107,7 +128,7 @@ class TestLoadDataset:
         p = tmp_path / "quoted.csv"
         save_dataset(ds, p)
         assert p.read_bytes().startswith(b'"a,b","say ""x""","y,0","""y1"""\r\n')
-        loaded = load_dataset(p, schema_for(ds))
+        loaded = load_dataset(p, ds.target_names)
         assert loaded.feature_names == ds.feature_names
         assert loaded.target_names == ds.target_names
         assert np.array_equal(loaded.features, ds.features)
@@ -118,12 +139,7 @@ class TestLoadDataset:
             "f1@y0,f2@y0,f1@y1,f2@y1,y0,y1\n"
             "1,2,3,4,5,6\n7,8,9,10,11,12\n13,14,15,16,17,18\n"
         )
-        schema = {
-            "f1@y0": "feature:y0", "f2@y0": "feature:y0",
-            "f1@y1": "feature:y1", "f2@y1": "feature:y1",
-            "y0": "target", "y1": "target",
-        }
-        ds = load_dataset(write(tmp_path, text), schema)
+        ds = load_dataset(write(tmp_path, text), ["y0", "y1"], homogeneous=True)
         assert ds.per_task_features is not None
         assert len(ds.per_task_features) == 2
         assert ds.per_task_features[0].shape == (3, 2)
@@ -132,58 +148,57 @@ class TestLoadDataset:
             ds.features, (ds.per_task_features[0] + ds.per_task_features[1]) / 2
         )
 
+    def test_slab_columns_interleaved_and_targets_named_with_at(self, tmp_path):
+        # A column goes to the target its name ends in, wherever it stands:
+        # x@t@1 belongs to the target t@1, not to a target 1.
+        text = "x@u,u,x@t@1,w@u,t@1,w@t@1\n1,2,3,4,5,6\n6,5,4,3,2,1\n"
+        ds = load_dataset(write(tmp_path, text), ["t@1", "u"], homogeneous=True)
+        assert ds.feature_names == ("x", "w")
+        assert ds.target_names == ("u", "t@1")
+        np.testing.assert_array_equal(ds.per_task_features[0], [[1, 4], [6, 3]])
+        np.testing.assert_array_equal(ds.per_task_features[1], [[3, 6], [4, 1]])
+
     def test_constant_slab_column_is_named_by_its_feature(self, tmp_path):
         # b@y1 is constant: centering reports task 1's feature b, not the
         # column of target 0 in the same position.
         text = "a@y0,b@y0,a@y1,b@y1,y0,y1\n1,2,3,4,5,6\n7,8,9,4,11,12\n0,1,5,4,2,0\n"
-        schema = {
-            "a@y0": "feature:y0", "b@y0": "feature:y0",
-            "a@y1": "feature:y1", "b@y1": "feature:y1",
-            "y0": "target", "y1": "target",
-        }
-        ds = load_dataset(write(tmp_path, text), schema)
+        ds = load_dataset(write(tmp_path, text), ["y0", "y1"], homogeneous=True)
         assert center(ds).constant_columns == ("task1_feature:b",)
 
     def test_slabs_listing_other_features_in_order_rejected(self, tmp_path):
         # Paired by position, slab 1 would be [b, a] and the shared mean
         # would average a with b.
         text = "a@y0,b@y0,b@y1,a@y1,y0,y1\n1,10,20,2,0,1\n3,30,40,4,1,0\n"
-        schema = {
-            "a@y0": "feature:y0", "b@y0": "feature:y0",
-            "b@y1": "feature:y1", "a@y1": "feature:y1",
-            "y0": "target", "y1": "target",
-        }
         with pytest.raises(ValidationError, match=r"target 'y1' lists features "
                            r"\['b', 'a'\], but target 'y0' lists \['a', 'b'\]"):
-            load_dataset(write(tmp_path, text), schema)
+            load_dataset(write(tmp_path, text), ["y0", "y1"], homogeneous=True)
 
-    @pytest.mark.parametrize("name", ["f2", "f2@y1", "f2@y0x"])
-    def test_slab_column_not_named_for_its_target_rejected(self, tmp_path, name):
-        text = f"f1@y0,{name},f1@y1,f3@y1,y0,y1\n1,2,3,4,5,6\n6,5,4,3,2,1\n"
-        schema = {
-            "f1@y0": "feature:y0", name: "feature:y0",
-            "f1@y1": "feature:y1", "f3@y1": "feature:y1",
-            "y0": "target", "y1": "target",
-        }
-        with pytest.raises(ValidationError, match=f"column '{name}' is a feature of "
-                           "target 'y0', so it must be named <feature>@y0"):
-            load_dataset(write(tmp_path, text), schema)
+    @pytest.mark.parametrize("name", ["f2", "f2@y", "f2@y0x", "f2@y0@"])
+    def test_slab_column_not_named_for_a_target_rejected(self, tmp_path, name):
+        text = f"f1@y0,{name},f1@y1,y0,y1\n1,2,3,4,5\n6,5,4,3,2\n"
+        with pytest.raises(ValidationError, match=f"homogeneous mode: feature column "
+                           f"'{name}' must be named <feature>@<target> for one of "
+                           "the targets"):
+            load_dataset(write(tmp_path, text), ["y0", "y1"], homogeneous=True)
 
-    def test_mixed_shared_and_slab_roles_rejected(self, tmp_path):
-        text = "f1,f2@y0,y0\n1,2,3\n4,5,6\n"
-        schema = {"f1": "feature", "f2@y0": "feature:y0", "y0": "target"}
-        with pytest.raises(ValidationError, match="cannot mix"):
-            load_dataset(write(tmp_path, text), schema)
+    def test_column_ending_in_two_targets_rejected(self, tmp_path):
+        # x@t@1 ends in @1 and in @t@1, so it could be either target's.
+        text = "x@t@1,x@1,t@1,1\n1,2,3,4\n4,3,2,1\n"
+        with pytest.raises(ValidationError, match=r"homogeneous mode: column 'x@t@1' "
+                           r"ends in @<target> for the targets \['1', 't@1'\]"):
+            load_dataset(write(tmp_path, text), ["1", "t@1"], homogeneous=True)
 
     def test_unbalanced_slabs_rejected(self, tmp_path):
         text = "f1@y0,f2@y0,f1@y1,y0,y1\n1,2,3,4,5\n6,7,8,9,10\n"
-        schema = {
-            "f1@y0": "feature:y0", "f2@y0": "feature:y0",
-            "f1@y1": "feature:y1", "y0": "target", "y1": "target",
-        }
         with pytest.raises(ValidationError, match=r"target 'y1' lists features "
                            r"\['f1'\], but target 'y0' lists \['f1', 'f2'\]"):
-            load_dataset(write(tmp_path, text), schema)
+            load_dataset(write(tmp_path, text), ["y0", "y1"], homogeneous=True)
+
+    def test_target_without_a_slab_rejected(self, tmp_path):
+        text = "f1@y0,y0,y1\n1,2,3\n4,5,6\n"
+        with pytest.raises(ValidationError, match=r"target 'y1' lists features "
+                           r"\[\], but target 'y0' lists \['f1'\]"):
+            load_dataset(write(tmp_path, text), ["y0", "y1"], homogeneous=True)
 
 
 def reference_table(path):
@@ -240,8 +255,7 @@ def csv_files(draw):
     return "a,b,c,y0,y1\n" + "".join(",".join(r) + "\n" for r in rows)
 
 
-LOADER_SCHEMA = {"a": "feature", "b": "feature", "c": "feature",
-                 "y0": "target", "y1": "target"}
+LOADER_TARGETS = ("y0", "y1")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -253,10 +267,10 @@ def test_loader_matches_per_cell_parse(tmp_path_factory, text):
         table = reference_table(path)
     except ValidationError as exc:
         with pytest.raises(ValidationError) as got:
-            load_dataset(path, LOADER_SCHEMA)
+            load_dataset(path, LOADER_TARGETS)
         assert str(got.value) == str(exc)
         return
-    ds = load_dataset(path, LOADER_SCHEMA)
+    ds = load_dataset(path, LOADER_TARGETS)
     assert ds.features.tobytes() == np.ascontiguousarray(table[:, :3]).tobytes()
     assert ds.targets.tobytes() == np.ascontiguousarray(table[:, 3:]).tobytes()
 
@@ -367,7 +381,7 @@ def test_non_utf8_file_raises_naming_it(tmp_path, good_rows):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"a,b,y\n" + b"1,2,3\n" * good_rows + b"4,\xff5,6\n")
     with pytest.raises(ValidationError) as got:
-        load_dataset(path, SCHEMA)
+        load_dataset(path, TARGETS)
     assert str(got.value) == (
         f"{path}: not UTF-8 text: byte 0xff (invalid start byte)"
     )
@@ -386,7 +400,7 @@ def test_non_utf8_file_raises_naming_it(tmp_path, good_rows):
 def test_loader_reports_first_bad_cell(tmp_path, rows, message):
     path = write(tmp_path, "a,b,c,y0,y1\n1,2,3,4,5\n" + "\n".join(rows) + "\n")
     with pytest.raises(ValidationError) as got:
-        load_dataset(path, LOADER_SCHEMA)
+        load_dataset(path, LOADER_TARGETS)
     assert str(got.value) == message
     with pytest.raises(ValidationError) as want:
         reference_table(path)
