@@ -71,7 +71,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import (Dataset, FeaturePartition, TaskPartition, _cluster_means, _is_int,
-                   _is_real)
+                   _is_real, _seed)
 from .errors import ValidationError
 from .linstats import (  # the tolerances and the fit record are re-exported from here
     REPLAY_ATOL,
@@ -108,8 +108,6 @@ R2_TIE_TOL = 1e-12
 
 # Columns count as centered when |mean| <= this times (1 + rms).
 CENTERED_TOL = 1e-7
-
-_SEED_MASK = (1 << 64) - 1
 
 # Accepted phase-II downdates are applied to the stored (X'X)^-1 as one
 # rank-k update of this many (see _FeatureRestrictions).  Of 16 to 512, 128
@@ -643,7 +641,7 @@ class AggregationResult:
             raise ValidationError(f"feature partitions of different sizes {sizes}")
         object.__setattr__(self, "feature_partitions", tuple(self.feature_partitions))
         object.__setattr__(self, "trace", tuple(self.trace))
-        object.__setattr__(self, "seed", int(self.seed) & _SEED_MASK)
+        object.__setattr__(self, "seed", _seed(self.seed))
 
 
 def _check_centered(matrix: np.ndarray, what: str) -> None:
@@ -675,7 +673,7 @@ def _fingerprint(dataset: Dataset) -> str:
 
 
 def _task_order(n_tasks: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(int(seed) & _SEED_MASK)
+    rng = np.random.default_rng(_seed(seed))
     return rng.permutation(n_tasks)
 
 
@@ -774,19 +772,23 @@ def apply_partition(
 
     The one place reduced columns are built.  The dataset must have the
     numbers of tasks and features the result was fitted on (typically it is
-    the test split).  When it carries per-task slabs, the reduced features
-    of a cluster are the mean slab of its members, aggregated by that
-    cluster's feature partition.
+    the test split).  The result decides which features are reduced: for a
+    homogeneous result (``result.homogeneous``) they are the mean slab of
+    the cluster's members, and the dataset must carry per-task slabs;
+    otherwise they are the shared features, whatever slabs the dataset
+    carries.  Either is aggregated by the cluster's feature partition.
     """
     fitted = (result.task_partition.size, *{fp.size for fp in result.feature_partitions})
     if fitted != (dataset.n_tasks, dataset.n_features):
         raise ValidationError(f"the result partitions (tasks, features) {fitted}; the "
                               f"dataset has {(dataset.n_tasks, dataset.n_features)}")
+    if result.homogeneous and dataset.per_task_features is None:
+        raise ValidationError("a homogeneous result needs data with per-task slabs")
     clusters = result.task_partition.clusters
     targets = _cluster_means(dataset.targets, clusters)
     out: list[tuple[np.ndarray, np.ndarray]] = []
     for ci, (cluster, fpart) in enumerate(zip(clusters, result.feature_partitions)):
-        if dataset.per_task_features is not None:
+        if result.homogeneous:
             source = np.mean([dataset.per_task_features[k] for k in cluster], axis=0)
         else:
             source = dataset.features

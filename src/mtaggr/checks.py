@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .aggregation import compute_threshold_features, compute_threshold_targets, threshold_fit
-from .data import _is_int
+from .data import _is_int, _seed
 from .errors import ValidationError
 from .linstats import _core_fit
 from .oracle import (
@@ -591,4 +591,5 @@ def run_checks(
         raise ValidationError(
             f"unknown check name(s) {unknown}; expected one of {sorted(CHECKS)}"
         )
+    seed = _seed(seed)
     return [CHECKS[n](budget, seed) for n in selected]

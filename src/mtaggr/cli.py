@@ -10,9 +10,10 @@ results).  Exit codes: 0 success, 1 validation (including I/O), 2 numerical,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import fields as dataclass_fields, replace
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 from . import linstats
@@ -38,11 +39,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", type=float, default=10.0, help="noise standard deviation")
     p.add_argument("--feature-std", type=float, default=2.0,
                    help="feature standard deviation")
-    p.add_argument("--epsilon1", type=float, default=0.0,
-                   help="target-merge tolerance")
-    p.add_argument("--epsilon2", type=float, default=1e-4,
-                   help="feature-merge tolerance")
-    p.add_argument("--repeats", type=int, default=10, help="seeds per sweep point")
 
 
 def _config_from_args(args) -> SynthConfig:
@@ -56,6 +52,9 @@ def _config_from_args(args) -> SynthConfig:
         if unknown:
             raise ValidationError(f"unknown config keys {unknown}")
         return SynthConfig(**doc)
+    # Only sweep reads the tolerances and the repeat count.
+    sweep_only = (dict(epsilon1=args.epsilon1, epsilon2=args.epsilon2, n_repeats=args.repeats)
+                  if args.command == "sweep" else {})
     return SynthConfig(
         n_tasks=args.tasks,
         n_features=args.features,
@@ -63,9 +62,7 @@ def _config_from_args(args) -> SynthConfig:
         n_test=args.test_samples,
         sigma=args.sigma,
         feature_std=args.feature_std,
-        epsilon1=args.epsilon1,
-        epsilon2=args.epsilon2,
-        n_repeats=args.repeats,
+        **sweep_only,
     )
 
 
@@ -91,12 +88,10 @@ def cmd_aggregate(args) -> int:
     (out / "result.json").write_text(result_to_json(result), encoding="utf-8")
 
     reduced = apply_partition(centered, result)
-    if args.csv:
-        for ci, (y, X) in enumerate(reduced):
-            names = tuple(f"phi{k}" for k in range(X.shape[1]))
-            save_dataset(Dataset(X, y, feature_names=names,
-                                 target_names=(f"y_cluster{ci}",)),
-                         out / f"reduced_cluster{ci}.csv")
+    for ci, (y, X) in enumerate(reduced):
+        names = tuple(f"phi{k}" for k in range(X.shape[1]))
+        save_dataset(Dataset(X, y, feature_names=names, target_names=(f"y_cluster{ci}",)),
+                     out / f"reduced_cluster{ci}.csv")
 
     lines = [
         f"tasks: {centered.n_tasks} -> {result.task_partition.n_clusters} clusters",
@@ -169,13 +164,6 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     names = [n for n in (args.checks or "").split(",") if n] or None
     budget = VerifyBudget.quick() if args.quick else VerifyBudget()
-    overrides = {
-        k: getattr(args, k)
-        for k in ("replicates", "n_eval", "n_pop", "draws")
-        if getattr(args, k) is not None
-    }
-    budget = replace(budget, **overrides)
-
     results = run_checks(names, budget, seed=args.seed)
     doc = {
         "all_passed": all(r.passed for r in results),
@@ -194,6 +182,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mtaggr",
@@ -218,9 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out-dir", default="out")
     p.add_argument("--quiet", action="store_true")
-    p.add_argument("--csv", action=argparse.BooleanOptionalAction, default=True,
-                   help="also write one reduced CSV per cluster")
-    p.set_defaults(func=cmd_aggregate)
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark dataset")
     p.add_argument("--config", default=None, help="JSON file of generator settings")
@@ -228,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out-dir", default="out")
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("sweep", help="re-run the benchmark along one axis")
     p.add_argument("--axis", required=True,
@@ -236,44 +221,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, help="comma-separated axis values")
     p.add_argument("--config", default=None, help="JSON file of generator settings")
     _add_config_flags(p)
+    p.add_argument("--epsilon1", type=float, default=0.0, help="target-merge tolerance")
+    p.add_argument("--epsilon2", type=float, default=1e-4, help="feature-merge tolerance")
+    p.add_argument("--repeats", type=int, default=10, help="seeds per sweep point")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default="sweep.csv")
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the closed-form verification suite")
     p.add_argument("--checks", default="",
                    help="comma-separated check names (default: all)")
     p.add_argument("--quick", action="store_true", help="reduced sampling budgets")
-    p.add_argument("--replicates", type=int, default=None,
-                   help="Monte-Carlo replicates of variance_formula, bias_single_task, "
-                        "bias_aggregated (0.8 times, at least 100), closure and delta_mse")
-    p.add_argument("--n-eval", type=int, default=None,
-                   help="evaluation rows of variance_formula, bias_single_task (twice "
-                        "as many), bias_aggregated, closure and delta_mse")
-    p.add_argument("--n-pop", type=int, default=None,
-                   help="population rows of the bias_single_task, bias_aggregated and "
-                        "delta_mse bias decompositions; the merge-guarantee "
-                        "populations are always 100 000 rows")
-    p.add_argument("--draws", type=int, default=None,
-                   help="draws of each pair kind in merge_guarantee_targets and "
-                        "merge_guarantee_features")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default="verification_report.json")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags; map onto the validation code.
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
+    # The parser is built once per process, so the command is looked up here:
+    # a wrapper set on a cmd_* global after the first build is still called.
+    command = {"aggregate": cmd_aggregate, "synth": cmd_synth,
+               "sweep": cmd_sweep, "verify": cmd_verify}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -126,6 +126,13 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _seed(value) -> int:
+    """A seed reduced modulo 2**64; only a Python or numpy integer, not a ``bool``, is one."""
+    if not _is_int(value):
+        raise ValidationError(f"seed must be an integer, got {value!r}")
+    return int(value) % (1 << 64)
+
+
 def _is_real(value) -> bool:
     """Whether ``value`` is a Python or numpy integer or float; ``bool`` is not one."""
     return _is_int(value) or isinstance(value, (float, np.floating))

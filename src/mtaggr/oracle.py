@@ -280,15 +280,12 @@ def _fill_rows(fill, rows: int, first, scratch):
     threads run side by side.  Each thread's ``buffers`` come from one call
     of ``scratch``, made in the calling thread: memory that a pool thread
     frees stays with its thread's allocator arena, as its own RSS.  On one
-    CPU ``fill`` is called once, on ``range(rows)``.  An exception in any
-    thread reaches the caller once every thread has stopped.
+    CPU the pool gets no task and starts no thread, so the calling thread
+    takes every row, in order.  An exception in any thread reaches the
+    caller once every thread has stopped.
     """
     workers = min(_usable_cpus(), rows)
     buffers = [scratch() for _ in range(workers)]
-    if workers == 1:
-        head = first()
-        fill(range(rows), buffers[0])
-        return head
     lock, pending = threading.Lock(), iter(range(rows))
 
     def taken():
@@ -299,7 +296,7 @@ def _fill_rows(fill, rows: int, first, scratch):
                 return
             yield r
 
-    with ThreadPoolExecutor(workers - 1) as pool:
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
         futures = [pool.submit(fill, taken(), b) for b in buffers[1:]]
         head = first()
         fill(taken(), buffers[0])

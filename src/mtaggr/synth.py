@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linstats
 from .aggregation import apply_partition, nonlin_ctfa
-from .data import Dataset, _is_int, _is_real, center
+from .data import Dataset, _is_int, _is_real, _seed, center
 from .errors import ValidationError
 from .oracle import NoiseModel
 
@@ -166,7 +166,7 @@ def generate(
     config: SynthConfig, seed: int
 ) -> tuple[Dataset, Dataset, SyntheticTask]:
     """Draw a (train, test) dataset pair and its ground truth."""
-    rng = np.random.default_rng(int(seed) & ((1 << 64) - 1))
+    rng = np.random.default_rng(_seed(seed))
     L, D = config.n_tasks, config.n_features
     groups = config.groups()
     coeffs = np.empty((L, D))

@@ -464,6 +464,14 @@ class TestDriver:
             result = nonlin_ctfa(ds, 0.0, 1e-4, seed=seed)
             assert 0 <= result.seed < 2**64
 
+    @pytest.mark.parametrize("seed", [1.7, 1.0, True, np.float64(3.0), "1", None])
+    def test_seed_that_is_not_an_integer_rejected(self, seed):
+        ds = make_centered(seed=5)
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            nonlin_ctfa(ds, 0.0, 1e-4, seed=seed)
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            nonlin_ctfa_homogeneous(make_homogeneous(seed=5), 0.0, seed=seed)
+
     def test_trace_report_invariants(self):
         ds = make_centered(seed=6)
         result = nonlin_ctfa(ds, 0.0, 1e-3, seed=3)
@@ -1004,6 +1012,23 @@ class TestHomogeneousVariant:
         ds = make_centered()
         with pytest.raises(ValidationError, match="per_task_features"):
             nonlin_ctfa_homogeneous(ds, 0.0, seed=0)
+
+    def test_shared_result_reduces_the_shared_features_of_data_with_slabs(self):
+        ds = make_homogeneous(seed=5, n=30, D=3, L=2)
+        shared = Dataset(ds.features, ds.targets)
+        result = nonlin_ctfa(shared, 1e6, 1e6, seed=0)
+        assert result.task_partition.clusters == ((0, 1),)
+        got = apply_partition(ds, result)
+        want = apply_partition(shared, result)
+        assert len(got) == len(want) == 1
+        assert np.array_equal(got[0][0], want[0][0])
+        assert np.array_equal(got[0][1], want[0][1])
+
+    def test_homogeneous_result_refused_for_data_without_slabs(self):
+        ds = make_homogeneous(seed=5, n=30, D=3, L=2)
+        result = nonlin_ctfa_homogeneous(ds, 0.0, seed=0)
+        with pytest.raises(ValidationError, match="needs data with per-task slabs"):
+            apply_partition(Dataset(ds.features, ds.targets), result)
 
     def test_identical_tasks_merge_with_zero_thresholds(self):
         rng = np.random.default_rng(20)

@@ -53,6 +53,25 @@ def test_budget_rejects_what_no_check_can_run_with(field, value):
         replace(VerifyBudget.quick(), **{field: value})
 
 
+def test_merge_guarantee_populations_do_not_follow_n_pop(monkeypatch):
+    rows, worsened = [], checks._worsened
+
+    def counted(signal, *args):
+        rows.append(len(signal))
+        return worsened(signal, *args)
+
+    monkeypatch.setattr(checks, "_worsened", counted)
+    run_checks(["merge_guarantee_targets", "merge_guarantee_features"],
+               VerifyBudget(draws=1, n_pop=20_000))
+    assert rows and set(rows) == {100_000}
+
+
+@pytest.mark.parametrize("seed", [1.7, 1.0, True, np.float64(2.0), "1"])
+def test_run_checks_refuses_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        run_checks(["noise_variance"], VerifyBudget.quick(), seed=seed)
+
+
 def test_budget_accepts_the_smallest_runnable_budget():
     smallest = VerifyBudget(100, 10_000, 10_000, draws=1, bootstrap=0,
                             coefficient_replicates=2, bias_generators=1,

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mtaggr import aggregation, checks, cli, linstats
+from mtaggr import aggregation, cli, linstats
 from mtaggr.aggregation import apply_partition, assert_replay, result_from_json
 from mtaggr.checks import CheckResult
 from mtaggr.data import Dataset, center, load_dataset, save_dataset
@@ -483,39 +483,26 @@ class TestVerifyCommand:
         assert run("verify", "--checks", "bogus",
                    "--out", str(tmp_path / "r.json")) == 1
 
-    @pytest.mark.parametrize("flags, field", [
-        (("--draws", "0"), "draws"),
-        (("--draws", "-1"), "draws"),
-        (("--n-eval", "9999"), "n_eval"),
-        (("--replicates", "99"), "replicates"),
-        (("--n-pop", "9999"), "n_pop"),
-    ])
-    def test_budget_no_check_can_run_with_exits_1(self, tmp_path, monkeypatch, capsys,
-                                                   flags, field):
-        ran = []
-        monkeypatch.setattr(cli, "run_checks", lambda *a, **k: ran.append(a) or [])
-        out = tmp_path / "r.json"
-        assert run("verify", "--quick", *flags, "--out", str(out)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("validation error:") and field in err
-        assert "Traceback" not in err
-        assert ran == [] and not out.exists()
+    def test_negative_seed_is_taken_modulo_2_to_the_64(self, tmp_path, capsys):
+        reports = []
+        for seed in ("-1", str(2**64 - 1)):
+            out = tmp_path / f"r{seed}.json"
+            code = run("verify", "--quick", "--checks",
+                       "noise_variance,coefficient_covariance",
+                       "--seed", seed, "--out", str(out))
+            assert code in (0, 3) and "Traceback" not in capsys.readouterr().err
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
-    def test_merge_guarantee_populations_do_not_follow_n_pop(self, tmp_path, monkeypatch,
-                                                            capsys):
-        rows, worsened = [], checks._worsened
-
-        def counted(signal, *args):
-            rows.append(len(signal))
-            return worsened(signal, *args)
-
-        monkeypatch.setattr(checks, "_worsened", counted)
-        assert run("verify", "--checks", "merge_guarantee_targets,merge_guarantee_features",
-                   "--draws", "1", "--n-pop", "20000",
-                   "--out", str(tmp_path / "r.json")) == 0
-        assert rows and set(rows) == {100_000}
-        assert run("verify", "--help") == 0
-        assert "always 100 000 rows" in " ".join(capsys.readouterr().out.split())
+    def test_options_of_each_command(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        options = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                   for name, p in sub.choices.items()}
+        assert options["verify"] == {"--checks", "--quick", "--seed", "--out"}
+        assert not {"--csv", "--no-csv"} & options["aggregate"]
+        assert not {"--epsilon1", "--epsilon2", "--repeats"} & options["synth"]
+        assert len(options["sweep"]) == 15
+        assert sum(map(len, options.values())) == 39
 
     def test_failed_check_exits_3(self, tmp_path, monkeypatch):
         def failing(budget, seed=0):

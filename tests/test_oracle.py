@@ -659,12 +659,16 @@ class TestReplicateThreads:
     def test_one_cpu_fills_the_rows_in_order_in_the_caller(self, monkeypatch):
         self.cpus(monkeypatch, 1)
         seen = []
+        threads = threading.active_count()
 
         def fill(taken, buffer):
-            seen.append((taken, buffer, threading.current_thread().name))
+            for row in taken:
+                seen.append((row, buffer, threading.current_thread().name,
+                             threading.active_count()))
 
         oracle._fill_rows(fill, 5, lambda: None, lambda: "buffer")
-        assert seen == [(range(5), "buffer", threading.current_thread().name)]
+        caller = threading.current_thread().name
+        assert seen == [(row, "buffer", caller, threads) for row in range(5)]
 
     @pytest.mark.parametrize("where", ["worker", "caller"])
     def test_an_exception_in_any_thread_reaches_the_caller(self, where, monkeypatch):

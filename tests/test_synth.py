@@ -128,6 +128,16 @@ class TestGenerate:
         with pytest.raises(ValidationError, match=field):
             SynthConfig(**{field: value})
 
+    @pytest.mark.parametrize("seed", [1.9, 1.0, True, np.float64(2.0), "1"])
+    def test_generate_rejects_a_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            generate(SMALL, seed)
+
+    def test_generate_takes_the_seed_modulo_2_to_the_64(self):
+        a, b = generate(SMALL, -1), generate(SMALL, 2**64 - 1)
+        assert np.array_equal(a[0].features, b[0].features)
+        assert np.array_equal(a[2].coefficients, b[2].coefficients)
+
     def test_config_accepts_numpy_numbers(self):
         cfg = SynthConfig(n_tasks=np.int64(3), n_features=np.int32(4),
                           sigma=np.float32(0.5), epsilon1=-1)
