@@ -19,7 +19,7 @@ from pathlib import Path
 from . import linstats
 from .aggregation import apply_partition, nonlin_ctfa, nonlin_ctfa_homogeneous, result_to_json
 from .checks import VerifyBudget, run_checks
-from .data import Dataset, center, load_dataset, save_dataset
+from .data import Dataset, _seed, center, load_dataset, save_dataset
 from .errors import NumericalError, ValidationError
 from .synth import SynthConfig, generate, sweep
 
@@ -135,7 +135,7 @@ def cmd_synth(args) -> int:
     save_dataset(train, out / "train.csv")
     save_dataset(test, out / "test.csv")
     doc = {
-        "seed": args.seed,
+        "seed": _seed(args.seed),
         "sigma": config.sigma,
         "feature_std": config.feature_std,
         "coefficients": [[float(v) for v in row] for row in truth.coefficients],

@@ -3,7 +3,8 @@
 A :class:`Dataset` is an n x D feature matrix paired with an n x L target
 matrix.  The homogeneous variant additionally carries one n x D feature slab
 per task; in that case ``features`` holds the elementwise mean of the slabs
-as a shared view.
+as a shared view.  A CSV file's header is read by ``csv`` and its body by
+one ``np.loadtxt`` call (see :func:`load_dataset`).
 
 All types are immutable after construction and safe to share across
 concurrent workers.
@@ -12,8 +13,7 @@ concurrent workers.
 from __future__ import annotations
 
 import csv
-import math
-from array import array
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar, Sequence
@@ -323,130 +323,49 @@ def center(dataset: Dataset) -> CenterResult:
 # ---------------------------------------------------------------------------
 
 
-def _parse_cell(cell: str, line: int, column: str) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise ValidationError(
-            f"line {line}, column {column!r}: non-numeric value {cell.strip()!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise ValidationError(
-            f"line {line}, column {column!r}: non-finite value {cell.strip()!r}"
-        )
-    return value
-
-
 def _not_utf8(p: Path, exc: UnicodeDecodeError) -> ValidationError:
     return ValidationError(
         f"{p}: not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})"
     )
 
 
-def _read_header(path) -> list[str]:
-    """The column names on the first row of a CSV file, stripped."""
-    p = Path(path)
+def _read_header(p: Path) -> tuple[list[str], int]:
+    """The stripped names of the header record of ``p`` and the lines it takes."""
     if not p.exists():
         raise ValidationError(f"no such file: {p}")
     with p.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
         try:
-            return [h.strip() for h in next(csv.reader(fh))]
+            return [h.strip() for h in next(reader)], reader.line_num
         except StopIteration:
             raise ValidationError(f"{p}: empty file") from None
         except UnicodeDecodeError as exc:
             raise _not_utf8(p, exc) from None
 
 
-# Bytes that csv and ``float`` read otherwise than numpy's C reader does.  A
-# carriage return is one of them only outside a CRLF pair.
-_NOT_FOR_THE_C_READER = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-# The scan before the C reader reads the body this many bytes at a time.
-_CHUNK = 1 << 20
-
-
-def _plain(chunk: bytes) -> bool:
-    """Whether csv and numpy's C reader split ``chunk`` into the same cells.
-
-    Only a chunk with a carriage return is counted for lone ones: the ``in``
-    test is one memchr, where each count is a full scan.
-    """
-    return (not any(s in chunk for s in _NOT_FOR_THE_C_READER)
-            and (b"\r" not in chunk or chunk.count(b"\r") == chunk.count(b"\r\n")))
-
-
-def _read_table(p: Path, width: int) -> np.ndarray | None:
-    """The body of ``p`` as numpy's C reader parses it, or None where it may not.
-
-    The C reader converts a cell with the function Python's ``float`` uses,
-    so a table it returns holds the bits :func:`_parse_table` would.  Its
-    lines are not csv's, though: it does not know quotes, reads a lone
-    carriage return as a line end, and skips blank lines, which csv reports
-    as rows of zero fields.  It also strips the separators U+001C..U+001F
-    around a number as white space, which ``float`` refuses.  So the table
-    is taken only from a file without quotes, lone carriage returns or those
-    separators, with one row per data line of the header's width and every
-    value finite.  LF and CRLF line ends read alike, as the file is opened
-    in universal-newline mode.  Any other file, including one with a cell
-    the C reader refuses, returns None.  The file is scanned in chunks, so
-    no second copy of it is held.
-    """
-    with p.open("rb") as fh:
-        chunk = fh.readline()  # the header
-        if fh.peek(1)[:1] in (b"\n", b"\r"):
-            # A blank line (a body of only those makes loadtxt warn), or a
-            # lone carriage return.
-            return None
-        rows, last = -1, b"\n"  # -1: the header's line end is counted too
-        while chunk:
-            if chunk.endswith(b"\r"):
-                chunk += fh.read(1)  # keep a CRLF pair in one chunk
-            if not _plain(chunk):
-                return None
-            rows += chunk.count(b"\n")
-            last = chunk[-1:]
-            chunk = fh.read(_CHUNK)
-    rows += last != b"\n"
-    if rows < 1:
-        return None  # loadtxt warns on a body without rows
+def _read_body(p: Path, header: Sequence[str], skip: int) -> np.ndarray:
+    """The lines of ``p`` after its first ``skip`` as a table; see :func:`load_dataset`."""
     try:
-        table = np.loadtxt(p, delimiter=",", skiprows=1, comments=None, dtype=float,
-                           ndmin=2, encoding="utf-8")
-    except ValueError:
-        return None
-    if table.shape != (rows, width) or not np.isfinite(table).all():
-        return None
+        with warnings.catch_warnings():
+            # A body without rows is refused below.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(p, delimiter=",", skiprows=skip, comments=None, ndmin=2,
+                               encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(p, exc) from None
+    except ValueError as exc:
+        raise ValidationError(f"{p}: {exc}") from None
+    rows, width = table.shape
+    if rows < 2:
+        raise ValidationError(f"{p}: need at least 2 data rows, got {rows}")
+    if width != len(header):
+        raise ValidationError(f"{p}: {len(header)} columns in the header, {width} in rows")
+    if not np.isfinite(table).all():
+        i, k = np.argwhere(~np.isfinite(table))[0]
+        raise ValidationError(
+            f"{p}: non-finite value {table[i, k]} at row {i}, column {header[k]!r}"
+        )
     return table
-
-
-def _parse_table(p: Path, header: Sequence[str]) -> np.ndarray:
-    """The body of ``p`` parsed by csv; raises at the first bad row or cell."""
-    rows: list[array] = []
-    with p.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            next(reader)
-            for raw in reader:
-                line = reader.line_num
-                if len(raw) != len(header):
-                    raise ValidationError(
-                        f"line {line}: expected {len(header)} fields, got {len(raw)}"
-                    )
-                # The whole row goes through float and isfinite in C, into an
-                # array of doubles, so no float object outlives its row.  Only
-                # a row that fails is scanned cell by cell, which raises at
-                # its first bad cell.
-                try:
-                    row = array("d", map(float, raw))
-                    if not all(map(math.isfinite, row)):
-                        raise ValueError
-                except ValueError:
-                    for k, c in enumerate(raw):
-                        _parse_cell(c, line, header[k])
-                    raise AssertionError("unreachable: a failing row has a bad cell")
-                rows.append(row)
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(p, exc) from None
-    return np.frombuffer(b"".join(rows)).reshape(len(rows), len(header))
 
 
 def _names(columns, what: str) -> tuple[str, ...]:
@@ -483,6 +402,16 @@ def load_dataset(path, targets: Sequence[str], *, ignore: Sequence[str] = (),
     for which it ends in ``@t``, and a column that ends so for two targets
     is refused.  Every target must list the same features in the same
     order; the dataset's feature names are the bare ``<feature>`` parts.
+
+    The header is read by ``csv``, so a name may be quoted.  The body is
+    read by ``np.loadtxt``: unquoted numbers, white space around a cell
+    allowed, LF, CRLF or a lone CR ending a line, blank lines skipped.  A
+    refusal names the file.  A cell loadtxt cannot convert (quoted, ``1_0``,
+    ``x``, empty) or a ragged row keeps loadtxt's message; a non-finite
+    value in any column is named by its column and its row, counted as
+    loadtxt counts a bad cell's: from 0 after the header, blank lines not
+    counted.  Rows wider or narrower than the header, and fewer than two
+    rows, are refused too.
     """
     p = Path(path)
     target_set = set(_names(targets, "targets"))
@@ -490,7 +419,7 @@ def load_dataset(path, targets: Sequence[str], *, ignore: Sequence[str] = (),
     both = sorted(target_set & ignore_set)
     if both:
         raise ValidationError(f"columns {both} are named both as targets and as ignored")
-    header = _read_header(p)
+    header, header_lines = _read_header(p)
     if len(set(header)) != len(header):
         raise ValidationError(f"{p}: duplicate column names in header")
     named = target_set | ignore_set
@@ -531,34 +460,20 @@ def load_dataset(path, targets: Sequence[str], *, ignore: Sequence[str] = (),
                     f"but target {first!r} lists {slab_names[first]}"
                 )
 
+    table = _read_body(p, header, header_lines)
     index = {name: k for k, name in enumerate(header)}
-    table = _read_table(p, len(header))
-    if table is None:
-        table = _parse_table(p, header)
-    if table.shape[0] < 2:
-        raise ValidationError(f"{p}: need at least 2 data rows, got {table.shape[0]}")
 
-    Y = table[:, [index[c] for c in target_cols]]
-    if homogeneous:
-        slabs = tuple(
-            table[:, [index[c] for c in slab_cols[t]]] for t in target_cols
-        )
-        features = np.mean(np.stack(slabs), axis=0)
-        return Dataset(
-            features=features,
-            targets=Y,
-            feature_names=tuple(slab_names[target_cols[0]]),
-            target_names=tuple(target_cols),
-            per_task_features=slabs,
-        )
+    def columns(names):
+        return table[:, [index[c] for c in names]]
 
-    features = table[:, [index[c] for c in feature_cols]]
-    return Dataset(
-        features=features,
-        targets=Y,
-        feature_names=tuple(feature_cols),
-        target_names=tuple(target_cols),
-    )
+    Y = columns(target_cols)
+    if not homogeneous:
+        return Dataset(columns(feature_cols), Y, feature_names=tuple(feature_cols),
+                       target_names=tuple(target_cols))
+    slabs = tuple(columns(slab_cols[t]) for t in target_cols)
+    return Dataset(np.mean(np.stack(slabs), axis=0), Y,
+                   feature_names=tuple(slab_names[target_cols[0]]),
+                   target_names=tuple(target_cols), per_task_features=slabs)
 
 
 # Rows of a CSV body joined into one string before they are written.

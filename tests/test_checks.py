@@ -72,11 +72,18 @@ def test_run_checks_refuses_a_seed_that_is_not_an_integer(seed):
         run_checks(["noise_variance"], VerifyBudget.quick(), seed=seed)
 
 
+SMALLEST = VerifyBudget(100, 10_000, 10_000, draws=1, bootstrap=0, coefficient_replicates=2,
+                        bias_generators=1, bias_partitions=1)
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_each_check_takes_a_negative_seed_modulo_2_to_the_64(name):
+    check = CHECKS[name]
+    assert check(SMALLEST, seed=-1).to_dict() == check(SMALLEST, seed=2**64 - 1).to_dict()
+
+
 def test_budget_accepts_the_smallest_runnable_budget():
-    smallest = VerifyBudget(100, 10_000, 10_000, draws=1, bootstrap=0,
-                            coefficient_replicates=2, bias_generators=1,
-                            bias_partitions=1)
-    (result,) = run_checks(["merge_guarantee_features"], smallest)
+    (result,) = run_checks(["merge_guarantee_features"], SMALLEST)
     assert result.replicates == 1
 
 

@@ -72,6 +72,16 @@ class TestSynthCommand:
         assert run("synth", "--config", str(cfg), "--out-dir",
                    str(tmp_path / "o")) == 1
 
+    def test_negative_seed_is_written_as_aggregate_writes_it(self, tmp_path):
+        # Both commands draw from the seed modulo 2**64 and write that.
+        data, res = tmp_path / "data", tmp_path / "res"
+        run("synth", *SYNTH_FLAGS, "--seed", "-1", "--out-dir", str(data), "--quiet")
+        assert run("aggregate", "--input", str(data / "train.csv"), "--targets",
+                   "y0,y1,y2", "--seed", "-1", "--out-dir", str(res), "--quiet") == 0
+        truth = json.loads((data / "truth.json").read_text())
+        result = json.loads((res / "result.json").read_text())
+        assert truth["seed"] == result["seed"] == 2**64 - 1
+
     def test_sigma_zero_dataset_is_noiseless(self, tmp_path):
         out = tmp_path / "clean"
         run("synth", *SYNTH_FLAGS[:-2], "--sigma", "0.0", "--seed", "4",

@@ -2,18 +2,18 @@
 
 import csv
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtaggr import data
+from mtaggr import cli, data
 from mtaggr.data import (
     Dataset,
     FeaturePartition,
     TaskPartition,
-    _parse_cell,
     center,
     load_dataset,
     save_dataset,
@@ -54,22 +54,26 @@ class TestLoadDataset:
 
     def test_nan_cell_names_location(self, tmp_path):
         text = "a,b,y\n1,2,3\n4,NaN,6\n7,8,9\n"
-        with pytest.raises(ValidationError, match=r"line 3.*'b'.*NaN"):
+        with pytest.raises(ValidationError, match=r"non-finite value nan at row 1, "
+                           r"column 'b'$"):
             load_dataset(write(tmp_path, text), TARGETS)
 
     def test_inf_cell_rejected(self, tmp_path):
         text = "a,b,y\n1,2,3\ninf,5,6\n"
-        with pytest.raises(ValidationError, match=r"line 3.*'a'"):
+        with pytest.raises(ValidationError, match=r"non-finite value inf at row 1, "
+                           r"column 'a'$"):
             load_dataset(write(tmp_path, text), TARGETS)
 
     def test_non_numeric_cell(self, tmp_path):
         text = "a,b,y\n1,2,3\n4,x,6\n"
-        with pytest.raises(ValidationError, match=r"line 3.*'b'.*'x'"):
+        with pytest.raises(ValidationError, match=r"could not convert string 'x' to "
+                           r"float64 at row 1, column 2\.$"):
             load_dataset(write(tmp_path, text), TARGETS)
 
     def test_ragged_row(self, tmp_path):
         text = "a,b,y\n1,2,3\n4,5\n"
-        with pytest.raises(ValidationError, match=r"line 3.*expected 3"):
+        with pytest.raises(ValidationError, match=r"the number of columns changed "
+                           r"from 3 to 2 at row 2;"):
             load_dataset(write(tmp_path, text), TARGETS)
 
     def test_zero_features_or_targets(self, tmp_path):
@@ -116,23 +120,27 @@ class TestLoadDataset:
         p = tmp_path / "round.csv"
         save_dataset(train, p)
         loaded = load_dataset(p, train.target_names)
-        assert np.max(np.abs(loaded.features - train.features)) <= 1e-9
-        assert np.max(np.abs(loaded.targets - train.targets)) <= 1e-9
+        # Every cell is a float repr, which reads back to the same bits.
+        assert loaded.features.tobytes() == train.features.tobytes()
+        assert loaded.targets.tobytes() == train.targets.tobytes()
 
     def test_round_trip_with_names_csv_quotes(self, tmp_path):
-        # The header goes through csv.writer, so names holding a delimiter
-        # or a quote are quoted and read back as they were.
+        # The header goes through csv.writer, so names holding a delimiter,
+        # a quote or a line break are quoted and read back as they were; the
+        # body starts after the header's two lines.
         rng = np.random.default_rng(1)
-        ds = Dataset(rng.standard_normal((6, 2)), rng.standard_normal((6, 2)),
-                     feature_names=("a,b", 'say "x"'), target_names=("y,0", '"y1"'))
+        ds = Dataset(rng.standard_normal((6, 3)), rng.standard_normal((6, 2)),
+                     feature_names=("a,b", 'say "x"', "two\nlines"),
+                     target_names=("y,0", '"y1"'))
         p = tmp_path / "quoted.csv"
         save_dataset(ds, p)
-        assert p.read_bytes().startswith(b'"a,b","say ""x""","y,0","""y1"""\r\n')
+        assert p.read_bytes().startswith(
+            b'"a,b","say ""x""","two\nlines","y,0","""y1"""\r\n')
         loaded = load_dataset(p, ds.target_names)
         assert loaded.feature_names == ds.feature_names
         assert loaded.target_names == ds.target_names
-        assert np.array_equal(loaded.features, ds.features)
-        assert np.array_equal(loaded.targets, ds.targets)
+        assert loaded.features.tobytes() == ds.features.tobytes()
+        assert loaded.targets.tobytes() == ds.targets.tobytes()
 
     def test_per_task_slabs(self, tmp_path):
         text = (
@@ -201,179 +209,57 @@ class TestLoadDataset:
             load_dataset(write(tmp_path, text), ["y0", "y1"], homogeneous=True)
 
 
-def reference_table(path):
-    """The rows of a CSV file parsed one cell at a time through ``_parse_cell``.
-
-    Raises the first bad row or cell in file order; the reference the
-    row-at-a-time loader is checked against.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        rows = []
-        for raw in reader:
-            line = reader.line_num
-            if len(raw) != len(header):
-                raise ValidationError(
-                    f"line {line}: expected {len(header)} fields, got {len(raw)}"
-                )
-            rows.append([_parse_cell(c, line, header[k]) for k, c in enumerate(raw)])
-    return np.asarray(rows, dtype=float)
+RAGGED = ("the number of columns changed from 2 to 1 at row 2; use `usecols` to "
+          "select a subset and avoid this error")
 
 
-# Cells as they appear in the file: padded, signed, exponents, underscores,
-# quoted (one with an embedded newline, which moves later line numbers on).
-GOOD_CELLS = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.integers(-10**20, 10**20).map(str),
-    st.sampled_from([
-        " 1.5", "2.5 ", " -0.0 ", "-0", "1e5", "1E-3", "+3", ".5", "5.", "1_0",
-        "-1_000.2_5", "00012", "1e308", "4.9e-324", "2e-400", '"7.25"', '" 8 "',
-        '"1\n"', "\t3",
-    ]),
-)
-NON_NUMERIC_CELLS = st.sampled_from(
-    ["x", "", " ", "1..2", "_1", "1__0", "0x10", "1e", "--1", '"1,5"', "1 2"]
-)
-NON_FINITE_CELLS = st.sampled_from(
-    ["nan", " NaN ", "-nan", "inf", "-Infinity", "+inf", "1e999", '"-1e400"']
-)
-
-
-@st.composite
-def csv_files(draw):
-    """CSV text with three features and two targets, possibly with bad rows."""
-    n_rows = draw(st.integers(2, 8))
-    rows = [[draw(GOOD_CELLS) for _ in range(5)] for _ in range(n_rows)]
-    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
-        i, k = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, 4))
-        rows[i][k] = draw(st.one_of(NON_NUMERIC_CELLS, NON_FINITE_CELLS))
-    if draw(st.integers(0, 3)) == 0:
-        i = draw(st.integers(0, n_rows - 1))
-        width = draw(st.sampled_from([1, 4, 6]))
-        rows[i] = (rows[i] * 2)[:width]
-    return "a,b,c,y0,y1\n" + "".join(",".join(r) + "\n" for r in rows)
-
-
-LOADER_TARGETS = ("y0", "y1")
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(csv_files())
-def test_loader_matches_per_cell_parse(tmp_path_factory, text):
-    path = tmp_path_factory.mktemp("csv") / "data.csv"
-    path.write_text(text, encoding="utf-8")
-    try:
-        table = reference_table(path)
-    except ValidationError as exc:
-        with pytest.raises(ValidationError) as got:
-            load_dataset(path, LOADER_TARGETS)
-        assert str(got.value) == str(exc)
-        return
-    ds = load_dataset(path, LOADER_TARGETS)
-    assert ds.features.tobytes() == np.ascontiguousarray(table[:, :3]).tobytes()
-    assert ds.targets.tobytes() == np.ascontiguousarray(table[:, 3:]).tobytes()
-
-
-PLAIN_CELLS = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.integers(-10**20, 10**20).map(str),
-    st.sampled_from([" 1.5", "2.5 ", " -0.0 ", "-0", "1e5", "+3", ".5", "5.", "\t3"]),
-)
-# Cells the C reader refuses, so a file with one takes the csv parse.
-REFUSED_CELLS = st.sampled_from(['"7.25"', '" 8 "', "1_0", "-1_000.2_5", "x", "nan"])
-
-
-@st.composite
-def csv_layouts(draw):
-    """CSV bytes in varied line layouts, and whether numpy's C reader may take them.
-
-    One row in ``width`` columns per line, each line ended by ``eol``, the
-    last one possibly not, or followed by a blank line; possibly with a
-    blank or whitespace-only line put before a row, or with a cell the C
-    reader refuses.
-    """
-    width = draw(st.sampled_from([1, 5]))
-    lines = [",".join(draw(PLAIN_CELLS) for _ in range(width))
-             for _ in range(draw(st.integers(1, 6)))]
-    eol = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
-    end = draw(st.sampled_from([eol, "", eol + eol]))
-    c_reader = eol != "\r" and end != eol + eol
-    odd = draw(st.sampled_from([None, None, "", " ", "\t", "refused"]))
-    if odd is not None:
-        c_reader = False
-        k = draw(st.integers(0, len(lines) - 1))
-        if odd == "refused":
-            cells = lines[k].split(",")
-            cells[draw(st.integers(0, width - 1))] = draw(REFUSED_CELLS)
-            lines[k] = ",".join(cells)
-        else:
-            lines.insert(k, odd)
-    header = ",".join(["a", "b", "c", "y0", "y1"][:width])
-    return (eol.join([header] + lines) + end).encode("utf-8"), width, c_reader
-
-
-def check_both_paths(path, width, c_reader):
-    """The file takes the C reader iff ``c_reader``, and reads as ``reference_table``.
-
-    Both paths give its table bit for bit, or the csv parse raises the
-    reference's first error message.
-    """
-    fast = data._read_table(path, width)
-    assert (fast is not None) == c_reader
-    header = data._read_header(path)
-    try:
-        want = reference_table(path)
-    except ValidationError as exc:
-        assert fast is None
-        with pytest.raises(ValidationError) as got:
-            data._parse_table(path, header)
-        assert str(got.value) == str(exc)
-        return None
-    assert data._parse_table(path, header).tobytes() == want.tobytes()
-    if fast is not None:
-        assert fast.tobytes() == want.tobytes()
-    return want
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(csv_layouts())
-def test_loader_reads_line_layouts_like_csv(tmp_path_factory, layout):
-    raw, width, c_reader = layout
-    path = tmp_path_factory.mktemp("csv") / "data.csv"
-    path.write_bytes(raw)
-    check_both_paths(path, width, c_reader)
-
-
-@pytest.mark.parametrize("body", [
-    # numpy reads a lone CR as a line end and skips the blank line that
-    # follows, so these have one row per LF there; csv finds an empty row.
-    b"1,2\r\r\n3,4\n",
-    b"1,2\r\n\r3,4\r\n",
-    # Read alike, but a lone CR still takes the csv parse.
-    b"1,2\n3,4\r",
+@pytest.mark.parametrize("body, want", [
+    # Line ends, and where lines are skipped: the body of a file with the
+    # header a,y, and its table or the message after "<path>: ".
+    (b"1,2\n3,4\n", [[1, 2], [3, 4]]),
+    (b"1,2\r\n3,4\r\n", [[1, 2], [3, 4]]),
+    (b"1,2\r3,4\r", [[1, 2], [3, 4]]),
+    (b"1,2\n3,4", [[1, 2], [3, 4]]),
+    (b"1,2\n\n3,4\n", [[1, 2], [3, 4]]),
+    (b"1,2\n \n3,4\n", RAGGED),
+    # Cells: white space and U+001C..U+001F around a number are padding;
+    # quotes, underscores, words and empty cells are refused.
+    (b" 1 ,\t2\n\x1c3, 4 \n", [[1, 2], [3, 4]]),
+    (b'1,"2"\n3,4\n', "could not convert string '\"2\"' to float64 at row 0, column 2."),
+    (b"1,1_0\n3,4\n", "could not convert string '1_0' to float64 at row 0, column 2."),
+    (b"1,2\nx,4\n", "could not convert string 'x' to float64 at row 1, column 1."),
+    (b"1,\n3,4\n", "could not convert string '' to float64 at row 0, column 2."),
+    # Non-finite values, counted from row 0 with blank lines not counted; a
+    # non-numeric cell anywhere is reported first.
+    (b"1,2\n\n3,nan\n", "non-finite value nan at row 1, column 'y'"),
+    (b"inf,2\n3,4\n", "non-finite value inf at row 0, column 'a'"),
+    (b"1,2\n3,-1e999\n", "non-finite value -inf at row 1, column 'y'"),
+    (b"nan,2\n3,x\n", "could not convert string 'x' to float64 at row 1, column 2."),
+    # Widths and row counts.
+    (b"1,2\n3\n", RAGGED),
+    (b"1,2,3\n4,5,6\n", "2 columns in the header, 3 in rows"),
+    (b"1\n2\n", "2 columns in the header, 1 in rows"),
+    (b"1,2\n", "need at least 2 data rows, got 1"),
+    (b"", "need at least 2 data rows, got 0"),
+    (b"\n\n", "need at least 2 data rows, got 0"),
 ])
-def test_lone_carriage_return_takes_csv(tmp_path, body):
+def test_body_layouts(tmp_path, capsys, body, want):
     path = tmp_path / "data.csv"
     path.write_bytes(b"a,y\n" + body)
-    check_both_paths(path, 2, c_reader=False)
-
-
-@pytest.mark.parametrize("pair, c_reader", [(b"\r\n", True), (b"\r", False)])
-def test_carriage_return_at_a_chunk_end(tmp_path, pair, c_reader):
-    # The scan reads the body in chunks after the header line; put a
-    # carriage return on the last byte of the first chunk.  CRLF there still
-    # takes the C reader; a lone CR does not, though csv reads both alike.
-    header = b"a,y\r\n"
-    end = len(header) + data._CHUNK - 1
-    # Rows of "1,2\r\n" after a first row padded so that one CR lands on `end`.
-    first = b"1." + b"0" * ((data._CHUNK - 10) % 5) + b",2\r\n"
-    n = (data._CHUNK - 4 - len(first)) // 5 + 3
-    raw = header + first + b"1,2\r\n" * n
-    assert raw[end:end + 2] == b"\r\n"
-    path = tmp_path / "data.csv"
-    path.write_bytes(raw[:end] + pair + raw[end + 2:])
-    assert check_both_paths(path, 2, c_reader).shape == (n + 1, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(want, list):
+            ds = load_dataset(path, TARGETS)
+            assert np.hstack([ds.features, ds.targets]).tolist() == want
+            return
+        with pytest.raises(ValidationError) as got:
+            load_dataset(path, TARGETS)
+    assert str(got.value) == f"{path}: {want}"
+    out = tmp_path / "res"
+    assert cli.main(["aggregate", "--input", str(path), "--targets", "y",
+                     "--out-dir", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"validation error: {path}: {want}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("good_rows", [0, 2000])
@@ -388,23 +274,24 @@ def test_non_utf8_file_raises_naming_it(tmp_path, good_rows):
 
 
 @pytest.mark.parametrize("rows, message", [
-    # Within one row the first bad cell wins, whichever kind it is.
-    (["1,inf,x,4,5"], "line 3, column 'b': non-finite value 'inf'"),
-    (["1,x,inf,4,5"], "line 3, column 'b': non-numeric value 'x'"),
-    # Across rows the first bad row wins.
-    (["1,2,nan,4,5", "x,2,3,4,5"], "line 3, column 'c': non-finite value 'nan'"),
-    (["1,2,3,4,x", "nan,2,3,4,5"], "line 3, column 'y1': non-numeric value 'x'"),
-    (["1,2,3,4,5", "1,2,3", "x,2,3,4,5"], "line 4: expected 5 fields, got 3"),
-    (["1,2,3,4, 1e999 ", "1,2,3"], "line 3, column 'y1': non-finite value '1e999'"),
+    # A cell loadtxt cannot convert is reported before any non-finite value,
+    # and a ragged row before any cell of a later row.
+    (["1,inf,x,4,5"], "could not convert string 'x' to float64 at row 1, column 3."),
+    (["1,x,inf,4,5"], "could not convert string 'x' to float64 at row 1, column 2."),
+    (["1,2,nan,4,5", "x,2,3,4,5"],
+     "could not convert string 'x' to float64 at row 2, column 1."),
+    (["1,2,3,4,5", "1,2,3", "x,2,3,4,5"],
+     "the number of columns changed from 5 to 3 at row 3; use `usecols` to select "
+     "a subset and avoid this error"),
+    # Non-finite values in row-major order, ignored columns included.
+    (["1,2,nan,4,5", "1,inf,3,4,5"], "non-finite value nan at row 1, column 'c'"),
+    (["1,2,3,4, 1e999 ", "nan,2,3,4,5"], "non-finite value inf at row 1, column 'y1'"),
 ])
 def test_loader_reports_first_bad_cell(tmp_path, rows, message):
     path = write(tmp_path, "a,b,c,y0,y1\n1,2,3,4,5\n" + "\n".join(rows) + "\n")
     with pytest.raises(ValidationError) as got:
-        load_dataset(path, LOADER_TARGETS)
-    assert str(got.value) == message
-    with pytest.raises(ValidationError) as want:
-        reference_table(path)
-    assert str(want.value) == message
+        load_dataset(path, ("y0", "y1"), ignore=("c",))
+    assert str(got.value) == f"{path}: {message}"
 
 
 class TestDatasetValidation:
