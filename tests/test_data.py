@@ -214,8 +214,9 @@ RAGGED = ("the number of columns changed from 2 to 1 at row 2; use `usecols` to 
 
 
 @pytest.mark.parametrize("body, want", [
-    # Line ends, and where lines are skipped: the body of a file with the
-    # header a,y, and its table or the message after "<path>: ".
+    # The body of a file whose header is a,y, and the table it loads to or
+    # the message after "<path>: ".  Line ends; blank lines are skipped, but
+    # a whitespace-only line is a row of one empty cell.
     (b"1,2\n3,4\n", [[1, 2], [3, 4]]),
     (b"1,2\r\n3,4\r\n", [[1, 2], [3, 4]]),
     (b"1,2\r3,4\r", [[1, 2], [3, 4]]),
