@@ -71,14 +71,13 @@ class VerifyBudget:
 
     Every budget is an integer, checked when the budget is built, so a
     budget no check can run with fails before any check runs:
-    ``replicates``, ``n_eval`` and ``n_pop`` at least the estimators' own
-    minima, ``bootstrap`` at least 0 (below 2 resamples it adds no error),
+    ``replicates`` and ``n_pop`` at least the estimators' own minima,
+    ``bootstrap`` at least 0 (below 2 resamples it adds no error),
     ``coefficient_replicates`` at least 2 (one covariance needs two), and
     the draw and case counts at least 1 (a rate needs one draw).
     """
 
     replicates: int = 500
-    n_eval: int = 10_000
     n_pop: int = 100_000
     draws: int = 50
     bootstrap: int = 100
@@ -88,7 +87,7 @@ class VerifyBudget:
 
     def __post_init__(self):
         minima = {
-            "replicates": MIN_REPLICATES, "n_eval": MIN_N_EVAL, "n_pop": MIN_N_POP,
+            "replicates": MIN_REPLICATES, "n_pop": MIN_N_POP,
             "draws": 1, "bootstrap": 0, "coefficient_replicates": 2,
             "bias_generators": 1, "bias_partitions": 1,
         }
@@ -103,7 +102,6 @@ class VerifyBudget:
     def quick(cls) -> "VerifyBudget":
         return cls(
             replicates=100,
-            n_eval=10_000,
             n_pop=20_000,
             draws=12,
             bootstrap=60,
@@ -220,7 +218,7 @@ def check_variance_formula(budget: VerifyBudget, seed: int = 0) -> CheckResult:
             task_index=0,
             n_train=n,
             replicates=budget.replicates,
-            n_eval=budget.n_eval,
+            n_eval=MIN_N_EVAL,
             seed=int(rng.integers(2**32)),
             bootstrap=budget.bootstrap,
             total=False,
@@ -276,7 +274,7 @@ def check_bias_single_task(budget: VerifyBudget, seed: int = 0) -> CheckResult:
     for _ in range(budget.bias_partitions):
         partition = _random_partition(D, rng)
         cases.append(_bias_case(
-            task, [0], partition, budget, rng, budget.replicates, 2 * budget.n_eval,
+            task, [0], partition, budget, rng, budget.replicates, 2 * MIN_N_EVAL,
             partition_cells=len(partition),
         ))
     return _summary("bias_single_task", cases, budget.replicates, margin=_se_margin)
@@ -301,7 +299,7 @@ def check_bias_aggregated(budget: VerifyBudget, seed: int = 0) -> CheckResult:
         partition = _random_partition(D, rng)
         cases.append(_bias_case(
             task, [0, 1], partition, budget, rng,
-            max(100, int(budget.replicates * 0.8)), budget.n_eval,
+            max(100, int(budget.replicates * 0.8)), MIN_N_EVAL,
             generator=g, sigma=sigma, rho=rho, partition_cells=len(partition),
         ))
     return _summary("bias_aggregated", cases, budget.replicates, margin=_se_margin)
@@ -325,7 +323,7 @@ def check_closure(budget: VerifyBudget, seed: int = 0) -> CheckResult:
             task, range(k), partition, 0,
             n_train=500,
             replicates=budget.replicates,
-            n_eval=budget.n_eval,
+            n_eval=MIN_N_EVAL,
             seed=int(rng.integers(2**32)),
             bootstrap=budget.bootstrap,
         )
@@ -356,7 +354,7 @@ def check_delta_mse(budget: VerifyBudget, seed: int = 0) -> CheckResult:
     for label, coeffs, noise in setups:
         report = delta_mse_check(
             SyntheticTask(coeffs, 1.0, noise), [0, 1], 0, n_train, budget.replicates,
-            n_eval=budget.n_eval, seed=int(rng.integers(2**32)),
+            n_eval=MIN_N_EVAL, seed=int(rng.integers(2**32)),
             n_pop=budget.n_pop,
         )
         cases.append({"case": label, **asdict(report)})

@@ -13,6 +13,7 @@ concurrent workers.
 from __future__ import annotations
 
 import csv
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -354,7 +355,9 @@ def _read_body(p: Path, header: Sequence[str], skip: int) -> np.ndarray:
     except UnicodeDecodeError as exc:
         raise _not_utf8(p, exc) from None
     except ValueError as exc:
-        raise ValidationError(f"{p}: {exc}") from None
+        message = re.sub(r"^(the number of columns changed from \d+ to \d+ at row )(\d+);.*",
+                         lambda m: f"{m[1]}{int(m[2]) - 1}", str(exc))
+        raise ValidationError(f"{p}: {message}") from None
     rows, width = table.shape
     if rows < 2:
         raise ValidationError(f"{p}: need at least 2 data rows, got {rows}")
@@ -407,11 +410,11 @@ def load_dataset(path, targets: Sequence[str], *, ignore: Sequence[str] = (),
     read by ``np.loadtxt``: unquoted numbers, white space around a cell
     allowed, LF, CRLF or a lone CR ending a line, blank lines skipped.  A
     refusal names the file.  A cell loadtxt cannot convert (quoted, ``1_0``,
-    ``x``, empty) or a ragged row keeps loadtxt's message; a non-finite
-    value in any column is named by its column and its row, counted as
-    loadtxt counts a bad cell's: from 0 after the header, blank lines not
-    counted.  Rows wider or narrower than the header, and fewer than two
-    rows, are refused too.
+    ``x``, empty) keeps loadtxt's message; a ragged row is named by its
+    column counts and a non-finite value in any column by its column.  Each
+    names its row as loadtxt names a bad cell's: from 0 after the header,
+    blank lines not counted.  Rows wider or narrower than the header, and
+    fewer than two rows, are refused too.
     """
     p = Path(path)
     target_set = set(_names(targets, "targets"))

@@ -1,11 +1,11 @@
 """Ordinary least squares and the scalar statistics the threshold tests consume.
 
-Every least-squares fit of the package is made here, and returns its
-coefficients with a :class:`ThresholdFit`, the record the threshold tests
-read, except one solve for many right-hand sides that no threshold test
-reads: the replicates of ``oracle.coefficient_covariance_check``.  The
-summary of ``mtaggr aggregate`` refits no single task: it reads the
-residual sums of squares of the walk's own fits.
+Every least-squares fit of the package is made here: with a
+:class:`ThresholdFit`, the record the threshold tests read, or by
+:func:`_min_norm`, for many right-hand sides at once (``run_trial``'s single
+tasks, ``oracle.coefficient_covariance_check``'s replicates).  The summary
+of ``mtaggr aggregate`` refits no single task: it reads the residual sums of
+squares of the walk's own fits.
 :func:`_factor` makes the one SVD that the walks on a shared feature
 matrix read, and decides where phase II's restriction identity is allowed.
 
@@ -194,6 +194,11 @@ def _core_fit(X, y) -> tuple[np.ndarray, ThresholdFit]:
         raise ValidationError(f"need at least 2 samples, got {n}")
     coef, _, rank, _ = np.linalg.lstsq(A, v, rcond=None)
     return _fitted(A, v, coef, int(rank))
+
+
+def _min_norm(X, Y) -> np.ndarray:
+    """The minimum-norm least-squares coefficients of each column of ``Y`` on ``X``, from lstsq."""
+    return np.linalg.lstsq(X, Y, rcond=None)[0]
 
 
 def threshold_fit(X, y) -> ThresholdFit:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .data import FeaturePartition, _cluster_means, _is_int
 from .errors import ValidationError
+from .linstats import _min_norm
 
 if TYPE_CHECKING:
     from .synth import SyntheticTask
@@ -681,7 +682,7 @@ def coefficient_covariance_check(
 
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal((n, replicates)) * sigma
-    coefs, *_ = np.linalg.lstsq(A, eps, rcond=None)  # (d, replicates)
+    coefs = _min_norm(A, eps)  # (d, replicates)
     empirical = np.cov(coefs, ddof=1) if d > 1 else np.atleast_2d(np.var(coefs, ddof=1))
     max_rel = float(np.max(np.abs(empirical[mask] - theoretical[mask]) / size[mask]))
     return CoefficientCovarianceReport(

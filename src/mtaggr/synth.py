@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linstats
 from .aggregation import apply_partition, nonlin_ctfa
-from .data import Dataset, _is_int, _is_real, _seed, center
+from .data import Dataset, _cluster_means, _is_int, _is_real, _seed, center
 from .errors import ValidationError
 from .oracle import NoiseModel
 
@@ -195,6 +195,8 @@ class TrialMetrics:
 
     MSE and R^2 are averaged over the original tasks on the test split; the
     aggregated models are scored against each member task's own test target.
+    Phase I fits a cluster's mean target on all features; least squares is
+    linear in it, so that model is scored by its members' mean prediction.
     """
 
     mse_single: float
@@ -223,54 +225,44 @@ def _pct_change(value: float, baseline: float) -> float:
 
 
 def run_trial(config: SynthConfig, seed: int) -> TrialMetrics:
-    """Generate, aggregate, and score one seed of the benchmark."""
+    """Generate, aggregate, and score one seed of the benchmark.
+
+    One multi-column fit gives every single-task model and, through cluster
+    means of their predictions, every phase-I one; phase II fits per cluster.
+    """
     train_raw, test_raw, _ = generate(config, seed)
     centering = center(train_raw)
     train = centering.dataset
     test = centering.transform(test_raw)
 
     result = nonlin_ctfa(train, config.epsilon1, config.epsilon2, seed)
+    clusters = result.task_partition.clusters
+    cluster_of = [ci for _, ci in sorted((t, ci) for ci, c in enumerate(clusters) for t in c)]
 
-    L = train.n_tasks
-    mse_single = np.empty(L)
-    r2_single = np.empty(L)
-    for t in range(L):
-        fit = linstats.ols_fit(train.features, train.targets[:, t])
-        pred = fit.predict(test.features)
-        mse_single[t] = linstats.mse(pred, test.targets[:, t])
-        r2_single[t] = linstats._prediction_r2(pred, test.targets[:, t])
+    single = test.features @ linstats._min_norm(train.features, train.targets)
+    phase1 = _cluster_means(single, clusters)
+    reduced = zip(apply_partition(train, result), apply_partition(test, result))
+    phase12 = np.column_stack([linstats.ols_fit(X_train, psi).predict(X_test)
+                               for (psi, X_train), (_, X_test) in reduced])
 
-    mse_p1 = np.empty(L)
-    r2_p1 = np.empty(L)
-    mse_p12 = np.empty(L)
-    r2_p12 = np.empty(L)
-    reduced_train = apply_partition(train, result)
-    reduced_test = apply_partition(test, result)
-    for ci, cluster in enumerate(result.task_partition.clusters):
-        psi_train = reduced_train[ci][0]
-        fit1 = linstats.ols_fit(train.features, psi_train)
-        pred1 = fit1.predict(test.features)
-        fit2 = linstats.ols_fit(reduced_train[ci][1], psi_train)
-        pred2 = fit2.predict(reduced_test[ci][1])
-        for t in cluster:
-            actual = test.targets[:, t]
-            mse_p1[t] = linstats.mse(pred1, actual)
-            r2_p1[t] = linstats._prediction_r2(pred1, actual)
-            mse_p12[t] = linstats.mse(pred2, actual)
-            r2_p12[t] = linstats._prediction_r2(pred2, actual)
+    def score(pred: np.ndarray) -> tuple[float, float]:
+        """Mean test MSE and R^2 over the tasks; column t of ``pred`` predicts task t."""
+        pairs = [(pred[:, t], test.targets[:, t]) for t in range(train.n_tasks)]
+        return (float(np.mean([linstats.mse(p, y) for p, y in pairs])),
+                float(np.mean([linstats._prediction_r2(p, y) for p, y in pairs])))
 
-    m_single = float(mse_single.mean())
-    m_p1 = float(mse_p1.mean())
-    m_p12 = float(mse_p12.mean())
+    m_single, r2_single = score(single)
+    m_p1, r2_p1 = score(phase1[:, cluster_of])
+    m_p12, r2_p12 = score(phase12[:, cluster_of])
     return TrialMetrics(
         mse_single=m_single,
         mse_phase1=m_p1,
         mse_phase12=m_p12,
         pct_phase1=_pct_change(m_p1, m_single),
         pct_phase12=_pct_change(m_p12, m_single),
-        r2_single=float(r2_single.mean()),
-        r2_phase1=float(r2_p1.mean()),
-        r2_phase12=float(r2_p12.mean()),
+        r2_single=r2_single,
+        r2_phase1=r2_p1,
+        r2_phase12=r2_p12,
         n_task_clusters=float(result.task_partition.n_clusters),
         mean_reduced_features=float(
             np.mean([fp.n_clusters for fp in result.feature_partitions])

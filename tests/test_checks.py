@@ -45,7 +45,7 @@ def test_run_checks_rejects_unknown_names():
 
 @pytest.mark.parametrize("field, value", [
     ("draws", 0), ("draws", -1), ("draws", 2.0), ("draws", True), ("bootstrap", -1),
-    ("replicates", 99), ("n_eval", 9_999), ("n_pop", 9_999), ("n_eval", 1e4),
+    ("replicates", 99), ("n_pop", 9_999), ("n_pop", 1e4),
     ("coefficient_replicates", 1), ("bias_generators", 0), ("bias_partitions", 0),
 ])
 def test_budget_rejects_what_no_check_can_run_with(field, value):
@@ -72,7 +72,7 @@ def test_run_checks_refuses_a_seed_that_is_not_an_integer(seed):
         run_checks(["noise_variance"], VerifyBudget.quick(), seed=seed)
 
 
-SMALLEST = VerifyBudget(100, 10_000, 10_000, draws=1, bootstrap=0, coefficient_replicates=2,
+SMALLEST = VerifyBudget(100, 10_000, draws=1, bootstrap=0, coefficient_replicates=2,
                         bias_generators=1, bias_partitions=1)
 
 

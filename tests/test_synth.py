@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from mtaggr import linstats
-from mtaggr.errors import ValidationError
+from mtaggr.aggregation import apply_partition, nonlin_ctfa
+from mtaggr.data import center
+from mtaggr.errors import ValidationError, ZeroVarianceError
 from mtaggr.synth import SynthConfig, generate, run_trial, sweep
 
 SMALL = SynthConfig(
@@ -150,13 +152,62 @@ class TestGenerate:
         assert 0.43 <= np.mean(values) <= 0.53
 
 
+def _phase1_by_refit(config: SynthConfig, seed: int) -> tuple[float, float]:
+    """mse_phase1 and r2_phase1 from one ``ols_fit`` of each cluster's mean target."""
+    train_raw, test_raw, _ = generate(config, seed)
+    centering = center(train_raw)
+    train, test = centering.dataset, centering.transform(test_raw)
+    result = nonlin_ctfa(train, config.epsilon1, config.epsilon2, seed)
+    mses, r2s = np.empty(train.n_tasks), np.empty(train.n_tasks)
+    for (psi, _), cluster in zip(apply_partition(train, result),
+                                 result.task_partition.clusters):
+        pred = linstats.ols_fit(train.features, psi).predict(test.features)
+        for t in cluster:
+            mses[t] = linstats.mse(pred, test.targets[:, t])
+            r2s[t] = linstats._prediction_r2(pred, test.targets[:, t])
+    return float(mses.mean()), float(r2s.mean())
+
+
 class TestRunTrial:
     def test_singleton_phase1_equals_single_task(self):
         cfg = SynthConfig(**{**SMALL.__dict__, "epsilon1": -1e6})
         m = run_trial(cfg, 0)
         assert m.n_task_clusters == SMALL.n_tasks
-        assert abs(m.mse_phase1 - m.mse_single) < 1e-9
+        assert m.mse_phase1 == m.mse_single
+        assert m.r2_phase1 == m.r2_single
         assert m.pct_phase1 == 0.0
+
+    def test_one_multi_column_fit_and_one_fit_per_cluster(self, monkeypatch):
+        shapes, lstsq = [], np.linalg.lstsq
+
+        def counted(A, B, *args, **kwargs):
+            shapes.append(np.shape(B))
+            return lstsq(A, B, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        m = run_trial(SMALL, 1)
+        K = int(m.n_task_clusters)
+        assert 1 < K < SMALL.n_tasks
+        # One fit of all the train targets, then one phase-II fit per cluster.
+        assert shapes == [(SMALL.n_train, SMALL.n_tasks)] + [(SMALL.n_train,)] * K
+
+    @pytest.mark.parametrize("config, seed", [
+        (SMALL, 0), (SMALL, 1), (SMALL, 2),
+        (replace(SMALL, epsilon1=1e6), 3),
+        (replace(SMALL, n_features=30, n_train=20), 4),  # n_train < D: rank-deficient
+    ])
+    def test_phase1_matches_a_refit_of_each_cluster(self, config, seed):
+        m = run_trial(config, seed)
+        mse, r2 = _phase1_by_refit(config, seed)
+        assert abs(m.mse_phase1 - mse) <= 1e-12 * abs(mse)
+        assert abs(m.r2_phase1 - r2) <= 1e-12 * abs(r2)
+
+    @pytest.mark.parametrize("groups, epsilon1", [(None, 0.0), ((0, 1, 1, 1), 1e6)])
+    def test_constant_target_raises(self, groups, epsilon1):
+        cfg = replace(SMALL, coefficient_intervals=((0, 0), (0.5, 1)), sigma=0.0,
+                      group_assignment=groups, epsilon1=epsilon1)
+        with pytest.raises(ZeroVarianceError, match="zero variance"):
+            run_trial(cfg, 0)
 
     def test_metrics_are_finite(self):
         m = run_trial(SMALL, 1)
@@ -188,7 +239,9 @@ class TestSweep:
         table = sweep(SMALL, "epsilon1", [-1e6])
         rows = {r["metric"]: r for r in table.rows}
         assert rows["n_task_clusters"]["mean"] == SMALL.n_tasks
-        assert abs(rows["mse_phase1"]["mean"] - rows["mse_single"]["mean"]) < 1e-9
+        for metric in ("mse", "r2"):
+            assert rows[f"{metric}_phase1"] == {**rows[f"{metric}_single"],
+                                                "metric": f"{metric}_phase1"}
         assert rows["pct_phase1"]["mean"] == 0.0
 
     def test_sigma_zero_endpoint(self):
