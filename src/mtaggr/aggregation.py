@@ -15,18 +15,20 @@ members plus the candidate, matching the columns the final output is built
 from.
 
 The walk (:func:`_greedy`) knows nothing of the data: a comparison model
-opens a cluster, compares a candidate and accepts it.  With shared features
-the models fit nothing per comparison:
+opens a cluster, compares a candidate and accepts it.  A comparison makes
+one new fit, the merged one (phase II's refit path also fits the matrix
+before the merge when a cluster opens), and an accept makes that fit the
+open cluster's:
 
-* Phase I projects every target off the column space of X once.  The fit
-  of a target mean is the mean of the targets' fits, so running sums of the
-  open cluster's targets and residuals give each comparison's three fits in
-  O(n).  Of those fits only the merged mean's is new: each target's own fit
-  is made once, and the open cluster's fit is the last accepted merged fit.
-  A :class:`ThresholdFit` derives its statistics when it is made, so a
-  comparison costs two vector sums and scalings, one mean, two dot
-  products, the statistics of one fit and the record, with no statistic
-  recomputed.
+* Phase I and the homogeneous variant are one model.  Each target carries
+  a part, summed in walk order next to it: with shared features its
+  residual off the column space of X, projected once (the fit of a target
+  mean is the mean of the targets' fits, so the merged fit costs O(n)); in
+  the homogeneous variant its own feature slab, whose mean slab is fitted
+  from its column-scaled normal equations where they are proven to match
+  lstsq, and with lstsq elsewhere (see :func:`mtaggr.linstats._gram_fit`).
+  Each target's own fit is made once.  A :class:`ThresholdFit` derives its
+  statistics when it is made, so no statistic is recomputed.
 * Phase II keeps the restricted coefficients b and their unscaled
   covariance K = (X'X)^-1.  Merging candidate j into the cluster opened by s
   imposes b_s = b_j, which raises the residual sum of squares by
@@ -39,15 +41,8 @@ the models fit nothing per comparison:
 
 Both phases read one factorization of X, which :func:`nonlin_ctfa` makes
 once per run; it also says which phase-II path is allowed (see
-:func:`mtaggr.linstats._factor`).
-
-The homogeneous model fits each task's slab once and each merged mean slab
-once per comparison, forming that slab from a running sum.  Each slab has
-its own matrix, so nothing is shared between fits; each is fitted from its
-column-scaled normal equations where they are proven to match lstsq, and
-with lstsq elsewhere (see :func:`mtaggr.linstats._gram_fit`).
-
-Every fit is made in :mod:`mtaggr.linstats`.
+:func:`mtaggr.linstats._factor`).  Every fit is made in
+:mod:`mtaggr.linstats`.
 
 The threshold tests take fits, not arrays: every model calls one of them
 once per comparison with the fits it holds, so the report and its decision
@@ -278,60 +273,79 @@ def _working_matrices(
 
 
 class _TargetMerges:
-    """Phase I comparisons on the shared feature matrix.
+    """Phase I comparisons, on shared features or on per-task slabs.
 
-    The least-squares fit of a mean of targets is the mean of their fits, so
-    the residuals of the single targets give the residual of every
-    aggregate: a set S of targets leaves ``mean(E[:, S])``, and every fit
-    has the rank of ``X``.  The projection residual is exact at any rank, so
-    this needs no fallback.  Running sums over the open cluster keep each
-    comparison O(n) however large the cluster grows.
+    Each target ``Z[:, t]`` carries a part ``parts[t]``, and
+    ``fit(mean_target, mean_part)`` fits a mean of targets from the same
+    mean of their parts.  Each target's own fit is made once; a comparison
+    fits the merged mean once, and an accept makes that fit the open
+    cluster's.  The sums of the open cluster's targets and parts, added in
+    walk order, are kept, so a comparison forms its means in the size of
+    one target and part however large the cluster grows.
     """
 
-    def __init__(self, X: np.ndarray, Z: np.ndarray, epsilon: float, factors):
-        Q = factors.basis
-        self.rank, self.d, self.Z, self.epsilon = Q.shape[1], X.shape[1], Z, epsilon
-        # One target at a time: a blocked multi-column product can round a
-        # column differently from an identical one, which would split the
-        # exact ties between duplicate targets that the per-fit path keeps.
-        self.E = [z - Q @ (Q.T @ z) for z in Z.T]
-        self.n = X.shape[0]
-        self.singles = [self._fit(z, e) for z, e in zip(Z.T, self.E)]
-
-    def _fit(self, z: np.ndarray, e: np.ndarray) -> ThresholdFit:
-        return ThresholdFit(float(e @ e), _target_variance(z), self.n, self.d, self.rank)
+    def __init__(self, Z: np.ndarray, parts, fit, epsilon: float):
+        self.Z, self.parts, self.fit, self.epsilon = Z, parts, fit, epsilon
+        self.singles = [fit(z, part) for z, part in zip(Z.T, parts)]
 
     def open(self, i: int) -> None:
-        self.size = 1
-        self.sum_z = self.Z[:, i].copy()
-        self.sum_e = self.E[i].copy()
+        self.sums = self.Z[:, i], self.parts[i]
         self.p_fit = self.singles[i]
 
     def compare(self, closed, members, visited, j: int) -> ThresholdReport:
-        z = self.Z[:, j]
-        size = self.size + 1
-        self.ag_fit = self._fit(
-            (self.sum_z + z) / size, (self.sum_e + self.E[j]) / size
-        )
+        size = len(members) + 1
+        self.ag_sums = self.sums[0] + self.Z[:, j], self.sums[1] + self.parts[j]
+        self.ag_fit = self.fit(self.ag_sums[0] / size, self.ag_sums[1] / size)
         return compute_threshold_targets(
             self.p_fit, self.singles[j], self.ag_fit, self.epsilon,
             cluster_id=len(closed), candidate=j, members=members,
         )
 
     def accept(self, members, j: int) -> None:
-        self.sum_z += self.Z[:, j]
-        self.sum_e += self.E[j]
-        self.size += 1
-        self.p_fit = self.ag_fit
+        self.sums, self.p_fit = self.ag_sums, self.ag_fit
+
+
+def _shared_targets(X: np.ndarray, Z: np.ndarray, epsilon: float, factors) -> _TargetMerges:
+    """Phase I on the shared feature matrix: each target's part is its residual off X.
+
+    The least-squares fit of a mean of targets is the mean of their fits, so
+    a set S of targets leaves the residual ``mean(E[:, S])``, and every fit
+    has the rank of ``X``.  The projection residual is exact at any rank, so
+    this needs no fallback.
+    """
+    Q = factors.basis
+    (n, d), rank = X.shape, Q.shape[1]
+    # One target at a time: a blocked multi-column product can round a
+    # column differently from an identical one, which would split the exact
+    # ties between duplicate targets that the per-fit path keeps.
+    E = [z - Q @ (Q.T @ z) for z in Z.T]
+    return _TargetMerges(
+        Z, E, lambda z, e: ThresholdFit(float(e @ e), _target_variance(z), n, d, rank),
+        epsilon,
+    )
+
+
+def _slab_targets(slabs, Y: np.ndarray, epsilon: float) -> _TargetMerges:
+    """The homogeneous variant: each task's part is its own feature slab.
+
+    A merged cluster's matrix is the mean of its members' slabs, so every
+    fit has its own matrix; each solves the slab's normal equations where
+    they match lstsq, and falls back to lstsq elsewhere (see
+    :func:`mtaggr.linstats._slab_fit`).
+    """
+    return _TargetMerges(Y, slabs, lambda y, slab: _slab_fit(slab, y)[1], epsilon)
 
 
 class _FeatureRefits:
-    """Phase II comparisons that refit every working matrix.
+    """Phase II comparisons that refit every merged working matrix.
 
     This is the path for a feature matrix without full column rank, where a
     merge need not lower the rank of the fit, or too badly conditioned for
     :class:`_FeatureRestrictions` to match a refit (see
-    :func:`_feature_merges`).
+    :func:`_feature_merges`).  The matrix before a merge is fitted only
+    when a cluster opens: an accepted merged matrix has the columns of the
+    next comparison's matrix before the merge, so an accept makes its fit
+    the separated one.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, epsilon: float, task_cluster):
@@ -356,7 +370,7 @@ class _FeatureRefits:
         return threshold_fit(merged, self.y)
 
     def accept(self, members, j: int) -> None:
-        self.sep_fit = None
+        self.sep_fit = self.ag_fit
 
 
 class _FeatureRestrictions(_FeatureRefits):
@@ -462,45 +476,6 @@ def _feature_merges(X: np.ndarray, y: np.ndarray, epsilon: float, task_cluster, 
     return _FeatureRefits(X, y, epsilon, task_cluster)
 
 
-class _SlabMerges:
-    """Comparisons of the homogeneous variant: each task has its own slab.
-
-    A merged cluster's matrix is the mean of its members' slabs, so every
-    fit has its own matrix.  Each task's own fit is made once; the fit of
-    the merged mean is made once per comparison and, on an accept, becomes
-    the open cluster's fit.  Every fit solves the slab's normal equations
-    where they match lstsq, and falls back to lstsq elsewhere (see
-    :func:`mtaggr.linstats._slab_fit`).  The sum of the open cluster's
-    slabs, added in walk order, is kept, so a comparison forms its mean slab
-    in O(n D) however large the cluster grows.
-    """
-
-    def __init__(self, slabs, Y: np.ndarray, epsilon: float):
-        self.slabs, self.Y, self.epsilon = slabs, Y, epsilon
-        self.singles = [
-            _slab_fit(slab, Y[:, t])[1] for t, slab in enumerate(slabs)
-        ]
-
-    def open(self, i: int) -> None:
-        self.p_fit = self.singles[i]
-        self.slab_sum = self.slabs[i] + 0.0
-
-    def compare(self, closed, members, visited, j: int) -> ThresholdReport:
-        extended = members + (j,)
-        self.ag_sum = self.slab_sum + self.slabs[j]
-        self.ag_fit = _slab_fit(
-            self.ag_sum / len(extended), self.Y[:, extended].mean(axis=1)
-        )[1]
-        return compute_threshold_targets(
-            self.p_fit, self.singles[j], self.ag_fit, self.epsilon,
-            cluster_id=len(closed), candidate=j, members=members,
-        )
-
-    def accept(self, members, j: int) -> None:
-        self.p_fit = self.ag_fit
-        self.slab_sum = self.ag_sum
-
-
 def _greedy(
     order: list[int], model
 ) -> tuple[tuple[tuple[int, ...], ...], list[ThresholdReport]]:
@@ -595,7 +570,7 @@ def aggregation_loop(
     if phase == 1:
         if factors is None:
             factors = _factor(X)
-        model = _TargetMerges(X, Z, epsilon, factors)
+        model = _shared_targets(X, Z, epsilon, factors)
         if singles is not None:
             singles.extend(model.singles)
         return _greedy(order, model)
@@ -747,7 +722,7 @@ def nonlin_ctfa_homogeneous(
         _check_centered(slab, f"task {t} feature")
 
     order = [int(i) for i in _task_order(dataset.n_tasks, seed)]
-    model = _SlabMerges(slabs, Y, epsilon)
+    model = _slab_targets(slabs, Y, epsilon)
     clusters, trace = _greedy(order, model)
     task_partition = TaskPartition(clusters, dataset.n_tasks)
     D = dataset.n_features

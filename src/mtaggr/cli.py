@@ -111,10 +111,8 @@ def cmd_aggregate(args) -> int:
         pred = X @ linstats._core_fit(X, y)[0]
         for t in result.task_partition.clusters[ci]:
             actual = centered.targets[:, t]
-            spread = linstats._spread(actual)
-            diff = pred - actual
-            before = linstats._r2_of(result.single_ss_res[t] / n, spread)
-            after = linstats._r2_of(float(diff @ diff) / n, spread)
+            before = linstats._r2_of(result.single_ss_res[t] / n, linstats._spread(actual))
+            after = linstats._prediction_r2(pred, actual)
             lines.append(
                 f"  {centered.target_names[t]}: {before:.4f} -> {after:.4f}"
             )

@@ -3,9 +3,12 @@
 Every least-squares fit of the package is made here: with a
 :class:`ThresholdFit`, the record the threshold tests read, or by
 :func:`_min_norm`, for many right-hand sides at once (``run_trial``'s single
-tasks, ``oracle.coefficient_covariance_check``'s replicates).  The summary
-of ``mtaggr aggregate`` refits no single task: it reads the residual sums of
-squares of the walk's own fits.
+tasks, ``oracle.coefficient_covariance_check``'s replicates).  The only
+other solves are the Monte-Carlo oracle's normal equations: the stacked
+``np.linalg.solve`` of ``oracle.monte_carlo_bias_variance`` and
+``oracle._solve_or_pinv`` in ``oracle.population_bias_decomposition``.  The
+summary of ``mtaggr aggregate`` refits no single task: it reads the residual
+sums of squares of the walk's own fits.
 :func:`_factor` makes the one SVD that the walks on a shared feature
 matrix read, and decides where phase II's restriction identity is allowed.
 

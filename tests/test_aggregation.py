@@ -734,6 +734,41 @@ class TestDriver:
         assert records == want
         assert all(not r.accepted and r.note for r in records)
 
+    def test_refit_path_adopts_the_accepted_fit(self, monkeypatch):
+        # On the refit path an accept makes the merged fit the open
+        # cluster's separated fit, so no lstsq call follows an accept: each
+        # comparison fits its merged matrix, and only the first comparison
+        # of a cluster fits its separated matrix as well.
+        build, eps1, eps2, seed = REEVALUATION_CASES["n_below_d"]
+        ds = build()
+        events, lstsq = [], np.linalg.lstsq
+        test = aggregation.compute_threshold_features
+
+        def counted(*args, **kw):
+            events.append("lstsq")
+            return lstsq(*args, **kw)
+
+        def compared(*args, **kw):
+            events.append("compare")
+            return test(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        monkeypatch.setattr(aggregation, "compute_threshold_features", compared)
+        result = nonlin_ctfa(ds, eps1, eps2, seed=seed)
+        monkeypatch.undo()
+
+        records = [r for r in result.trace if r.phase == 2]
+        fits = [run.count("lstsq") for run in " ".join(events).split("compare")[:-1]]
+        assert len(fits) == len(records)
+        opens = [k == 0 or (r.task_cluster, r.cluster_id) != (records[k - 1].task_cluster,
+                                                             records[k - 1].cluster_id)
+                 for k, r in enumerate(records)]
+        assert fits == [2 if first else 1 for first in opens]
+        after_accept = [r for k, r in enumerate(records)
+                        if not opens[k] and records[k - 1].accepted]
+        assert len(after_accept) >= 10
+        assert_reevaluates(ds, result)
+
     def test_package_exports_reevaluation_and_fit(self):
         import mtaggr
 
@@ -1084,8 +1119,8 @@ class TestHomogeneousVariant:
 class MeanSlabMerges:
     """The homogeneous comparisons taking ``np.mean`` over the members' slabs.
 
-    The reference for :class:`mtaggr.aggregation._SlabMerges`, which forms
-    the same mean slab from a running sum.
+    The reference for :func:`mtaggr.aggregation._slab_targets`, which forms
+    the same mean slab and mean target from running sums.
     """
 
     def __init__(self, slabs, Y, epsilon):
@@ -1145,32 +1180,53 @@ def slab_sets(draw):
     return tuple(slabs), np.column_stack(cols), list(order), groups
 
 
+def assert_slab_walk_matches_mean(slabs, Y, order, epsilon):
+    """The slab walk against :class:`MeanSlabMerges`: same decisions, scalars to tolerance."""
+    clusters, trace = aggregation._greedy(
+        order, aggregation._slab_targets(slabs, Y, epsilon)
+    )
+    want_clusters, want_trace = aggregation._greedy(
+        order, MeanSlabMerges(slabs, Y, epsilon)
+    )
+    assert clusters == want_clusters
+    assert len(trace) == len(want_trace)
+    for got, want in zip(trace, want_trace):
+        assert (got.cluster_id, got.candidate, got.members, got.accepted,
+                got.note) == (want.cluster_id, want.candidate, want.members,
+                              want.accepted, want.note)
+        for f in TRACE_SCALARS:
+            a, b = getattr(got, f), getattr(want, f)
+            assert (a is None) == (b is None), f
+            if a is not None:
+                assert np.isclose(a, b, rtol=REPLAY_RTOL, atol=REPLAY_ATOL), f
+    return clusters, trace
+
+
 class TestSlabWalk:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(slab_sets(), st.sampled_from([0.0, 0.0, 0.05, 1.0, 1e6, -1e6]))
     def test_running_sum_matches_mean_of_members(self, tasks, epsilon):
         slabs, Y, order, groups = tasks
-        clusters, trace = aggregation._greedy(
-            order, aggregation._SlabMerges(slabs, Y, epsilon)
-        )
-        want_clusters, want_trace = aggregation._greedy(
-            order, MeanSlabMerges(slabs, Y, epsilon)
-        )
-        assert clusters == want_clusters
-        assert len(trace) == len(want_trace)
-        for got, want in zip(trace, want_trace):
-            assert (got.cluster_id, got.candidate, got.members, got.accepted,
-                    got.note) == (want.cluster_id, want.candidate, want.members,
-                                  want.accepted, want.note)
-            for f in TRACE_SCALARS:
-                a, b = getattr(got, f), getattr(want, f)
-                assert (a is None) == (b is None), f
-                if a is not None:
-                    assert np.isclose(a, b, rtol=REPLAY_RTOL, atol=REPLAY_ATOL), f
+        _, trace = assert_slab_walk_matches_mean(slabs, Y, order, epsilon)
+        for got in trace:
             # Exact copies tie, and so merge at any epsilon >= 0.
             copies = {groups[k] for k in got.members + (got.candidate,)}
             if epsilon >= 0.0 and len(copies) == 1:
                 assert got.accepted and got.threshold1 == got.threshold2 == 0.0
+
+    def test_running_sums_that_round_match_mean_of_members(self):
+        # The entries of slab_sets are multiples of 1/4, so none of their
+        # sums rounds.  Standard-normal slabs and targets round in every
+        # sum, and at epsilon 1e6 every merge is accepted, so one cluster
+        # grows to all 24 tasks.
+        rng = np.random.default_rng(28)
+        L, n, D = 24, 30, 3
+        slabs = tuple(rng.standard_normal((n, D)) for _ in range(L))
+        Y = rng.standard_normal((n, L))
+        order = [int(t) for t in rng.permutation(L)]
+        clusters, trace = assert_slab_walk_matches_mean(slabs, Y, order, 1e6)
+        assert max(map(len, clusters)) > 8
+        assert len(trace) == L - 1 and all(r.accepted for r in trace)
 
 
 def with_duplicate_slab_column(ds, k=3, source=1):
@@ -1450,7 +1506,7 @@ def bits(value):
 
 def assert_walk_matches_legacy(X, Z, order, epsilon):
     """The phase-I walk against the legacy one: same decisions, the same bits."""
-    model = aggregation._TargetMerges(X, Z, epsilon, linstats._factor(X))
+    model = aggregation._shared_targets(X, Z, epsilon, linstats._factor(X))
     got = aggregation._greedy(order, model)
     want = aggregation._greedy(order, LegacyTargetMerges(X, Z, epsilon))
     assert got[0] == want[0]

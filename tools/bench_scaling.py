@@ -3,6 +3,7 @@
     python3 tools/bench_scaling.py                      # D = 100, 200, 400, 800
     python3 tools/bench_scaling.py --rows 100,200       # a quick smoke run
     python3 tools/bench_scaling.py --targets 1000,3000,10000  # the target rows
+    python3 tools/bench_scaling.py --slabs 1000,3000    # the slab rows
     python3 tools/bench_scaling.py --src ../base-checkout/src --side base \\
         --rows 100,200,400,800,1600 --out BENCH_11.json
 
@@ -13,10 +14,15 @@ most of the comparisons.  Both run with epsilon1 0, epsilon2 1e-4 and seed
 10, and record the wall time, the comparison count of each phase, a SHA-256
 digest of the decisions (the partitions and every record's phase, task
 cluster, cluster, candidate and decision), the smallest phase-II margin
-|r_gap - epsilon2| and the number of ``numpy.linalg.svd`` calls.  Neither
-data generation nor a first, untimed run of the smallest feature row is
-timed.  D=1600 takes minutes, so it runs only when ``--rows`` names it; with
-``--targets`` alone only the target rows run.
+|r_gap - epsilon2| and the number of ``numpy.linalg.svd`` calls.  Each slab
+row (``--slabs``) runs ``nonlin_ctfa_homogeneous`` on T tasks with their own
+slabs, built as ``perfbench``'s ``slabs`` workload (the shared feature draw
+of ``generate`` plus unit-variance noise per task) with D = 20, n = 200,
+epsilon1 0 and seed 10, and records the wall time, the comparison count and
+the decision digest.  Neither data generation nor a first, untimed run of
+the smallest feature row is timed.  D=1600 takes minutes, so it runs only
+when ``--rows`` names it; with ``--targets`` or ``--slabs`` alone only those
+rows run.
 
 ``--src`` picks the ``mtaggr`` source tree to import, so one script times a
 change and its base; ``--out`` stores the rows under ``scaling.<side>`` of
@@ -43,6 +49,7 @@ ROWS = (100, 200, 400, 800, 1600)
 DEFAULT_ROWS = ROWS[:-1]
 TARGET_ROWS = (1000, 3000, 10000)
 TARGET_FEATURES, TARGET_SAMPLES = 20, 200
+SLAB_ROWS = (1000, 3000)
 EPSILON1, EPSILON2, SEED, DATA_SEED = 0.0, 1e-4, 10, 10
 THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -105,9 +112,30 @@ def row(D: int, T: int | None = None) -> dict:
     }
 
 
+def slab_row(T: int) -> dict:
+    """Time one ``nonlin_ctfa_homogeneous`` run on T tasks, each with its own slab."""
+    import numpy as np
+    from mtaggr import aggregation
+    from mtaggr.data import Dataset, center
+    from mtaggr.synth import SynthConfig, generate
+
+    D, n = TARGET_FEATURES, TARGET_SAMPLES
+    train = generate(SynthConfig(n_tasks=T, n_features=D, n_train=n), DATA_SEED)[0]
+    rng = np.random.default_rng([DATA_SEED, 1])
+    slabs = tuple(train.features + rng.standard_normal(train.features.shape)
+                  for _ in range(T))
+    dataset = center(Dataset(train.features, train.targets, per_task_features=slabs)).dataset
+    start = time.perf_counter()
+    result = aggregation.nonlin_ctfa_homogeneous(dataset, EPSILON1, SEED)
+    seconds = time.perf_counter() - start
+    return {"slabs": T, "D": D, "n": n, "seconds": seconds,
+            "comparisons": len(result.trace), "decisions_sha256": decisions_digest(result)}
+
+
 def row_key(r: dict) -> tuple[str, int]:
-    """A row's name: ("T", T) for a target row, else ("D", D)."""
-    return ("T", r["T"]) if "T" in r else ("D", r["D"])
+    """A row's name: ("slabs", T) for a slab row, ("T", T) for a target row, else ("D", D)."""
+    name = next(k for k in ("slabs", "T", "D") if k in r)
+    return name, r[name]
 
 
 def environment() -> dict:
@@ -152,14 +180,20 @@ def parse_targets(text: str) -> list[int]:
     return parse_values(text, TARGET_ROWS, "T")
 
 
+def parse_slabs(text: str) -> list[int]:
+    return parse_values(text, SLAB_ROWS, "slabs")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rows", type=parse_rows,
                         help="comma-separated D values (default 100,200,400,800 "
-                             "unless --targets is given)")
+                             "unless --targets or --slabs is given)")
     parser.add_argument("--targets", type=parse_targets, default=[],
                         help="comma-separated T values of the target rows "
                              "(1000,3000,10000)")
+    parser.add_argument("--slabs", type=parse_slabs, default=[],
+                        help="comma-separated task counts of the slab rows (1000,3000)")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the source tree whose mtaggr is timed")
     parser.add_argument("--side", choices=("base", "change"), default="change")
@@ -168,12 +202,15 @@ def main(argv=None) -> int:
     src = args.src.resolve()
     sys.path.insert(0, str(src))
     if args.rows is None:
-        args.rows = [] if args.targets else list(DEFAULT_ROWS)
+        args.rows = [] if args.targets or args.slabs else list(DEFAULT_ROWS)
     row(ROWS[0])  # untimed: the first call's one-off set-up is not a row's cost
     rows = []
     runs = [(D, None) for D in args.rows] + [(TARGET_FEATURES, T) for T in args.targets]
     for D, T in runs:
         rows.append(row(D, T))
+        print(json.dumps(rows[-1]), flush=True)
+    for T in args.slabs:
+        rows.append(slab_row(T))
         print(json.dumps(rows[-1]), flush=True)
     if args.out is None:
         return 0
@@ -185,8 +222,8 @@ def main(argv=None) -> int:
     doc["scaling_decisions"] = compare_sides(scaling)
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     for entry in doc["scaling_decisions"]:
-        name = "T" if "T" in entry else "D"
-        print(f"{name}={entry[name]}: decisions "
+        name, value = row_key(entry)
+        print(f"{name}={value}: decisions "
               f"{'agree' if entry['same_decisions'] else 'DIFFER'}", flush=True)
     return 0 if all(e["same_decisions"] for e in doc["scaling_decisions"]) else 1
 
